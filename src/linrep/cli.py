@@ -2,25 +2,22 @@
 
 Exit codes: 0 success, 1 input error, 2 check failed, 3 budget exceeded /
 inconclusive.  All randomness is counter-based (Philox) and fully
-determined by --seed, so reports are byte-identical across runs and
-thread-pool sizes.
+determined by --seed, so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 
 from . import hyperfin, ncrat, repseq, soficam, tiling
-from .field import FieldSpec
-from .freealg import AlgebraElement, AlgebraMatrix, ParseError, parse_element
-from .matrix import DenseMatrix
+from .field import MAX_Q, FieldSpec
+from .freealg import AlgebraMatrix, ParseError, parse_element
+from .matrix import DenseMatrix, fraction_from_json, fraction_to_json
 from .subspace import BudgetExceededError, Subspace
 
 EXIT_OK = 0
@@ -42,15 +39,22 @@ def parse_field(text: str) -> FieldSpec:
 
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise InputError(f"zero denominator in {text!r}") from exc
 
 
 def parse_range(text: str):
-    """'2..16' or a comma list '8,16,32'."""
+    """'2..16' or a comma list '8,16,32' of positive sizes."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(x) for x in text.split(",")]
+    if any(v < 1 for v in values):
+        raise InputError(f"sizes in {text!r} must be at least 1")
+    return values
 
 
 def load_json(path):
@@ -66,17 +70,6 @@ def emit(obj, out):
     out.write("\n")
 
 
-def frac_json(x: Fraction):
-    return {"num": x.numerator, "den": x.denominator}
-
-
-def pool_size() -> int:
-    try:
-        return max(1, int(os.environ.get("LINREP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def load_approx_map(args) -> tiling.FiniteApproxMap:
     if getattr(args, "poly", None):
         field = parse_field(args.field)
@@ -84,11 +77,7 @@ def load_approx_map(args) -> tiling.FiniteApproxMap:
         return soficam.poly_basis_map(inst, args.imax or args.poly)
     if getattr(args, "map", None):
         obj = load_json(args.map)
-        field = FieldSpec.from_json(obj["field"])
-        phi = [DenseMatrix.from_json(field, m) for m in obj["phi"]]
-        mult = {(int(a), int(b)): np.array(coords, dtype=np.uint8)
-                for a, b, coords in obj["mult"]}
-        return tiling.FiniteApproxMap(field, phi, mult)
+        return tiling.FiniteApproxMap.from_json(FieldSpec.from_json(obj["field"]), obj)
     raise InputError("need --map FILE or --poly M")
 
 
@@ -106,8 +95,7 @@ def load_f_data(args, imax) -> tiling.FSubspaceData:
 
 def load_h(args, field, n) -> Subspace:
     if getattr(args, "h", None):
-        rows = load_json(args.h)
-        return Subspace(field, n, np.array(rows, dtype=np.uint8).reshape(len(rows), n))
+        return Subspace.from_json(field, n, load_json(args.h))
     return Subspace.full(field, n)
 
 
@@ -132,25 +120,15 @@ def cmd_profile(args, out):
     else:
         raise InputError(f"unknown family {args.family!r}")
 
-    def one(k):
+    for k in sorted(ks):   # a comma list may be unordered; output is ordered by k
         if desc is not None:
             rep = repseq.family_generate(desc, k, field)
         else:
             rep = repseq.family_generate(
                 repseq.FamilyDescriptor.random_invertible(args.seed + k, k, args.r), k, field)
-        m = repseq.apply_matrix(rep, a)
-        return (k, rep.n, m.rank())
-
-    workers = pool_size()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, ks))
-    else:
-        rows = [one(k) for k in ks]
-    rows.sort(key=lambda t: t[0])   # output ordered by k regardless of scheduling
-    for (k, nk, rank) in rows:
-        frac = Fraction(rank, nk)
-        out.write(f"{k},{nk},{rank},{frac.numerator},{frac.denominator}\n")
+        rank = repseq.apply_matrix(rep, a).rank()
+        frac = Fraction(rank, rep.n)
+        out.write(f"{k},{rep.n},{rank},{frac.numerator},{frac.denominator}\n")
     return EXIT_OK
 
 
@@ -226,7 +204,7 @@ def cmd_expander(args, out):
     rep = repseq.Representation.from_json(load_json(args.rep))
     alpha = parse_fraction(args.alpha)
     ok = hyperfin.expander_check(rep, alpha, cap=args.cap)
-    emit({"expander": ok, "alpha": frac_json(alpha)}, out)
+    emit({"expander": ok, "alpha": fraction_to_json(alpha)}, out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -257,13 +235,9 @@ def cmd_sofic_check(args, out):
         return EXIT_OK if all_ok else EXIT_CHECK_FAILED
     obj = load_json(args.sofic)
     field = FieldSpec.from_json(obj["field"])
-    maps = []
-    for entry in obj["maps"]:
-        phi = [DenseMatrix.from_json(field, m) for m in entry["phi"]]
-        mult = {(int(a), int(b)): np.array(c, dtype=np.uint8) for a, b, c in entry["mult"]}
-        maps.append(tiling.FiniteApproxMap(field, phi, mult))
-    s_bounds = [Fraction(s["num"], s["den"]) for s in obj["s"]]
-    elements = [(np.array(c, dtype=np.uint8), Fraction(j["num"], j["den"]))
+    maps = [tiling.FiniteApproxMap.from_json(field, entry) for entry in obj["maps"]]
+    s_bounds = [fraction_from_json(s) for s in obj["s"]]
+    elements = [(np.array(c, dtype=np.uint8), fraction_from_json(j))
                 for c, j in obj.get("elements", [])]
     data = soficam.SoficData(maps, s_bounds)
     report = soficam.sofic_check(data, args.level, elements)
@@ -276,7 +250,7 @@ def cmd_folner(args, out):
     inst = soficam.PolyInstance(field, args.m)
     elements = [np.array(e, dtype=np.uint8) for e in json.loads(args.elements)]
     v1, v = soficam.folner_pair(inst, elements, parse_fraction(args.delta))
-    emit({"V1": v1.basis.astype(int).tolist(), "V": v.basis.astype(int).tolist(),
+    emit({"V1": v1.to_json(), "V": v.to_json(),
           "dim_V1": v1.dim, "dim_V": v.dim}, out)
     return EXIT_OK
 
@@ -405,7 +379,7 @@ def build_parser():
     sp.add_argument("--s-expr", required=True)
     sp.add_argument("--sizes", default="1..4")
     sp.add_argument("--trials", type=int, default=50)
-    sp.add_argument("--ext-deg", type=int, default=8)
+    sp.add_argument("--ext-deg", type=int, help=f"default: largest d with q^d <= {MAX_Q}")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--field", default="2")
 

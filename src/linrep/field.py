@@ -31,18 +31,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _poly_mul_mod(a, b, p):
-    """Multiply two GF(p)[x] polynomials given as coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _poly_mod(a, m, p):
     a = list(a)
     dm = len(m) - 1
@@ -150,10 +138,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(q)")
         return int(self.tables.inv[a])
-
-    def embeds_prime_subfield_of(self, other: "FieldSpec") -> bool:
-        """Whether codes < p carry over verbatim into `other` (same prime)."""
-        return self.deg == 1 and other.p == self.p
 
 
 class FieldTables:

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .field import FieldSpec
-from .matrix import DenseMatrix
 
 
 class ParseError(ValueError):
@@ -123,10 +120,6 @@ class AlgebraElement:
     @classmethod
     def one(cls, field, r):
         return cls(field, r, {Word.identity(): 1})
-
-    @classmethod
-    def from_word(cls, field, r, word, coeff=1):
-        return cls(field, r, {word: coeff})
 
     def _check(self, other):
         if self.field != other.field or self.r != other.r:
@@ -270,10 +263,14 @@ class _Scanner:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self, ch):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
+    def startswith(self, s):
+        self.skip_ws()
+        return self.text.startswith(s, self.pos)
+
+    def take(self, s):
+        if not self.startswith(s):
+            raise ParseError(f"expected {s!r}", self.pos)
+        self.pos += len(s)
 
     def number(self):
         self.skip_ws()
@@ -347,7 +344,3 @@ def _parse_gen(sc, r):
             sign = -1
         exp = sign * sc.number()
     return Word.generator(idx, exp)
-
-
-def word_multiply(u: Word, v: Word) -> Word:
-    return u * v

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import matmul_data, rref_array
+from .matrix import fraction_from_json, fraction_to_json, matmul_data, rref_array
 from .repseq import Representation
 from .subspace import (BudgetExceededError, Subspace, enumerate_subspaces,
                        gaussian_binomial, subspaces_independent)
@@ -30,15 +30,14 @@ class HyperfiniteWitness:
     subspaces: list
 
     def to_json(self):
-        return {"epsilon": {"num": self.epsilon.numerator, "den": self.epsilon.denominator},
+        return {"epsilon": fraction_to_json(self.epsilon),
                 "K": self.k_bound,
-                "tiles": [s.basis.astype(int).tolist() for s in self.subspaces]}
+                "tiles": [s.to_json() for s in self.subspaces]}
 
     @staticmethod
     def from_json(field, n, obj):
-        eps = Fraction(obj["epsilon"]["num"], obj["epsilon"]["den"])
-        tiles = [Subspace(field, n, np.array(rows, dtype=np.uint8).reshape(len(rows), n))
-                 for rows in obj["tiles"]]
+        eps = fraction_from_json(obj["epsilon"])
+        tiles = [Subspace.from_json(field, n, rows) for rows in obj["tiles"]]
         return HyperfiniteWitness(eps, int(obj["K"]), tiles)
 
 
@@ -50,9 +49,8 @@ class ExpansionReport:
     samples: int
 
     def to_json(self):
-        return {"min_ratio": {"num": self.min_ratio.numerator,
-                              "den": self.min_ratio.denominator},
-                "witness_subspace": self.witness_subspace.basis.astype(int).tolist(),
+        return {"min_ratio": fraction_to_json(self.min_ratio),
+                "witness_subspace": self.witness_subspace.to_json(),
                 "exact": self.exact,
                 "samples": self.samples}
 
@@ -225,7 +223,8 @@ def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
 
     if Fraction(covered) >= (1 - epsilon) * n:
         witness = HyperfiniteWitness(epsilon, k_bound, tiles)
-        assert witness_check(rep, witness)
+        if not witness_check(rep, witness):
+            raise RuntimeError("witness search built a witness that witness_check rejects")
         return witness
     return None
 

@@ -163,7 +163,41 @@ class DenseMatrix:
 
     @staticmethod
     def from_json(field, obj):
-        return DenseMatrix(field, np.array(obj, dtype=np.uint8))
+        return DenseMatrix(field, codes_from_json(field, obj))
+
+
+def codes_from_json(field: FieldSpec, rows, cols: int | None = None) -> np.ndarray:
+    """Decode a JSON list of rows of field codes into a uint8 array.
+
+    Anything but a rectangular list of rows of integers in [0, q) raises
+    ValueError.  With `cols` given, every row must have that length and
+    the empty list decodes to a 0 x cols array.
+    """
+    if cols is not None and isinstance(rows, list) and not rows:
+        return np.zeros((0, cols), dtype=np.uint8)
+    try:
+        arr = np.array(rows)
+    except (TypeError, ValueError):     # ragged rows
+        arr = np.array(None)
+    if (arr.ndim != 2 or (cols is not None and arr.shape[1] != cols)
+            or (arr.size and (arr.dtype.kind not in "iu"
+                              or arr.min() < 0 or arr.max() >= field.q))):
+        width = "" if cols is None else f" of length {cols}"
+        raise ValueError(f"expected a list of rows{width} of integer codes in [0, {field.q})")
+    return arr.astype(np.uint8)
+
+
+def fraction_to_json(x: Fraction) -> dict:
+    """The JSON form of an exact rational."""
+    return {"num": x.numerator, "den": x.denominator}
+
+
+def fraction_from_json(obj) -> Fraction:
+    """Inverse of fraction_to_json: an object with integer num and nonzero integer den."""
+    if not (isinstance(obj, dict) and type(obj.get("num")) is int
+            and type(obj.get("den")) is int and obj["den"] != 0):
+        raise ValueError('expected a rational {"num": int, "den": nonzero int}')
+    return Fraction(obj["num"], obj["den"])
 
 
 def matmul_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldSpec
-from .freealg import ParseError
+from .field import MAX_Q, FieldSpec
+from .freealg import ParseError, _Scanner
 from .matrix import DenseMatrix, SingularMatrixError, random_matrix
 
 
@@ -56,9 +56,6 @@ class Prod:
 @dataclass(frozen=True)
 class Inv:
     arg: object
-
-
-RatExpr = object  # union of the five node types above
 
 
 def max_variable(expr) -> int:
@@ -154,14 +151,19 @@ class EquivVerdict:
         return out
 
 
-def equiv_probabilistic(r_expr, s_expr, sizes, trials: int, ext_deg: int = 8,
+def equiv_probabilistic(r_expr, s_expr, sizes, trials: int, ext_deg: int | None = None,
                         seed: int = 0, base_field: FieldSpec | None = None) -> EquivVerdict:
     """Sample random tuples over GF(q^ext_deg) and compare the two expressions.
 
+    `ext_deg` defaults to the largest d with q^d <= MAX_Q (8 over GF(2)).
     A counterexample is re-evaluated from scratch before being reported;
     a "consistent" verdict is evidence, not a proof of equivalence.
     """
     base = base_field or FieldSpec(2)
+    if ext_deg is None:
+        ext_deg = 1
+        while base.q ** (ext_deg + 1) <= MAX_Q:
+            ext_deg += 1
     field = FieldSpec(base.p, base.deg * ext_deg) if ext_deg > 1 else base
     r = max(max_variable(r_expr), max_variable(s_expr), 1)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -195,38 +197,6 @@ def parse_ratexpr(text: str):
     if sc.pos != len(sc.text):
         raise ParseError(f"unexpected {sc.text[sc.pos]!r}", sc.pos)
     return expr
-
-
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def startswith(self, s):
-        self.skip_ws()
-        return self.text.startswith(s, self.pos)
-
-    def take(self, s):
-        if not self.startswith(s):
-            raise ParseError(f"expected {s!r}", self.pos)
-        self.pos += len(s)
-
-    def number(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected digits", start)
-        return int(self.text[start:self.pos])
 
 
 @dataclass(frozen=True)

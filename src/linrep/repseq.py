@@ -14,7 +14,7 @@ import numpy as np
 
 from .field import FieldSpec
 from .freealg import AlgebraMatrix, Word
-from .matrix import DenseMatrix, SingularMatrixError, random_invertible
+from .matrix import DenseMatrix, SingularMatrixError, fraction_to_json, random_invertible
 from .subspace import Subspace
 
 
@@ -55,9 +55,6 @@ class Representation:
             m = m @ step
             self._word_cache[prefix] = m
         return m
-
-    def of_generator(self, i: int, exponent: int = 1) -> DenseMatrix:
-        return self.generators[i - 1] if exponent == 1 else self.inverses[i - 1]
 
     def to_json(self):
         return {"field": self.field.to_json(), "r": self.r, "n": self.n,
@@ -118,13 +115,11 @@ class AtiyahReport:
     tolerance: Fraction
 
     def to_json(self):
-        def frac(x):
-            return {"num": x.numerator, "den": x.denominator}
-        return {"limit_estimate": frac(self.limit_estimate),
-                "tail_oscillation": frac(self.tail_oscillation),
+        return {"limit_estimate": fraction_to_json(self.limit_estimate),
+                "tail_oscillation": fraction_to_json(self.tail_oscillation),
                 "nearest_integer": self.nearest_integer,
                 "integral": self.integral,
-                "tolerance": frac(self.tolerance)}
+                "tolerance": fraction_to_json(self.tolerance)}
 
 
 def atiyah_check(profile: RankProfile, tail_window: int, tol: Fraction) -> AtiyahReport:
@@ -134,6 +129,8 @@ def atiyah_check(profile: RankProfile, tail_window: int, tol: Fraction) -> Atiya
     holds when it sits within `tol` of an integer and the tail oscillates
     by at most `tol`.
     """
+    if tail_window < 1:
+        raise ValueError("tail window must be at least 1")
     values = profile.values()
     if len(values) < tail_window:
         raise ValueError(f"profile has {len(values)} entries, window needs {tail_window}")
@@ -178,7 +175,8 @@ def repair_to_invertible(m: DenseMatrix) -> DenseMatrix:
     targets = np.concatenate([col_comp.basis, np.zeros((ker_comp.dim, n), dtype=np.uint8)], axis=0)
     X = DenseMatrix(field, targets.T) @ binv
     repaired = m + X
-    assert repaired.is_invertible()
+    if not repaired.is_invertible():
+        raise RuntimeError("rank-distance repair produced a singular matrix")
     return repaired
 
 
@@ -196,10 +194,6 @@ class FamilyDescriptor:
     @staticmethod
     def abelian_quotient(moduli):
         return FamilyDescriptor("abelian_quotient", tuple(moduli))
-
-    @staticmethod
-    def schreier(perm_tuples):
-        return FamilyDescriptor("schreier", tuple(tuple(p) for p in perm_tuples))
 
     @staticmethod
     def random_invertible(seed: int, n: int, r: int):
@@ -243,8 +237,6 @@ def family_generate(spec: FamilyDescriptor, k: int, field: FieldSpec) -> Represe
                 perm.append(_mixed_value(digits, moduli))
             gens.append(_perm_matrix(field, perm))
         return Representation(field, gens)
-    if spec.kind == "schreier":
-        return Representation(field, [_perm_matrix(field, p) for p in spec.params])
     if spec.kind == "random_invertible":
         seed, n, r = spec.params
         rng = np.random.Generator(np.random.Philox(seed))

@@ -9,17 +9,17 @@ the Folner geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .field import FieldSpec
 from .freealg import Word
-from .matrix import DenseMatrix
+from .matrix import DenseMatrix, fraction_to_json
 from .repseq import Representation
 from .subspace import Subspace, subspaces_independent
-from .tiling import FiniteApproxMap, MissingProductError, good_subspace, is_good_map
+from .tiling import FiniteApproxMap, MissingProductError, is_good_map
 
 
 @dataclass(frozen=True)
@@ -142,16 +142,10 @@ def poly_basis_map(instance: PolyInstance, i_max: int) -> FiniteApproxMap:
 
 @dataclass
 class SoficData:
-    """One level of a sofic approximation: maps, defect bounds, rank floors."""
+    """Levels of a sofic approximation: maps and their defect bounds."""
 
     maps: list                       # FiniteApproxMap per level k
     s_bounds: list                   # defect bound s_k per level (Fractions)
-    j_floor: dict = dc_field(default_factory=dict)   # element key -> Fraction
-
-    def to_json(self):
-        return {"levels": len(self.maps),
-                "s": [{"num": Fraction(s).numerator, "den": Fraction(s).denominator}
-                      for s in self.s_bounds]}
 
 
 @dataclass
@@ -168,12 +162,11 @@ class SoficReport:
         return self.unit_ok and self.rank_ok and self.mult_ok
 
     def to_json(self):
-        def frac(x):
-            return None if x is None else {"num": x.numerator, "den": x.denominator}
+        min_rank = None if self.min_rank is None else fraction_to_json(self.min_rank)
         return {"unit_ok": self.unit_ok, "rank_ok": self.rank_ok,
-                "mult_ok": self.mult_ok, "max_defect": frac(self.max_defect),
-                "min_rank": frac(self.min_rank),
-                "s_bound": frac(self.s_bound), "all_ok": self.all_ok}
+                "mult_ok": self.mult_ok, "max_defect": fraction_to_json(self.max_defect),
+                "min_rank": min_rank,
+                "s_bound": fraction_to_json(self.s_bound), "all_ok": self.all_ok}
 
 
 def sofic_check(data: SoficData, k: int, elements=None,
@@ -224,10 +217,8 @@ class ExtensionReport:
         return self.good_ok and self.max_distance < self.delta
 
     def to_json(self):
-        def frac(x):
-            return {"num": x.numerator, "den": x.denominator}
-        return {"good_ok": self.good_ok, "max_distance": frac(self.max_distance),
-                "delta": frac(self.delta), "all_ok": self.all_ok}
+        return {"good_ok": self.good_ok, "max_distance": fraction_to_json(self.max_distance),
+                "delta": fraction_to_json(self.delta), "all_ok": self.all_ok}
 
 
 def approx_extension_check(rho: Representation, phi: FiniteApproxMap,

@@ -11,7 +11,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .field import FieldSpec
-from .matrix import DenseMatrix, matmul_data, rref_array
+from .matrix import DenseMatrix, codes_from_json, matmul_data, rref_array
 
 
 class AmbientMismatchError(ValueError):
@@ -59,6 +59,15 @@ class Subspace:
         if not vecs:
             raise ValueError("span of empty vector list needs explicit ambient")
         return cls(field, len(vecs[0]), np.array(vecs))
+
+    def to_json(self):
+        """The canonical basis as a list of rows of integer codes."""
+        return self.basis.astype(int).tolist()
+
+    @classmethod
+    def from_json(cls, field, ambient, rows):
+        """Inverse of to_json; any rows spanning the subspace are accepted."""
+        return cls(field, ambient, codes_from_json(field, rows, ambient))
 
     @property
     def dim(self) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .field import FieldSpec
-from .matrix import DenseMatrix, rref_array
+from .matrix import DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json
 from .subspace import Subspace, subspaces_independent
 
 
@@ -79,6 +79,13 @@ class FiniteApproxMap:
                 out = t.add[out, term]
         return out
 
+    @staticmethod
+    def from_json(field, obj):
+        """Decode {"phi": [matrix, ...], "mult": [[a, b, coords], ...]}."""
+        phi = [DenseMatrix.from_json(field, m) for m in obj["phi"]]
+        mult = {(int(a), int(b)): coords for a, b, coords in obj["mult"]}
+        return FiniteApproxMap(field, phi, mult)
+
     def unit_coords(self) -> np.ndarray:
         c = np.zeros(self.i_max, dtype=np.uint8)
         c[0] = 1
@@ -125,23 +132,22 @@ class TilingCertificate:
 
     def to_json(self):
         return {"i": self.i,
-                "delta": {"num": self.delta.numerator, "den": self.delta.denominator},
+                "delta": fraction_to_json(self.delta),
                 "dim_f": self.dim_f,
                 "centers": [np.asarray(c).astype(int).tolist() for c in self.centers],
-                "tiles": [t.basis.astype(int).tolist() for t in self.tiles],
+                "tiles": [t.to_json() for t in self.tiles],
                 "h_basis": [list(map(int, row)) for row in self.h_basis],
                 "coverage": self.coverage,
                 "partial": self.partial}
 
     @staticmethod
     def from_json(field, n, obj):
-        tiles = [Subspace(field, n, np.array(rows, dtype=np.uint8).reshape(len(rows), n))
-                 for rows in obj["tiles"]]
+        tiles = [Subspace.from_json(field, n, rows) for rows in obj["tiles"]]
         return TilingCertificate(
             i=int(obj["i"]),
-            delta=Fraction(obj["delta"]["num"], obj["delta"]["den"]),
+            delta=fraction_from_json(obj["delta"]),
             dim_f=int(obj["dim_f"]),
-            centers=[np.array(c, dtype=np.uint8) for c in obj["centers"]],
+            centers=list(codes_from_json(field, obj["centers"], n)),
             tiles=tiles,
             h_basis=obj["h_basis"],
             coverage=int(obj["coverage"]),
@@ -320,7 +326,7 @@ def greedy_tiling(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
 
     coverage = sum(t.dim for t in tiles)
     cert = TilingCertificate(i=i, delta=delta, dim_f=f.dim, centers=centers,
-                             tiles=tiles, h_basis=h.basis.astype(int).tolist(),
+                             tiles=tiles, h_basis=h.to_json(),
                              coverage=coverage, partial=exhausted)
     if report.all_ok and Fraction(coverage, m.n) < 1 - delta:
         raise RuntimeError(

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -11,12 +10,13 @@ from linrep.matrix import DenseMatrix, random_invertible
 from linrep.repseq import Representation
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run([sys.executable, "-m", "linrep.cli", *args],
-                          capture_output=True, text=True, env=env)
+def cli_proc(*args):
+    return subprocess.run([sys.executable, "-m", "linrep.cli", *args],
+                          capture_output=True, text=True)
+
+
+def run_cli(*args):
+    proc = cli_proc(*args)
     return proc.returncode, proc.stdout
 
 
@@ -76,14 +76,6 @@ def test_profile_and_atiyah_pipeline(tmp_path):
                             "--window", "8", "--tol", "1/32")
     assert code == 0
     assert json.loads(rep_out)["integral"] is True
-
-
-def test_profile_thread_pool_is_order_stable():
-    args = ("profile", "--family", "cyclic", "--k", "2..32",
-            "--element", "g1 - 1", "--field", "2")
-    _, single = run_cli(*args, env_extra={"LINREP_THREADS": "1"})
-    _, pooled = run_cli(*args, env_extra={"LINREP_THREADS": "4"})
-    assert single == pooled
 
 
 def test_tile_and_verify_round_trip(tmp_path):
@@ -206,6 +198,14 @@ def test_ncrat_equiv_exit_codes():
     assert json.loads(out)["kind"] == "no_common_domain"
 
 
+def test_ncrat_equiv_ext_deg_defaults_from_field():
+    # GF(3^5) is the largest extension of GF(3) within the field size limit.
+    code, out = run_cli("ncrat-equiv", "--field", "3", "--r-expr", "z1*z2",
+                        "--s-expr", "z1*z2")
+    assert code == 0
+    assert json.loads(out)["kind"] == "consistent"
+
+
 def test_repair_subcommand(tmp_path):
     m = tmp_path / "m.json"
     m.write_text("[[1,1,0],[0,1,1],[1,0,1]]")
@@ -222,6 +222,45 @@ def test_parse_error_is_input_error():
                         "--element", "g1 **", "--field", "2")
     assert code == 1
     assert json.loads(out)["error"] == "input"
+
+
+_CERT = {"i": 1, "dim_f": 1, "centers": [], "tiles": [], "h_basis": [], "coverage": 0}
+_PROFILE = "2,2,1,1,2\n3,3,2,2,3\n"
+
+
+@pytest.mark.parametrize("argv, files", [
+    pytest.param(["rank", "--matrix", "{m}"], {"m": "[[1, 300]]"}, id="entry-300"),
+    pytest.param(["rank", "--matrix", "{m}"], {"m": "[[1, -1]]"}, id="entry-negative"),
+    pytest.param(["rank", "--matrix", "{m}"], {"m": '{"rows": [[1]]}'}, id="matrix-object"),
+    pytest.param(["tile", "--poly", "8", "--h", "{h}"], {"h": "[[0, 0, 0, 0, 0, 0, 0, 300]]"},
+                 id="subspace-entry-300"),
+    pytest.param(["tile", "--poly", "8", "--h", "{h}"], {"h": "[[1, 0]]"}, id="subspace-width"),
+    pytest.param(["tile-verify", "--poly", "8", "--cert", "{c}"],
+                 {"c": json.dumps(dict(_CERT, delta={"num": 1, "den": 4}, centers=[[300] * 8]))},
+                 id="center-entry-300"),
+    pytest.param(["tile-verify", "--poly", "8", "--cert", "{c}"],
+                 {"c": json.dumps(dict(_CERT, delta=5))}, id="delta-int"),
+    pytest.param(["tile-verify", "--poly", "8", "--cert", "{c}"],
+                 {"c": json.dumps(dict(_CERT, delta={"num": 1, "den": 0}))}, id="delta-den-0"),
+    pytest.param(["tile-verify", "--poly", "8", "--cert", "{c}"],
+                 {"c": json.dumps(dict(_CERT, delta={"num": "1", "den": 4}))}, id="delta-num-str"),
+    pytest.param(["tile", "--poly", "8", "--delta", "1/0"], {}, id="arg-delta-den-0"),
+    pytest.param(["profile", "--k", "0..3", "--element", "g1 - 1"], {}, id="arg-k-0"),
+    pytest.param(["atiyah", "--profile", "{p}", "--window", "0"], {"p": _PROFILE},
+                 id="arg-window-0"),
+    pytest.param(["atiyah", "--profile", "{p}", "--window", "-1"], {"p": _PROFILE},
+                 id="arg-window-negative"),
+])
+def test_malformed_input_is_a_json_input_error(tmp_path, argv, files):
+    paths = {}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    proc = cli_proc(*(a.format(**paths) for a in argv))
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "input"
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_subcommand_exit():

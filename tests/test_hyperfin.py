@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from linrep import hyperfin
 from linrep.field import GF2, FieldSpec
 from linrep.hyperfin import (HyperfiniteWitness, cheeger_exact, cheeger_random,
                              epsilon_for_delta, expander_check, grow,
@@ -161,6 +162,13 @@ def test_witness_search_on_block_fixture():
     assert w is not None
     assert witness_check(rep, w)
     assert sum(t.dim for t in w.subspaces) >= Fraction(9, 10) * rep.n
+
+
+def test_witness_search_raises_when_its_witness_fails_the_check(monkeypatch):
+    rep = block_rep(GF2, [2, 2], seed=12)
+    monkeypatch.setattr(hyperfin, "witness_check", lambda rep, w: False)
+    with pytest.raises(RuntimeError):
+        witness_search(rep, Fraction(1, 10), 2, budget=100, seed=0)
 
 
 def test_witness_search_returns_none_when_hopeless():

@@ -126,6 +126,12 @@ def test_repair_identity_on_invertible():
     assert repair_to_invertible(m) == m
 
 
+def test_repair_raises_when_the_repair_is_singular(monkeypatch):
+    monkeypatch.setattr(DenseMatrix, "is_invertible", lambda self: False)
+    with pytest.raises(RuntimeError):
+        repair_to_invertible(DenseMatrix.from_rows(GF2, [[1, 1], [1, 1]]))
+
+
 def test_repair_minimality_exhaustive_2x2_gf2():
     # Brute-force the rank metric: for every singular M, no invertible N is
     # closer than the repair.
