@@ -17,7 +17,7 @@ import numpy as np
 from . import hyperfin, ncrat, repseq, soficam, tiling
 from .field import MAX_Q, FieldSpec
 from .freealg import AlgebraMatrix, ParseError, parse_element
-from .matrix import DenseMatrix, fraction_from_json, fraction_to_json
+from .matrix import DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json
 from .subspace import BudgetExceededError, Subspace
 
 EXIT_OK = 0
@@ -81,14 +81,17 @@ def load_approx_map(args) -> tiling.FiniteApproxMap:
     raise InputError("need --map FILE or --poly M")
 
 
-def load_f_data(args, imax) -> tiling.FSubspaceData:
+def load_f_data(args, m: tiling.FiniteApproxMap) -> tiling.FSubspaceData:
     if args.f:
         obj = load_json(args.f)
+        finv = obj.get("finv", {})
+        if not isinstance(finv, dict):
+            raise InputError('"finv" must map basis indices to coordinates')
         return tiling.FSubspaceData(
-            [np.array(v, dtype=np.uint8) for v in obj["basis"]],
-            {int(k): np.array(v, dtype=np.uint8) for k, v in obj.get("finv", {}).items()})
+            list(codes_from_json(m.field, obj["basis"], m.i_max)),
+            {int(k): codes_from_json(m.field, [v], m.i_max)[0] for k, v in finv.items()})
     # Default F = span{1}.
-    unit = np.zeros(imax, dtype=np.uint8)
+    unit = np.zeros(m.i_max, dtype=np.uint8)
     unit[0] = 1
     return tiling.FSubspaceData([unit], {0: unit})
 
@@ -151,7 +154,7 @@ def cmd_atiyah(args, out):
 
 def cmd_tile(args, out):
     m = load_approx_map(args)
-    f = load_f_data(args, m.i_max)
+    f = load_f_data(args, m)
     h = load_h(args, m.field, m.n)
     delta = parse_fraction(args.delta)
     cert = tiling.greedy_tiling(m, f, h, args.i, delta, seed=args.seed,
@@ -162,7 +165,7 @@ def cmd_tile(args, out):
 
 def cmd_tile_verify(args, out):
     m = load_approx_map(args)
-    f = load_f_data(args, m.i_max)
+    f = load_f_data(args, m)
     h = load_h(args, m.field, m.n)
     obj = load_json(args.cert)
     cert = tiling.TilingCertificate.from_json(m.field, m.n, obj)
@@ -237,8 +240,14 @@ def cmd_sofic_check(args, out):
     field = FieldSpec.from_json(obj["field"])
     maps = [tiling.FiniteApproxMap.from_json(field, entry) for entry in obj["maps"]]
     s_bounds = [fraction_from_json(s) for s in obj["s"]]
-    elements = [(np.array(c, dtype=np.uint8), fraction_from_json(j))
-                for c, j in obj.get("elements", [])]
+    if not 1 <= args.level <= min(len(maps), len(s_bounds)):
+        raise InputError(f"--level {args.level} is not a level of the sofic file")
+    elements = []
+    for entry in obj.get("elements", []):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise InputError("elements must be [coords, j-floor] pairs")
+        coords = codes_from_json(field, [entry[0]], maps[args.level - 1].i_max)[0]
+        elements.append((coords, fraction_from_json(entry[1])))
     data = soficam.SoficData(maps, s_bounds)
     report = soficam.sofic_check(data, args.level, elements)
     emit(report.to_json(), out)
@@ -248,7 +257,10 @@ def cmd_sofic_check(args, out):
 def cmd_folner(args, out):
     field = parse_field(args.field)
     inst = soficam.PolyInstance(field, args.m)
-    elements = [np.array(e, dtype=np.uint8) for e in json.loads(args.elements)]
+    elements = json.loads(args.elements)
+    if not isinstance(elements, list):
+        raise InputError("--elements must be a JSON list of coefficient lists")
+    elements = [codes_from_json(field, [e])[0] for e in elements]
     v1, v = soficam.folner_pair(inst, elements, parse_fraction(args.delta))
     emit({"V1": v1.to_json(), "V": v.to_json(),
           "dim_V1": v1.dim, "dim_V": v.dim}, out)

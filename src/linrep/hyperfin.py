@@ -154,16 +154,22 @@ def expander_check(rep: Representation, alpha: Fraction, cap: int = ENUM_CAP) ->
 
 def orbit_closure(rep: Representation, vec, max_dim: int) -> Subspace | None:
     """Smallest invariant subspace containing vec, or None past max_dim."""
+    chain, closed = _chain(rep, vec, max_dim)
+    return chain[-1][0] if closed else None
+
+
+def _chain(rep: Representation, vec, max_dim: int):
+    """span(vec) < grow(span(vec)) < ... while dim <= max_dim, each member
+    paired with its growth; True when the last member is invariant."""
     s = Subspace(rep.field, rep.n, np.asarray(vec, dtype=np.uint8)[None, :])
-    if s.dim == 0:
-        return None
-    while True:
+    chain = []
+    while 0 < s.dim <= max_dim:
         grown = grow(rep, s)
-        if grown.dim > max_dim:
-            return None
+        chain.append((s, grown))
         if grown.dim == s.dim:
-            return s
+            return chain, True
         s = grown
+    return chain, False
 
 
 def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
@@ -181,11 +187,8 @@ def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
     grown_accum = Subspace.zero(rep.field, n)
     covered = 0
 
-    def try_tile(v: Subspace):
+    def try_tile(v: Subspace, wv: Subspace):
         nonlocal grown_accum, covered
-        if v is None or v.dim == 0 or v.dim > k_bound:
-            return False
-        wv = grow(rep, v)
         if Fraction(wv.dim) >= (1 + epsilon) * v.dim:
             return False
         joined = grown_accum.sum(wv)
@@ -204,22 +207,13 @@ def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
             vec = seeds.pop(0)
         else:
             vec = rng.integers(0, rep.field.q, size=n, dtype=np.uint64).astype(np.uint8)
-        if grown_accum.dim and grown_accum.contains_vector(vec):
+        if grown_accum.contains_vector(vec):
             continue
-        closure = orbit_closure(rep, vec, k_bound)
-        if try_tile(closure):
-            continue
-        # Almost-invariant fallback: grow until the ratio budget is hit.
-        s = Subspace(rep.field, n, np.asarray(vec, dtype=np.uint8)[None, :])
-        if s.dim == 0:
-            continue
-        while s.dim <= k_bound:
-            if try_tile(s):
+        chain, closed = _chain(rep, vec, k_bound)
+        # The orbit closure first, then almost-invariant members, smallest up.
+        for v, wv in (chain[-1:] + chain[:-1] if closed else chain):
+            if try_tile(v, wv):
                 break
-            nxt = grow(rep, s)
-            if nxt.dim == s.dim or nxt.dim > k_bound:
-                break
-            s = nxt
 
     if Fraction(covered) >= (1 - epsilon) * n:
         witness = HyperfiniteWitness(epsilon, k_bound, tiles)
@@ -249,11 +243,9 @@ def witness_from_tiling(rep: Representation, approx: FiniteApproxMap,
     F_1 must sit inside F; acceptance is decided separately by
     witness_check, never here.
     """
-    f_space = Subspace(approx.field, approx.i_max,
-                       np.array([np.asarray(v, dtype=np.uint8) for v in f_basis]))
-    for v in f1_basis:
-        if not f_space.contains_vector(np.asarray(v, dtype=np.uint8)):
-            raise ValueError("F_1 is not contained in F")
+    f_space = Subspace(approx.field, approx.i_max, f_basis)
+    if not f_space.contains(Subspace(approx.field, approx.i_max, f1_basis)):
+        raise ValueError("F_1 is not contained in F")
     tiles = []
     for x in cert.centers:
         vecs = [approx.phi_of(np.asarray(coords, dtype=np.uint8)).apply(x)

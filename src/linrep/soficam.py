@@ -123,13 +123,8 @@ def poly_basis_map(instance: PolyInstance, i_max: int) -> FiniteApproxMap:
     if i_max > instance.m:
         raise ValueError("basis cannot exceed the ambient dimension")
     field = instance.field
-    full = Subspace.full(field, instance.m)
-    zero = Subspace.zero(field, instance.m)
-    phi = []
-    for j in range(i_max):
-        mono = np.zeros(j + 1, dtype=np.uint8)
-        mono[j] = 1
-        phi.append(truncation_map(instance, full, zero, mono))
+    # x^j sends x^c to x^(c+j), cut above the cap: the truncated shift.
+    phi = [DenseMatrix(field, np.eye(instance.m, k=-j, dtype=np.uint8)) for j in range(i_max)]
     mult = {}
     for a in range(1, i_max + 1):
         for b in range(1, i_max + 1):

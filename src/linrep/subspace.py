@@ -2,6 +2,10 @@
 
 Two subspaces are equal exactly when their canonical bases are identical
 arrays, so equality and hashing are structural and O(1)-ish.
+
+Each basis row is 1 on its own pivot column and 0 on the other pivots, so
+the residual rows - rows[:, pivots] . basis is zero exactly on the rows
+inside the subspace; membership and sums reduce against it.
 """
 
 from __future__ import annotations
@@ -88,12 +92,23 @@ class Subspace:
         if self.field != other.field or self.ambient != other.ambient:
             raise AmbientMismatchError("subspaces live in different ambient spaces")
 
+    def residual(self, rows) -> np.ndarray:
+        """rows - rows[:, pivots] . basis: zero exactly on the rows inside."""
+        rows = np.asarray(rows, dtype=np.uint8)
+        if rows.ndim != 2 or rows.shape[1] != self.ambient:
+            raise AmbientMismatchError(f"expected rows of length {self.ambient}")
+        t = self.field.tables
+        proj = matmul_data(self.field, rows[:, list(self.pivots)], self.basis)
+        return t.add[rows, t.neg[proj]]
+
     # -- lattice operations --
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        stacked = np.concatenate([self.basis, other.basis], axis=0)
-        return Subspace(self.field, self.ambient, stacked)
+        res = self.residual(other.basis)
+        if not np.any(res):
+            return self
+        return Subspace(self.field, self.ambient, np.concatenate([self.basis, res], axis=0))
 
     def intersection(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: echelonize [U|U; W|0], read rows with zero left half."""
@@ -107,14 +122,11 @@ class Subspace:
         return Subspace(self.field, n, np.array(inter_rows, dtype=np.uint8).reshape(len(inter_rows), n))
 
     def contains_vector(self, v) -> bool:
-        v = np.asarray(v, dtype=np.uint8)
-        stacked = np.concatenate([self.basis, v[None, :]], axis=0)
-        _, piv = rref_array(self.field, stacked)
-        return len(piv) == self.dim
+        return not np.any(self.residual(np.asarray(v, dtype=np.uint8)[None, :]))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return self.sum(other).dim == self.dim
+        return not np.any(self.residual(other.basis))
 
     def complement(self) -> "Subspace":
         """Coordinate complement: standard basis vectors off the pivot columns."""

@@ -83,7 +83,14 @@ class FiniteApproxMap:
     def from_json(field, obj):
         """Decode {"phi": [matrix, ...], "mult": [[a, b, coords], ...]}."""
         phi = [DenseMatrix.from_json(field, m) for m in obj["phi"]]
-        mult = {(int(a), int(b)): coords for a, b, coords in obj["mult"]}
+        i_max = len(phi)
+        mult = {}
+        for entry in obj["mult"]:
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and all(type(x) is int and 1 <= x <= i_max for x in entry[:2])):
+                raise ValueError(f"mult entries must be [a, b, coords] with a, b in 1..{i_max}")
+            a, b, coords = entry
+            mult[(a, b)] = codes_from_json(field, [coords], i_max)[0]
         return FiniteApproxMap(field, phi, mult)
 
     def unit_coords(self) -> np.ndarray:
@@ -107,9 +114,7 @@ class FSubspaceData:
     def __post_init__(self):
         self.basis = [np.asarray(v, dtype=np.uint8) for v in self.basis]
         self.finv = {int(k): np.asarray(v, dtype=np.uint8) for k, v in self.finv.items()}
-        unit = np.zeros_like(self.basis[0])
-        unit[0] = 1
-        if not any(np.array_equal(v, unit) for v in self.basis):
+        if not any(v[0] == 1 and not np.any(v[1:]) for v in self.basis):
             raise ValueError("F must contain the unit")
 
     @property
@@ -212,14 +217,16 @@ def is_center(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int, x,
     the orbit has dimension dim F, lies in H, and every image is i-good.
     """
     good = good_subspace(m, i) if good is None else good
-    x = np.asarray(x, dtype=np.uint8)
-    images = [m.phi_of(coords).apply(x) for coords in f.basis]
-    orbit = Subspace(m.field, m.n, np.array(images, dtype=np.uint8))
-    if orbit.dim != f.dim:
-        return False
-    if not h.contains(orbit):
-        return False
-    return all(good.contains_vector(v) for v in images)
+    return _center_orbit(m, f, h, x, good) is not None
+
+
+def _center_orbit(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, x,
+                  good: Subspace) -> Subspace | None:
+    """The orbit phi(F)(x) when x meets the center conditions, else None."""
+    orbit = orbit_of(m, f, x)
+    if orbit.dim != f.dim or not h.contains(orbit) or not good.contains(orbit):
+        return None
+    return orbit
 
 
 @dataclass
@@ -299,11 +306,9 @@ def greedy_tiling(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
 
     def try_center(x):
         nonlocal accum
-        if not np.any(x):
+        orbit = _center_orbit(m, f, h, x, good)
+        if orbit is None:
             return
-        if not is_center(m, f, h, i, x, good=good):
-            return
-        orbit = orbit_of(m, f, x)
         joined = accum.sum(orbit)
         if joined.dim != accum.dim + orbit.dim:
             return
@@ -344,10 +349,8 @@ def verify_certificate(cert: TilingCertificate, m: FiniteApproxMap, f: FSubspace
     good = good_subspace(m, i)
     recomputed = []
     for x, claimed in zip(cert.centers, cert.tiles):
-        if not is_center(m, f, h, i, x, good=good):
-            return False
-        orbit = orbit_of(m, f, x)
-        if orbit != claimed:
+        orbit = _center_orbit(m, f, h, x, good)
+        if orbit is None or orbit != claimed:
             return False
         recomputed.append(orbit)
     if not subspaces_independent(recomputed):

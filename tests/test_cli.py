@@ -226,6 +226,9 @@ def test_parse_error_is_input_error():
 
 _CERT = {"i": 1, "dim_f": 1, "centers": [], "tiles": [], "h_basis": [], "coverage": 0}
 _PROFILE = "2,2,1,1,2\n3,3,2,2,3\n"
+_MAP = {"field": {"p": 2}, "phi": [[[1, 0], [0, 1]], [[0, 0], [1, 0]]],
+        "mult": [[1, 1, [1, 0]], [1, 2, [0, 1]]]}
+_SOFIC = {"field": {"p": 2}, "maps": [_MAP], "s": [{"num": 1, "den": 2}]}
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -250,6 +253,27 @@ _PROFILE = "2,2,1,1,2\n3,3,2,2,3\n"
                  id="arg-window-0"),
     pytest.param(["atiyah", "--profile", "{p}", "--window", "-1"], {"p": _PROFILE},
                  id="arg-window-negative"),
+    pytest.param(["tile", "--map", "{m}"],
+                 {"m": json.dumps(dict(_MAP, mult=[[1, 1, [1, 300]]]))}, id="mult-coord-300"),
+    pytest.param(["tile", "--map", "{m}"], {"m": json.dumps(dict(_MAP, mult=[5]))},
+                 id="mult-entry-int"),
+    pytest.param(["tile", "--poly", "4", "--f", "{f}"], {"f": '{"basis": [[1, 0, 0, 300]]}'},
+                 id="f-basis-entry-300"),
+    pytest.param(["tile", "--poly", "4", "--f", "{f}"],
+                 {"f": '{"basis": [[1, 0, 0, 0, 0, 0, 0, 0]]}'}, id="f-basis-width"),
+    pytest.param(["sofic-check", "--sofic", "{s}"],
+                 {"s": json.dumps(dict(_SOFIC, elements=[[[1, 300], {"num": 1, "den": 2}]]))},
+                 id="sofic-element-coord-300"),
+    pytest.param(["folner", "--m", "4", "--elements", "[[1,300]]", "--delta", "1/2"], {},
+                 id="folner-element-300"),
+    pytest.param(["tile", "--poly", "4", "--f", "{f}"], {"f": '{"basis": []}'},
+                 id="f-basis-empty"),
+    pytest.param(["tile", "--poly", "4", "--f", "{f}"],
+                 {"f": '{"basis": [[1, 0, 0, 0]], "finv": [[1, 0, 0, 0]]}'}, id="f-finv-list"),
+    pytest.param(["sofic-check", "--sofic", "{s}", "--level", "2"], {"s": json.dumps(_SOFIC)},
+                 id="sofic-level-2"),
+    pytest.param(["folner", "--m", "4", "--elements", "5", "--delta", "1/2"], {},
+                 id="folner-elements-int"),
 ])
 def test_malformed_input_is_a_json_input_error(tmp_path, argv, files):
     paths = {}

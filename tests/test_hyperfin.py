@@ -10,7 +10,8 @@ from linrep.hyperfin import (HyperfiniteWitness, cheeger_exact, cheeger_random,
                              orbit_closure, witness_check, witness_from_tiling,
                              witness_search)
 from linrep.matrix import DenseMatrix, random_invertible
-from linrep.repseq import Representation, repair_to_invertible
+from linrep.repseq import (FamilyDescriptor, Representation, family_generate,
+                           repair_to_invertible)
 from linrep.soficam import PolyInstance, poly_basis_map
 from linrep.subspace import BudgetExceededError, Subspace, enumerate_subspaces
 from linrep.tiling import FSubspaceData, greedy_tiling
@@ -162,6 +163,25 @@ def test_witness_search_on_block_fixture():
     assert w is not None
     assert witness_check(rep, w)
     assert sum(t.dim for t in w.subspaces) >= Fraction(9, 10) * rep.n
+
+
+_FALLBACK_TILES = {
+    2: [[[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1, 1, 0]],
+        [[0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1, 0, 1]]],
+    3: [[[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 2, 2, 1, 2], [0, 0, 1, 0, 2, 0, 1, 1]],
+        [[1, 0, 2, 0, 2, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0, 1, 2]]],
+}
+
+
+@pytest.mark.parametrize("q", sorted(_FALLBACK_TILES))
+def test_witness_search_almost_invariant_fallback_is_pinned(q):
+    # No seed vector has an invariant closure of dimension <= 3 here, so
+    # every tile comes from the almost-invariant fallback (span(v), grow(span(v)), ...).
+    rep = family_generate(FamilyDescriptor.random_invertible(0, 8, 1), 8, FieldSpec(q))
+    assert all(orbit_closure(rep, v, 3) is None for v in np.eye(8, dtype=np.uint8))
+    w = witness_search(rep, Fraction(1, 2), 3, budget=60)
+    assert w is not None
+    assert w.to_json() == {"epsilon": {"num": 1, "den": 2}, "K": 3, "tiles": _FALLBACK_TILES[q]}
 
 
 def test_witness_search_raises_when_its_witness_fails_the_check(monkeypatch):

@@ -61,6 +61,18 @@ def test_truncation_map_needs_complementary_pair():
         truncation_map(inst, v, v, np.array([0, 1], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("field", [GF2, F3, FieldSpec(2, 2)], ids=["q2", "q3", "q4"])
+@pytest.mark.parametrize("m", [1, 5, 12])
+def test_poly_basis_map_is_truncation_by_monomials(field, m):
+    inst = PolyInstance(field, m)
+    phi = poly_basis_map(inst, m).phi
+    full, zero = Subspace.full(field, m), Subspace.zero(field, m)
+    for j in range(m):
+        mono = np.zeros(j + 1, dtype=np.uint8)
+        mono[j] = 1
+        assert phi[j] == truncation_map(inst, full, zero, mono)
+
+
 def test_folner_pair_controls_growth():
     inst = PolyInstance(GF2, 64)
     elements = [np.array([1, 1], dtype=np.uint8), np.array([1, 0, 1], dtype=np.uint8)]

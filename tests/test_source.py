@@ -15,3 +15,13 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cli_decodes_code_arrays_only_through_codes_from_json():
+    # matrix.codes_from_json is the one place that range-checks outside code arrays.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("array", "asarray")
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
+    assert found == []

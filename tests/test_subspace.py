@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linrep.field import GF2, FieldSpec
-from linrep.matrix import DenseMatrix
+from linrep.matrix import DenseMatrix, matmul_data, rref_array
 from linrep.subspace import (AmbientMismatchError, BudgetExceededError,
                              Subspace, enumerate_subspaces, gaussian_binomial,
                              projection_onto, subspaces_independent)
@@ -66,6 +67,56 @@ def test_ambient_mismatch_raises():
         u.sum(w)
     with pytest.raises(AmbientMismatchError):
         Subspace.full(GF2, 3).sum(Subspace.full(F3, 3))
+
+
+@st.composite
+def space_pairs(draw):
+    """(U, W, v) over one of five fields; W and v are often drawn inside U."""
+    field = draw(st.sampled_from([GF2, F3, FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(2, 8)]))
+    n = draw(st.integers(1, 6))
+
+    def rows(k, width=n):
+        cells = draw(st.lists(st.integers(0, field.q - 1), min_size=k * width,
+                              max_size=k * width))
+        return np.array(cells, dtype=np.uint8).reshape(k, width)
+
+    def inside(u, k):
+        return matmul_data(field, rows(k, u.dim), u.basis) if u.dim else np.zeros((k, n), np.uint8)
+
+    def space(kinds, u=None):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            return Subspace.zero(field, n)
+        if kind == "full":
+            return Subspace.full(field, n)
+        k = draw(st.integers(1, n + 1))
+        return Subspace(field, n, inside(u, k) if kind == "inside" else rows(k))
+
+    u = space(["zero", "full", "rows"])
+    w = space(["zero", "full", "rows", "inside"], u)
+    v = inside(u, 1)[0] if draw(st.booleans()) else rows(1)[0]
+    return u, w, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(space_pairs())
+def test_residual_membership_and_sum_match_re_elimination(pair):
+    u, w, v = pair
+    field, n = u.field, u.ambient
+
+    def rank(*blocks):
+        return len(rref_array(field, np.concatenate(blocks, axis=0))[1])
+
+    assert u.contains_vector(v) == (rank(u.basis, v[None, :]) == u.dim)
+    assert u.contains(w) == (rank(u.basis, w.basis) == u.dim)
+    assert u.sum(w) == Subspace(field, n, np.concatenate([u.basis, w.basis], axis=0))
+    res = u.residual(np.concatenate([w.basis, v[None, :]], axis=0))
+    assert not np.any(res[:, list(u.pivots)])
+    for bad in (np.zeros((1, n + 1), np.uint8), np.zeros(2 * n, np.uint8)):
+        with pytest.raises(AmbientMismatchError):
+            u.residual(bad)
+    with pytest.raises(AmbientMismatchError):
+        u.contains_vector(np.zeros(2 * n, np.uint8))
 
 
 @pytest.mark.parametrize("field,n", [(GF2, 4), (F3, 3)])
