@@ -65,6 +65,14 @@ def load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def load_object(path) -> dict:
+    """load_json for the files whose top level must be a JSON object."""
+    obj = load_json(path)
+    if not isinstance(obj, dict):
+        raise InputError(f"{path} must hold a JSON object")
+    return obj
+
+
 def emit(obj, out):
     out.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     out.write("\n")
@@ -76,14 +84,14 @@ def load_approx_map(args) -> tiling.FiniteApproxMap:
         inst = soficam.PolyInstance(field, args.poly)
         return soficam.poly_basis_map(inst, args.imax or args.poly)
     if getattr(args, "map", None):
-        obj = load_json(args.map)
+        obj = load_object(args.map)
         return tiling.FiniteApproxMap.from_json(FieldSpec.from_json(obj["field"]), obj)
     raise InputError("need --map FILE or --poly M")
 
 
 def load_f_data(args, m: tiling.FiniteApproxMap) -> tiling.FSubspaceData:
     if args.f:
-        obj = load_json(args.f)
+        obj = load_object(args.f)
         finv = obj.get("finv", {})
         if not isinstance(finv, dict):
             raise InputError('"finv" must map basis indices to coordinates')
@@ -167,7 +175,7 @@ def cmd_tile_verify(args, out):
     m = load_approx_map(args)
     f = load_f_data(args, m)
     h = load_h(args, m.field, m.n)
-    obj = load_json(args.cert)
+    obj = load_object(args.cert)
     cert = tiling.TilingCertificate.from_json(m.field, m.n, obj)
     ok = tiling.verify_certificate(cert, m, f, h, cert.i, cert.delta)
     emit({"valid": ok}, out)
@@ -175,15 +183,15 @@ def cmd_tile_verify(args, out):
 
 
 def cmd_hyperfinite_check(args, out):
-    rep = repseq.Representation.from_json(load_json(args.rep))
-    w = hyperfin.HyperfiniteWitness.from_json(rep.field, rep.n, load_json(args.witness))
+    rep = repseq.Representation.from_json(load_object(args.rep))
+    w = hyperfin.HyperfiniteWitness.from_json(rep.field, rep.n, load_object(args.witness))
     ok = hyperfin.witness_check(rep, w)
     emit({"valid": ok}, out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_hyperfinite_search(args, out):
-    rep = repseq.Representation.from_json(load_json(args.rep))
+    rep = repseq.Representation.from_json(load_object(args.rep))
     w = hyperfin.witness_search(rep, parse_fraction(args.epsilon), args.K,
                                 budget=args.budget, seed=args.seed)
     if w is None:
@@ -194,7 +202,7 @@ def cmd_hyperfinite_search(args, out):
 
 
 def cmd_cheeger(args, out):
-    rep = repseq.Representation.from_json(load_json(args.rep))
+    rep = repseq.Representation.from_json(load_object(args.rep))
     if args.trials:
         report = hyperfin.cheeger_random(rep, args.trials, args.seed)
     else:
@@ -204,7 +212,7 @@ def cmd_cheeger(args, out):
 
 
 def cmd_expander(args, out):
-    rep = repseq.Representation.from_json(load_json(args.rep))
+    rep = repseq.Representation.from_json(load_object(args.rep))
     alpha = parse_fraction(args.alpha)
     ok = hyperfin.expander_check(rep, alpha, cap=args.cap)
     emit({"expander": ok, "alpha": fraction_to_json(alpha)}, out)
@@ -236,7 +244,7 @@ def cmd_sofic_check(args, out):
             all_ok = all_ok and rep.all_ok
         emit({"levels": levels, "reports": [r.to_json() for r in reports]}, out)
         return EXIT_OK if all_ok else EXIT_CHECK_FAILED
-    obj = load_json(args.sofic)
+    obj = load_object(args.sofic)
     field = FieldSpec.from_json(obj["field"])
     maps = [tiling.FiniteApproxMap.from_json(field, entry) for entry in obj["maps"]]
     s_bounds = [fraction_from_json(s) for s in obj["s"]]

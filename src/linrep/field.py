@@ -169,17 +169,24 @@ class FieldTables:
             xtimes[c] = sum(red[i] * p**i for i in range(deg))
 
         # mul[a, b] = sum_i b_i * (a * x^i), accumulated with the add table.
+        # xdigits[c, i, j] = j-th base-p coefficient of x^i * element(c), so
+        # digit j of a * b is sum_i digits[a, i] * xdigits[b, i, j] mod p:
+        # the digit-plane product of matrix.matmul_data.
         scalar_mul = np.zeros((p, q), dtype=np.int64)
         for c in range(p):
             scalar_mul[c] = ((c * digits) % p) @ powers
         a_xi = codes.copy()
         mul = np.zeros((q, q), dtype=np.uint8)
+        xdigits = np.zeros((q, deg, deg), dtype=np.int64)
         for i in range(deg):
+            xdigits[:, i, :] = digits[a_xi]
             partial = scalar_mul[digits[:, i][None, :].repeat(q, axis=0),
                                  a_xi[:, None].repeat(q, axis=1)]
             mul = self.add[mul, partial.astype(np.uint8)]
             a_xi = xtimes[a_xi]
         self.mul = mul
+        self.digits = digits
+        self.xdigits = xdigits
 
         inv = np.zeros(q, dtype=np.uint8)
         rows, cols = np.nonzero(mul == 1)

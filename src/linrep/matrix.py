@@ -1,7 +1,11 @@
 """Dense matrices over GF(q): arithmetic, elimination, rank, kernels.
 
 Entries are integer codes (see linrep.field) held in a numpy uint8 array.
-Everything is exact; elimination uses table lookups, no floats anywhere.
+Everything is exact and uses no floats.  Each field family has its own
+kernel: characteristic 2 adds codes by XOR, GF(p) works on the residues
+themselves, and odd extensions GF(p^d) multiply base-p digit planes in
+int64 and add rows through the q x q tables (see matmul_data and
+rref_array).
 """
 
 from __future__ import annotations
@@ -201,12 +205,16 @@ def fraction_from_json(obj) -> Fraction:
 
 
 def matmul_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Raw code-array product, picking the fastest exact path for the field.
+    """Raw code-array product, one exact integer path per field family.
 
-    Prime fields go through an integer matmul reduced mod p (entries stay
-    below 2^63 for any practical size); characteristic 2 uses the fact
-    that packed-code addition is XOR.  Other extensions fall back to a
-    table-driven loop over the inner dimension.
+    Prime fields: int64 matmul of the codes, reduced mod p.  Characteristic
+    2: packed-code addition is XOR, so the products t.mul[a[r,k], b[k,s]]
+    are XOR-reduced over k.  Odd extensions: digit j of (ab)[r,s] is the
+    sum over k, i of digit_i(a[r,k]) * digit_j(x^i b[k,s]) mod p.  The d
+    digits of x^i b[k,s] are packed into one int64, w = 63 // d bits each,
+    so one int64 product of the digit planes of a accumulates all d output
+    digits; the inner dimension is cut into chunks of c terms, with
+    c * d * (p-1)^2 < 2^w, so no packed field overflows into the next.
     """
     t = field.tables
     if field.deg == 1:
@@ -215,19 +223,34 @@ def matmul_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if field.p == 2:
         terms = t.mul[a[:, :, None], b[None, :, :]]
         return np.bitwise_xor.reduce(terms, axis=1)
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for k in range(a.shape[1]):
-        acc = t.add[acc, t.mul[a[:, k][:, None], b[k, :][None, :]]]
-    return acc
+    (m, inner), n, d, p = a.shape, b.shape[1], field.deg, field.p
+    w = 63 // d
+    shifts = w * np.arange(d)
+    step = ((1 << w) - 1) // ((p - 1) ** 2 * d) * d     # columns of c terms, d digits each
+    planes_a = t.digits[a].reshape(m, inner * d)
+    # Built transposed: numpy's integer matmul runs its inner loop down a
+    # column of the right operand, which is then contiguous.
+    packed_b = (t.xdigits @ (1 << shifts))[b].transpose(1, 0, 2).reshape(n, inner * d)
+    digits = np.zeros((m, n, d), dtype=np.int64)
+    for lo in range(0, inner * d, step):
+        prod = planes_a[:, lo:lo + step] @ packed_b[:, lo:lo + step].T
+        digits += (prod[:, :, None] >> shifts) & ((1 << w) - 1)
+    return (digits % p @ p ** np.arange(d)).astype(np.uint8)
 
 
 def rref_array(field: FieldSpec, data: np.ndarray, pivot_limit: int | None = None):
     """Reduced row echelon form of a raw code array.
 
     Row operations apply across the full width; pivots are only sought in
-    the first `pivot_limit` columns (used for augmented systems).
+    the first `pivot_limit` columns (used for augmented systems).  Clearing
+    a pivot column subtracts factor * pivot row from every other row that
+    holds it, by family: in characteristic 2 it XORs in rows gathered from
+    the pivot row's multiples t.mul[:, row]; over GF(p) it is the uint16
+    residue sum (R + f * row) % p, exact as (p-1) + (p-1)^2 < 2^16 for
+    p < 256; odd extensions add the gathered multiples with t.add.
     """
     t = field.tables
+    p, deg = field.p, field.deg
     R = np.array(data, dtype=np.uint8)
     m, n = R.shape
     limit = n if pivot_limit is None else pivot_limit
@@ -244,12 +267,18 @@ def rref_array(field: FieldSpec, data: np.ndarray, pivot_limit: int | None = Non
             R[[row, pr]] = R[[pr, row]]
         pv = R[row, col]
         if pv != 1:
-            R[row] = t.mul[R[row], t.inv[pv]]
+            R[row] = t.mul[t.inv[pv]][R[row]]
         others = np.nonzero(R[:, col])[0]
         others = others[others != row]
         if others.size:
-            factors = t.neg[R[others, col]]
-            R[others] = t.add[R[others], t.mul[factors[:, None], R[row][None, :]]]
+            if p == 2:      # -f = f and addition is XOR
+                R[others] ^= t.mul[:, R[row]][R[others, col]]
+            elif deg == 1:
+                factors = t.neg[R[others, col]].astype(np.uint16)
+                R[others] = (R[others] + factors[:, None] * R[row]) % p
+            else:
+                multiples = t.mul[:, R[row]][t.neg[R[others, col]]]
+                R[others] = t.add[R[others], multiples]
         pivots.append(col)
         row += 1
     return R, pivots

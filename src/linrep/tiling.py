@@ -36,6 +36,8 @@ class FiniteApproxMap:
     def __init__(self, field: FieldSpec, phi, mult):
         self.field = field
         self.phi = list(phi)
+        if not self.phi:
+            raise ValueError("phi needs at least the image of the unit")
         self.i_max = len(self.phi)
         self.n = self.phi[0].rows
         if self.phi[0] != DenseMatrix.identity(field, self.n):

@@ -274,6 +274,12 @@ _SOFIC = {"field": {"p": 2}, "maps": [_MAP], "s": [{"num": 1, "den": 2}]}
                  id="sofic-level-2"),
     pytest.param(["folner", "--m", "4", "--elements", "5", "--delta", "1/2"], {},
                  id="folner-elements-int"),
+    pytest.param(["tile", "--poly", "4", "--f", "{f}"], {"f": "[1, 2]"}, id="f-list"),
+    pytest.param(["tile", "--map", "{m}"], {"m": "[1, 2]"}, id="map-list"),
+    pytest.param(["cheeger", "--rep", "{r}"], {"r": "[1, 2]"}, id="rep-list"),
+    pytest.param(["sofic-check", "--sofic", "{s}"], {"s": "[1, 2]"}, id="sofic-list"),
+    pytest.param(["tile", "--map", "{m}"], {"m": json.dumps(dict(_MAP, phi=[], mult=[]))},
+                 id="map-phi-empty"),
 ])
 def test_malformed_input_is_a_json_input_error(tmp_path, argv, files):
     paths = {}

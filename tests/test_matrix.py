@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from linrep.field import GF2, FieldSpec
+from linrep.field import GF2, MAX_Q, FieldSpec, _is_prime
 from linrep.matrix import (DenseMatrix, SingularMatrixError, matmul_data,
                            random_invertible, random_matrix, rref_array)
 
 F3 = FieldSpec(3)
 F4 = FieldSpec(2, 2)
 F9 = FieldSpec(3, 2)
+F25 = FieldSpec(5, 2)
+F251 = FieldSpec(251)
+F256 = FieldSpec(2, 8)
+# Every kernel family: GF(2), GF(p), GF(2^d) and odd GF(p^d).
+KERNEL_FIELDS = [GF2, F3, F4, F9, F251, F256, F25]
 
 
 def rng(seed=0):
@@ -34,21 +39,113 @@ def test_rref_is_reduced_and_idempotent():
             assert R2 == R and piv2 == piv
 
 
-@pytest.mark.parametrize("field", [GF2, F3, F4, F9])
+def scalar_matmul(field, a, b):
+    want = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            s = 0
+            for k in range(a.shape[1]):
+                s = field.add(s, field.mul(int(a[i, k]), int(b[k, j])))
+            want[i, j] = s
+    return want
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
 def test_matmul_matches_scalar_oracle(field):
     g = rng(2)
-    for _ in range(10):
-        a = random_matrix(field, g, 4, 3)
-        b = random_matrix(field, g, 3, 5)
-        want = np.zeros((4, 5), dtype=np.uint8)
-        for i in range(4):
-            for j in range(5):
-                s = 0
-                for k in range(3):
-                    s = field.add(s, field.mul(int(a.data[i, k]), int(b.data[k, j])))
-                want[i, j] = s
+    for m, inner, n in [(4, 3, 5)] * 10 + [(3, 0, 4), (2, 17, 3), (5, 20, 1), (3, 33, 2)]:
+        a = random_matrix(field, g, m, inner)
+        b = random_matrix(field, g, inner, n)
+        want = scalar_matmul(field, a.data, b.data)
         assert np.array_equal((a @ b).data, want)
-        assert np.array_equal(matmul_data(field, a.data, b.data), want)
+        got = matmul_data(field, a.data, b.data)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+def test_matmul_odd_extension_across_packing_chunks():
+    # GF(3^5) packs five 12-bit digit fields per int64, so its products are
+    # summed in chunks of 204 inner terms; these cross one or more chunks.
+    field = FieldSpec(3, 5)
+    g = rng(9)
+    for inner in (204, 205, 1300):
+        a = random_matrix(field, g, 2, inner).data
+        b = random_matrix(field, g, inner, 2).data
+        for x, y in ((a, b), (np.full_like(a, field.q - 1), b)):
+            assert np.array_equal(matmul_data(field, x, y), scalar_matmul(field, x, y))
+
+
+def gauss_jordan_oracle(field, data, pivot_limit=None):
+    """rref_array's contract in scalar FieldSpec arithmetic: the pivot is the
+    first nonzero entry at or below the current row, swapped up, scaled to 1
+    and cleared from every other row."""
+    m, n = data.shape
+    R = data.astype(int).tolist()
+    pivots, row = [], 0
+    for col in range(n if pivot_limit is None else pivot_limit):
+        pr = next((i for i in range(row, m) if R[i][col]), None)
+        if pr is None:
+            continue
+        R[row], R[pr] = R[pr], R[row]
+        inv = field.inv(R[row][col])
+        R[row] = [field.mul(inv, x) for x in R[row]]
+        for i in range(m):
+            f = R[i][col]
+            if i != row and f:
+                R[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(R[i], R[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    return np.array(R, dtype=np.uint8).reshape(m, n), pivots
+
+
+def _rref_cases(field, g):
+    """(array, pivot_limit) pairs: random ranks, duplicate rows, zero columns,
+    empty shapes and augmented [A | I] systems."""
+    cases = [(np.zeros(shape, dtype=np.uint8), None) for shape in ((0, 0), (0, 5), (4, 0))]
+    for _ in range(12):
+        m, n = (int(x) for x in g.integers(1, 9, size=2))
+        r = int(g.integers(0, min(m, n) + 1))
+        a = matmul_data(field, random_matrix(field, g, m, r).data, random_matrix(field, g, r, n).data)
+        cases.append((a, None))
+        dup = np.concatenate([a, a[g.integers(0, m, size=2)]], axis=0)
+        cases.append((dup, None))
+        zc = random_matrix(field, g, m, n).data.copy()
+        zc[:, g.integers(0, n, size=2)] = 0
+        cases.append((zc, None))
+        aug = np.concatenate([a[:, :min(m, n)][:min(m, n)], np.eye(min(m, n), dtype=np.uint8)], axis=1)
+        cases.append((aug, min(m, n)))
+        cases.append((zc, int(g.integers(0, n + 1))))
+    return cases
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_rref_matches_scalar_gauss_jordan(field):
+    g = rng(7)
+    for data, limit in _rref_cases(field, g):
+        before = data.copy()
+        R, piv = rref_array(field, data, pivot_limit=limit)
+        want, want_piv = gauss_jordan_oracle(field, data, limit)
+        assert R.dtype == np.uint8
+        assert piv == want_piv and np.array_equal(R, want)
+        assert np.array_equal(data, before)
+
+
+def test_rref_prime_update_at_the_largest_residues():
+    # Row updates over GF(251) reach (p-1) + (p-1)^2 before the reduction.
+    top = np.full((6, 6), 250, dtype=np.uint8)
+    extreme = top.copy()
+    extreme[:, 0] = 1       # factor 250 against a pivot row of 250s
+    mixed = np.where(rng(8).integers(0, 2, size=(7, 9)) == 1, 250, 1).astype(np.uint8)
+    for data in (top, extreme, mixed):
+        R, piv = rref_array(F251, data)
+        want, want_piv = gauss_jordan_oracle(F251, data)
+        assert piv == want_piv and np.array_equal(R, want)
+
+
+def test_prime_row_update_fits_uint16():
+    p = max(x for x in range(2, MAX_Q + 1) if _is_prime(x))
+    assert (p - 1) + (p - 1) ** 2 < 2 ** 16
 
 
 def test_inverse_round_trip():
