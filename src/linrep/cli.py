@@ -1,8 +1,9 @@
 """Command-line surface tying the modules together.
 
 Exit codes: 0 success, 1 input error, 2 check failed, 3 budget exceeded /
-inconclusive.  All randomness is counter-based (Philox) and fully
-determined by --seed, so reports are byte-identical across runs.
+inconclusive, 4 internal error (a self-check failed).  All randomness is
+counter-based (Philox) and fully determined by --seed, so reports are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CHECK_FAILED = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(ValueError):
@@ -223,6 +225,8 @@ def cmd_sofic_check(args, out):
     if args.poly_levels:
         field = parse_field(args.field)
         levels = parse_range(args.poly_levels)
+        if not 1 <= args.basis_size <= min(levels):
+            raise InputError(f"--basis-size must lie in 1..{min(levels)}")
         maps, s_bounds = [], []
         d = args.basis_size - 1   # top degree of the checked span
         for m in levels:
@@ -421,6 +425,9 @@ def main(argv=None, out=None):
     except BudgetExceededError as exc:
         emit({"error": "budget_exceeded", "detail": str(exc)}, out)
         return EXIT_BUDGET
+    except RuntimeError as exc:
+        emit({"error": "internal", "detail": str(exc)}, out)
+        return EXIT_INTERNAL
     except (InputError, ParseError, ValueError, KeyError) as exc:
         emit({"error": "input", "detail": str(exc)}, out)
         return EXIT_INPUT

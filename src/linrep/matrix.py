@@ -134,19 +134,12 @@ class DenseMatrix:
         return self.rows == self.cols and self.rank() == self.rows
 
     def kernel(self):
-        """Basis of the right null space, rows in echelon-derived order."""
+        """Right null space: per free column j of the rref R, 1 at j and -R[:, j] on the pivots."""
         R, pivots = rref_array(self.field, self.data)
-        n = self.cols
-        free = [j for j in range(n) if j not in pivots]
-        t = self.field.tables
-        basis = []
-        for j in free:
-            v = np.zeros(n, dtype=np.uint8)
-            v[j] = 1
-            for i, pc in enumerate(pivots):
-                v[pc] = t.neg[R[i, j]]
-            basis.append(v)
-        return np.array(basis, dtype=np.uint8).reshape(len(basis), n)
+        free = np.delete(np.arange(self.cols), pivots)
+        basis = np.eye(self.cols, dtype=np.uint8)[free]
+        basis[:, pivots] = self.field.tables.neg[R[: len(pivots), free].T]
+        return basis
 
     def solve(self, rhs: np.ndarray):
         """One solution x of self @ x = rhs, or None if inconsistent."""

@@ -163,7 +163,7 @@ def repair_to_invertible(m: DenseMatrix) -> DenseMatrix:
         raise ValueError("need a square matrix")
     n = m.rows
     field = m.field
-    ker = Subspace(field, n, m.kernel())
+    ker = Subspace.kernel_of(field, n, m.data)
     if ker.dim == 0:
         return m
     col_space = Subspace(field, n, m.data.T)

@@ -184,8 +184,7 @@ def sofic_check(data: SoficData, k: int, elements=None,
     mult_ok = True
     for a in range(1, span + 1):
         for b in range(1, span + 1):
-            diff = phi.product_matrix(a, b) - (phi.phi[a - 1] @ phi.phi[b - 1])
-            defect = Fraction(diff.rank(), n)
+            defect = Fraction(phi.defect(a, b).rank(), n)
             max_defect = max(max_defect, defect)
             if defect >= s_k:
                 mult_ok = False

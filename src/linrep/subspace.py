@@ -5,7 +5,9 @@ arrays, so equality and hashing are structural and O(1)-ish.
 
 Each basis row is 1 on its own pivot column and 0 on the other pivots, so
 the residual rows - rows[:, pivots] . basis is zero exactly on the rows
-inside the subspace; membership and sums reduce against it.
+inside the subspace; membership and sums reduce against it.  Kernels, and
+through annihilators intersections, come from one constructor,
+Subspace.kernel_of(field, n, rows) = {x : rows . x = 0}.
 """
 
 from __future__ import annotations
@@ -56,6 +58,15 @@ class Subspace:
     @classmethod
     def full(cls, field, ambient):
         return cls(field, ambient, np.eye(ambient, dtype=np.uint8), _canonical=True)
+
+    @classmethod
+    def kernel_of(cls, field, n, rows):
+        """{x in GF(q)^n : rows . x = 0}; no nonzero row gives the full space."""
+        rows = np.asarray(rows, dtype=np.uint8).reshape(-1, n)
+        rows = rows[np.any(rows, axis=1)]
+        if not len(rows):
+            return cls.full(field, n)
+        return cls(field, n, DenseMatrix(field, rows).kernel())
 
     @classmethod
     def span(cls, field, vectors):
@@ -111,15 +122,13 @@ class Subspace:
         return Subspace(self.field, self.ambient, np.concatenate([self.basis, res], axis=0))
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: echelonize [U|U; W|0], read rows with zero left half."""
         self._check_ambient(other)
-        n = self.ambient
-        top = np.concatenate([self.basis, self.basis], axis=1)
-        bot = np.concatenate([other.basis, np.zeros_like(other.basis)], axis=1)
-        R, piv = rref_array(self.field, np.concatenate([top, bot], axis=0))
-        inter_rows = [R[i, n:] for i in range(len(piv)) if piv[i] >= n]
-        # Rows past the pivot count are all-zero by construction.
-        return Subspace(self.field, n, np.array(inter_rows, dtype=np.uint8).reshape(len(inter_rows), n))
+        ann = np.concatenate([self.annihilator(), other.annihilator()], axis=0)
+        return Subspace.kernel_of(self.field, self.ambient, ann)
+
+    def annihilator(self) -> np.ndarray:
+        """Rows a with a . x = 0 for every x here, spanning all such functionals."""
+        return DenseMatrix(self.field, self.basis).kernel()
 
     def contains_vector(self, v) -> bool:
         return not np.any(self.residual(np.asarray(v, dtype=np.uint8)[None, :]))

@@ -4,7 +4,8 @@ A FiniteApproxMap is a unit-preserving linear map from the span of finitely
 many basis elements of an algebra into Mat_n(GF(q)), together with a partial
 multiplication table for the basis.  Goodness of a vector means the map is
 exactly multiplicative on it for all products from the first i basis
-elements; tilings pack mutually independent orbits of good vectors.
+elements; tilings pack mutually independent orbits of good vectors.  The
+good subspace and the candidate space are kernels of stacked conditions.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .field import FieldSpec
-from .matrix import DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json
+from .matrix import (DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json,
+                     matmul_data)
 from .subspace import Subspace, subspaces_independent
 
 
@@ -66,6 +68,10 @@ class FiniteApproxMap:
         if (a, b) not in self.mult:
             raise MissingProductError(f"mult table has no entry for ({a}, {b})")
         return self.phi_of(self.mult[(a, b)])
+
+    def defect(self, a: int, b: int) -> DenseMatrix:
+        """phi(r_a r_b) - phi(r_a) phi(r_b), zero exactly where phi multiplies."""
+        return self.product_matrix(a, b) - self.phi[a - 1] @ self.phi[b - 1]
 
     def product_coords(self, ca, cb) -> np.ndarray:
         """Coordinates of the product of two span elements (bilinear expansion)."""
@@ -164,20 +170,13 @@ class TilingCertificate:
 def good_subspace(m: FiniteApproxMap, i: int) -> Subspace:
     """G^{i,phi}: vectors where phi is exactly multiplicative up to level i.
 
-    By bilinearity it suffices to intersect the kernels of
+    By bilinearity this is the common kernel of the defects
     phi(r_s r_t) - phi(r_s) phi(r_t) over basis pairs s, t <= i.
     """
-    if i > m.i_max:
-        raise ValueError(f"i = {i} exceeds basis count {m.i_max}")
-    space = Subspace.full(m.field, m.n)
-    for s in range(1, i + 1):
-        for t in range(1, i + 1):
-            diff = m.product_matrix(s, t) - (m.phi[s - 1] @ m.phi[t - 1])
-            if not np.any(diff.data):
-                continue
-            ker = Subspace(m.field, m.n, diff.kernel())
-            space = space.intersection(ker)
-    return space
+    if not 1 <= i <= m.i_max:
+        raise ValueError(f"i = {i} must lie in 1..{m.i_max}")
+    defects = [m.defect(s, t).data for s in range(1, i + 1) for t in range(1, i + 1)]
+    return Subspace.kernel_of(m.field, m.n, np.concatenate(defects))
 
 
 def is_good_map(m: FiniteApproxMap, i: int) -> bool:
@@ -188,23 +187,14 @@ def is_good_map(m: FiniteApproxMap, i: int) -> bool:
 
 def candidate_space(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
                     good: Subspace | None = None) -> Subspace:
-    """A_{F,i}: vectors x with phi(f)(x) in G intersect H for every f in F."""
+    """A_{F,i}: vectors x with phi(f)(x) in G intersect H for every f in F,
+    the kernel of the blocks [ann(G); ann(H)] . phi(f)."""
     if h.ambient != m.n:
         raise ValueError("H must live in the map's ambient space")
     good = good_subspace(m, i) if good is None else good
-    gh = good.intersection(h)
-    # Functionals vanishing on G cap H: kernel of its basis matrix.
-    constraint = DenseMatrix(m.field, gh.basis).kernel() if gh.dim < m.n else None
-    space = Subspace.full(m.field, m.n)
-    if constraint is None or len(constraint) == 0:
-        pass
-    else:
-        cmat = DenseMatrix(m.field, constraint)
-        for coords in f.basis:
-            rows = (cmat @ m.phi_of(coords)).data
-            ker = Subspace(m.field, m.n, DenseMatrix(m.field, rows).kernel())
-            space = space.intersection(ker)
-    return space
+    ann = np.concatenate([good.annihilator(), h.annihilator()], axis=0)
+    blocks = [matmul_data(m.field, ann, m.phi_of(coords).data) for coords in f.basis]
+    return Subspace.kernel_of(m.field, m.n, np.concatenate(blocks))
 
 
 def orbit_of(m: FiniteApproxMap, f: FSubspaceData, x) -> Subspace:
@@ -256,9 +246,15 @@ class PreconditionReport:
 
 def precondition_check(m: FiniteApproxMap, f: FSubspaceData, h: Subspace,
                        i: int, delta: Fraction) -> PreconditionReport:
+    good = good_subspace(m, i)
+    return _preconditions(m, f, h, i, delta, good, candidate_space(m, f, h, i, good=good))
+
+
+def _preconditions(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
+                   delta: Fraction, good: Subspace, a_space: Subspace) -> PreconditionReport:
+    """precondition_check given G^{i,phi} and A_{F,i}."""
     delta = Fraction(delta)
     n = m.n
-    q = m.field.q
 
     # F and the inverses of its listed nonzero basis elements inside span{r_1..r_i}.
     def in_level(coords):
@@ -268,8 +264,6 @@ def precondition_check(m: FiniteApproxMap, f: FSubspaceData, h: Subspace,
                 and all(idx in f.finv and in_level(f.finv[idx])
                         for idx in range(len(f.basis))))
 
-    good = good_subspace(m, i)
-    a_space = candidate_space(m, f, h, i, good=good)
     candidate_ok = Fraction(a_space.dim, n) >= 1 - delta / 4
 
     kernel_ok = True
@@ -301,7 +295,7 @@ def greedy_tiling(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
     delta = Fraction(delta)
     good = good_subspace(m, i)
     a_space = candidate_space(m, f, h, i, good=good)
-    report = precondition_check(m, f, h, i, delta)
+    report = _preconditions(m, f, h, i, delta, good, a_space)
 
     centers, tiles = [], []
     accum = Subspace.zero(m.field, m.n)
@@ -325,11 +319,7 @@ def greedy_tiling(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
     exhausted = a_space.dim > 0 and m.field.q ** a_space.dim > sample_budget + a_space.dim
     for _ in range(sample_budget if a_space.dim else 0):
         coeffs = rng.integers(0, m.field.q, size=a_space.dim, dtype=np.uint64).astype(np.uint8)
-        t = m.field.tables
-        x = np.zeros(m.n, dtype=np.uint8)
-        for c, row in zip(coeffs, a_space.basis):
-            x = t.add[x, t.mul[row, c]]
-        try_center(x)
+        try_center(matmul_data(m.field, coeffs[None], a_space.basis)[0])
 
     coverage = sum(t.dim for t in tiles)
     cert = TilingCertificate(i=i, delta=delta, dim_f=f.dim, centers=centers,

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from linrep import cli, tiling
 from linrep.field import GF2
 from linrep.matrix import DenseMatrix, random_invertible
 from linrep.repseq import Representation
@@ -280,6 +282,13 @@ _SOFIC = {"field": {"p": 2}, "maps": [_MAP], "s": [{"num": 1, "den": 2}]}
     pytest.param(["sofic-check", "--sofic", "{s}"], {"s": "[1, 2]"}, id="sofic-list"),
     pytest.param(["tile", "--map", "{m}"], {"m": json.dumps(dict(_MAP, phi=[], mult=[]))},
                  id="map-phi-empty"),
+    pytest.param(["tile", "--poly", "8", "--i", "0"], {}, id="arg-i-0"),
+    pytest.param(["tile-verify", "--poly", "8", "--cert", "{c}"],
+                 {"c": json.dumps(dict(_CERT, i=0, delta={"num": 1, "den": 4}))}, id="cert-i-0"),
+    pytest.param(["sofic-check", "--poly-levels", "4", "--basis-size", "0"], {},
+                 id="arg-basis-size-0"),
+    pytest.param(["sofic-check", "--poly-levels", "4", "--basis-size", "9"], {},
+                 id="arg-basis-size-9"),
 ])
 def test_malformed_input_is_a_json_input_error(tmp_path, argv, files):
     paths = {}
@@ -291,6 +300,15 @@ def test_malformed_input_is_a_json_input_error(tmp_path, argv, files):
     lines = proc.stdout.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "input"
     assert "Traceback" not in proc.stderr
+
+
+def test_internal_error_is_a_json_internal_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("tiling theorem violated")
+    monkeypatch.setattr(tiling, "greedy_tiling", broken)
+    out = io.StringIO()
+    assert cli.main(["tile", "--poly", "8"], out) == cli.EXIT_INTERNAL == 4
+    assert json.loads(out.getvalue()) == {"error": "internal", "detail": "tiling theorem violated"}
 
 
 def test_bad_subcommand_exit():

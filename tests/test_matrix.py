@@ -167,14 +167,17 @@ def test_singular_inverse_raises():
 def test_kernel_annihilates_and_has_right_dimension():
     g = rng(4)
     for field in (GF2, F3, F9):
-        for _ in range(25):
-            m = random_matrix(field, g, 4, 6)
+        mats = [random_matrix(field, g, 4, 6) for _ in range(25)]
+        mats += [DenseMatrix.zeros(field, 3, 5), DenseMatrix.zeros(field, 0, 4),
+                 random_invertible(field, g, 5)]
+        for m in mats:
             k = m.kernel()
-            assert len(k) == 6 - m.rank()
+            assert k.dtype == np.uint8 and k.shape == (m.cols - m.rank(), m.cols)
             for v in k:
                 assert not np.any(m.apply(v))
             # Kernel rows are independent.
             assert len(rref_array(field, k)[1]) == len(k)
+        assert np.array_equal(DenseMatrix.zeros(field, 3, 5).kernel(), np.eye(5, dtype=np.uint8))
 
 
 def test_solve_consistent_and_inconsistent():

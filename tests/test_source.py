@@ -25,3 +25,13 @@ def test_cli_decodes_code_arrays_only_through_codes_from_json():
              and node.func.attr in ("array", "asarray")
              and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
     assert found == []
+
+
+def test_kernels_reach_subspaces_only_through_kernel_of():
+    # Subspace.kernel_of and Subspace.annihilator are the only callers of DenseMatrix.kernel.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "subspace.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "kernel"]
+    assert found == []

@@ -28,16 +28,35 @@ def test_canonical_equality_ignores_basis_choice():
 
 def test_intersection_matches_brute_force():
     g = rng(1)
-    for field in (GF2, F3):
-        for _ in range(25):
-            u = random_subspace(field, g, 4, 2)
-            w = random_subspace(field, g, 4, 2)
+    for field in (GF2, F3, FieldSpec(2, 2), FieldSpec(3, 2)):
+        pairs = [(random_subspace(field, g, 4, 2), random_subspace(field, g, 4, 2))
+                 for _ in range(25)]
+        zero, full = Subspace.zero(field, 4), Subspace.full(field, 4)
+        pairs += [(zero, full), (full, zero), (full, full), (zero, zero),
+                  (pairs[0][0], full), (zero, pairs[0][1])]
+        for u, w in pairs:
             inter = u.intersection(w)
             brute = [v for v in u.vectors() if w.contains_vector(v)]
             assert field.q ** inter.dim == len(brute)
             assert all(inter.contains_vector(v) for v in brute)
             # Dimension formula.
             assert u.sum(w).dim == u.dim + w.dim - inter.dim
+
+
+def test_kernel_of_drops_zero_rows():
+    g = rng(6)
+    for field in (GF2, F3, FieldSpec(2, 2), FieldSpec(3, 2)):
+        assert Subspace.kernel_of(field, 5, np.zeros((0, 5))) == Subspace.full(field, 5)
+        assert Subspace.kernel_of(field, 5, np.zeros((3, 5))) == Subspace.full(field, 5)
+        assert Subspace.kernel_of(field, 5, np.eye(5)) == Subspace.zero(field, 5)
+        rows = g.integers(0, field.q, size=(2, 5), dtype=np.uint64).astype(np.uint8)
+        ker = Subspace.kernel_of(field, 5, np.concatenate([rows, np.zeros((2, 5), np.uint8)]))
+        brute = [v for v in Subspace.full(field, 5).vectors()
+                 if not np.any(matmul_data(field, rows, v[:, None]))]
+        assert field.q ** ker.dim == len(brute)
+        assert all(ker.contains_vector(v) for v in brute)
+        annihilated = matmul_data(field, ker.annihilator(), ker.basis.T)
+        assert not np.any(annihilated) and len(ker.annihilator()) == 5 - ker.dim
 
 
 def test_containment_and_lattice_bounds():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -201,3 +203,53 @@ def test_orbit_of_unit_f_is_the_line():
     x = np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=np.uint8)
     orbit = orbit_of(m, unit_f(8), x)
     assert orbit.dim == 1 and orbit.contains_vector(x)
+
+
+# (q, dim F, i) -> (dim G, dim A, coverage, sha256 prefix of the JSON of G, A,
+# the precondition report and the certificate), recorded before G and A were
+# built as stacked kernels.
+_PINNED_TILINGS = {
+    (2, 1, 1): (8, 6, 6, "0bdb52923883b548"),
+    (2, 1, 2): (6, 4, 4, "cfe5002dbf002e82"),
+    (2, 1, 3): (5, 3, 3, "48e4aaf76d4f4e53"),
+    (2, 2, 1): (8, 4, 6, "f9f4fc24f9ce747b"),
+    (2, 2, 2): (6, 1, 2, "1f307c0249b33312"),
+    (2, 2, 3): (5, 1, 2, "9355133ab4498691"),
+    (3, 1, 1): (8, 6, 6, "2176affce35a2e48"),
+    (3, 1, 2): (6, 4, 4, "f644a597c1f20b03"),
+    (3, 1, 3): (5, 3, 3, "3e0f6b8f48b56460"),
+    (3, 2, 1): (8, 4, 6, "8e13ad4a0f573af3"),
+    (3, 2, 2): (6, 1, 2, "f7222b2e1d3ca0d9"),
+    (3, 2, 3): (5, 0, 0, "17ded3dd7cda582a"),
+    (4, 1, 1): (8, 6, 6, "27f59c0b0157c96d"),
+    (4, 1, 2): (6, 4, 4, "d5ae04e7635be6ae"),
+    (4, 1, 3): (5, 3, 3, "d5f0298e0893faca"),
+    (4, 2, 1): (8, 4, 6, "e734dfb3add65245"),
+    (4, 2, 2): (6, 2, 4, "e248ec2421aa3881"),
+    (4, 2, 3): (5, 1, 2, "a83d4d3a36a1dcde"),
+    (9, 1, 1): (8, 6, 6, "ef1ffd8464f66a48"),
+    (9, 1, 2): (6, 4, 4, "79e6ceaf4a12ab35"),
+    (9, 1, 3): (5, 3, 3, "cc1e2772b9c1b2ec"),
+    (9, 2, 1): (8, 4, 6, "f96464df029d514d"),
+    (9, 2, 2): (6, 1, 2, "214a85e6ddeff01e"),
+    (9, 2, 3): (5, 0, 0, "45153b41065847d0"),
+}
+
+
+@pytest.mark.parametrize("q, fdim, i", sorted(_PINNED_TILINGS))
+def test_corrupted_map_tiling_is_pinned(q, fdim, i):
+    field = {2: GF2, 3: FieldSpec(3), 4: FieldSpec(2, 2), 9: FieldSpec(3, 2)}[q]
+    m = corrupted_map(poly_basis_map(PolyInstance(field, 8), 6))
+    g = np.random.Generator(np.random.Philox(q))
+    h = Subspace(field, 8, g.integers(0, q, size=(6, 8), dtype=np.uint64).astype(np.uint8))
+    assert h.dim == 6
+    eye = np.eye(6, dtype=np.uint8)
+    f = FSubspaceData(list(eye[:fdim]), {0: eye[0]})
+    good = good_subspace(m, i)
+    a_space = candidate_space(m, f, h, i)
+    report = precondition_check(m, f, h, i, Fraction(1, 4))
+    cert = greedy_tiling(m, f, h, i, Fraction(1, 4), seed=0, sample_budget=16)
+    blob = json.dumps({"G": good.to_json(), "A": a_space.to_json(), "report": report.to_json(),
+                       "cert": cert.to_json()}, sort_keys=True)
+    digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    assert (good.dim, a_space.dim, cert.coverage, digest) == _PINNED_TILINGS[(q, fdim, i)]
