@@ -225,8 +225,9 @@ def cmd_sofic_check(args, out):
     if args.poly_levels:
         field = parse_field(args.field)
         levels = parse_range(args.poly_levels)
-        if not 1 <= args.basis_size <= min(levels):
-            raise InputError(f"--basis-size must lie in 1..{min(levels)}")
+        top = (min(levels) + 1) // 2    # the mult table needs 2 * basis_size - 1 <= min(levels)
+        if not 1 <= args.basis_size <= top:
+            raise InputError(f"--basis-size must lie in 1..{top} for these --poly-levels")
         maps, s_bounds = [], []
         d = args.basis_size - 1   # top degree of the checked span
         for m in levels:
@@ -428,7 +429,13 @@ def main(argv=None, out=None):
     except RuntimeError as exc:
         emit({"error": "internal", "detail": str(exc)}, out)
         return EXIT_INTERNAL
-    except (InputError, ParseError, ValueError, KeyError) as exc:
+    except tiling.MissingProductError as exc:     # a KeyError; str() would quote it
+        emit({"error": "input", "detail": exc.args[0]}, out)
+        return EXIT_INPUT
+    except KeyError as exc:
+        emit({"error": "input", "detail": f"missing key: {exc.args[0]}"}, out)
+        return EXIT_INPUT
+    except (InputError, ParseError, ValueError) as exc:
         emit({"error": "input", "detail": str(exc)}, out)
         return EXIT_INPUT
 

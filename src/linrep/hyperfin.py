@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import fraction_from_json, fraction_to_json, matmul_data, rref_array
+from .matrix import fraction_from_json, fraction_to_json, matmul_data
 from .repseq import Representation
 from .subspace import (BudgetExceededError, Subspace, enumerate_subspaces,
                        gaussian_binomial, subspaces_independent)
@@ -59,16 +59,8 @@ def grow(rep: Representation, w: Subspace) -> Subspace:
     """W + sum_i theta(gamma_i) W."""
     if w.dim == 0:
         return w
-    stacked = _grown_rows(rep, w.basis)
-    return Subspace(rep.field, rep.n, stacked)
-
-
-def _grown_rows(rep: Representation, rows: np.ndarray) -> np.ndarray:
-    """Rows spanning span(rows) + sum_i theta(gamma_i) span(rows)."""
-    pieces = [rows]
-    for g in rep.generators:
-        pieces.append(matmul_data(rep.field, g.data, rows.T).T)
-    return np.concatenate(pieces, axis=0)
+    images = [matmul_data(rep.field, g.data, w.basis.T).T for g in rep.generators]
+    return Subspace(rep.field, rep.n, np.concatenate([w.basis] + images, axis=0))
 
 
 def witness_check(rep: Representation, w: HyperfiniteWitness) -> bool:
@@ -111,10 +103,8 @@ def cheeger_exact(rep: Representation, cap: int = ENUM_CAP) -> ExpansionReport:
 def cheeger_random(rep: Representation, trials: int, seed: int = 0) -> ExpansionReport:
     """Sampled upper bound on the same minimum; exact=False.
 
-    Each trial draws a random row set with at most n/2 rows; its span and
-    the grown span are ranked directly, one elimination each, so a
-    Subspace object is only built when the sample improves the running
-    minimum (ties broken by canonical basis for determinism).
+    Each trial draws at most n/2 random rows and ranks their span W and its
+    growth, one elimination each; ties break by canonical basis, for determinism.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -126,15 +116,11 @@ def cheeger_random(rep: Representation, trials: int, seed: int = 0) -> Expansion
     for _ in range(trials):
         d = int(rng.integers(1, half + 1))
         rows = rng.integers(0, rep.field.q, size=(d, n), dtype=np.uint64).astype(np.uint8)
-        dim_w = len(rref_array(rep.field, rows)[1])
-        if dim_w == 0:
-            continue
-        dim_grown = len(rref_array(rep.field, _grown_rows(rep, rows))[1])
-        ratio = Fraction(dim_grown, dim_w)
-        if best is not None and ratio > best:
-            continue
         w = Subspace(rep.field, n, rows)
-        if best is None or ratio < best or _canon_key(w) < _canon_key(best_w):
+        if w.dim == 0:
+            continue
+        ratio = Fraction(grow(rep, w).dim, w.dim)
+        if best is None or (ratio, _canon_key(w)) < (best, _canon_key(best_w)):
             best, best_w = ratio, w
     if best is None:
         # All samples degenerated to zero; fall back to a coordinate line.

@@ -1,7 +1,9 @@
 """Dense matrices over GF(q): arithmetic, elimination, rank, kernels.
 
 Entries are integer codes (see linrep.field) held in a numpy uint8 array.
-Everything is exact and uses no floats.  Each field family has its own
+Everything is exact and uses no floats.  No other module does code-array
+arithmetic: a sum c_1 X_1 + ... + c_k X_k elsewhere is one matmul_data
+product, a difference is sub_data.  Each field family has its own
 kernel: characteristic 2 adds codes by XOR, GF(p) works on the residues
 themselves, and odd extensions GF(p^d) multiply base-p digit planes in
 int64 and add rows through the q x q tables (see matmul_data and
@@ -85,11 +87,10 @@ class DenseMatrix:
 
     def __sub__(self, other):
         self._check_same(other)
-        t = self.field.tables
-        return DenseMatrix(self.field, t.add[self.data, t.neg[other.data]])
+        return DenseMatrix(self.field, sub_data(self.field, self.data, other.data))
 
     def __neg__(self):
-        return DenseMatrix(self.field, self.field.tables.neg[self.data])
+        return DenseMatrix(self.field, sub_data(self.field, np.zeros_like(self.data), self.data))
 
     def __matmul__(self, other):
         self._check_same(other)
@@ -134,12 +135,8 @@ class DenseMatrix:
         return self.rows == self.cols and self.rank() == self.rows
 
     def kernel(self):
-        """Right null space: per free column j of the rref R, 1 at j and -R[:, j] on the pivots."""
-        R, pivots = rref_array(self.field, self.data)
-        free = np.delete(np.arange(self.cols), pivots)
-        basis = np.eye(self.cols, dtype=np.uint8)[free]
-        basis[:, pivots] = self.field.tables.neg[R[: len(pivots), free].T]
-        return basis
+        """Right null space, as rows: echelon_kernel of the rref."""
+        return echelon_kernel(self.field, *rref_array(self.field, self.data))
 
     def solve(self, rhs: np.ndarray):
         """One solution x of self @ x = rhs, or None if inconsistent."""
@@ -229,6 +226,21 @@ def matmul_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         prod = planes_a[:, lo:lo + step] @ packed_b[:, lo:lo + step].T
         digits += (prod[:, :, None] >> shifts) & ((1 << w) - 1)
     return (digits % p @ p ** np.arange(d)).astype(np.uint8)
+
+
+def sub_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise difference a - b of two code arrays of one shape."""
+    t = field.tables
+    return t.add[a, t.neg[b]]
+
+
+def echelon_kernel(field: FieldSpec, R: np.ndarray, pivots) -> np.ndarray:
+    """Right null space of a reduced echelon array R with these pivot columns,
+    without elimination: per free column j, 1 at j and -R[:, j] on the pivots."""
+    free = np.delete(np.arange(R.shape[1]), pivots)
+    basis = np.eye(R.shape[1], dtype=np.uint8)[free]
+    basis[:, pivots] = field.tables.neg[R[: len(pivots), free].T]
+    return basis
 
 
 def rref_array(field: FieldSpec, data: np.ndarray, pivot_limit: int | None = None):

@@ -14,7 +14,8 @@ import numpy as np
 
 from .field import FieldSpec
 from .freealg import AlgebraMatrix, Word
-from .matrix import DenseMatrix, SingularMatrixError, fraction_to_json, random_invertible
+from .matrix import (DenseMatrix, SingularMatrixError, fraction_to_json, matmul_data,
+                     random_invertible)
 from .subspace import Subspace
 
 
@@ -78,13 +79,13 @@ def apply_matrix(rep: Representation, a: AlgebraMatrix) -> DenseMatrix:
         raise ValueError("element uses more generators than the representation has")
     nk = rep.n
     out = np.zeros((a.n * nk, a.n * nk), dtype=np.uint8)
-    t = rep.field.tables
     for i in range(a.n):
         for j in range(a.n):
-            block = np.zeros((nk, nk), dtype=np.uint8)
-            for word, coeff in a.entries[i][j].terms.items():
-                block = t.add[block, t.mul[rep.of_word(word).data, coeff]]
-            out[i * nk:(i + 1) * nk, j * nk:(j + 1) * nk] = block
+            terms = a.entries[i][j].terms
+            words = np.array([rep.of_word(word).data for word in terms], dtype=np.uint8)
+            coeffs = np.array([list(terms.values())], dtype=np.uint8)
+            block = matmul_data(rep.field, coeffs, words.reshape(len(terms), nk * nk))
+            out[i * nk:(i + 1) * nk, j * nk:(j + 1) * nk] = block.reshape(nk, nk)
     return DenseMatrix(rep.field, out)
 
 

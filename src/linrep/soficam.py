@@ -16,7 +16,7 @@ import numpy as np
 
 from .field import FieldSpec
 from .freealg import Word
-from .matrix import DenseMatrix, fraction_to_json
+from .matrix import DenseMatrix, fraction_to_json, matmul_data
 from .repseq import Representation
 from .subspace import Subspace, subspaces_independent
 from .tiling import FiniteApproxMap, MissingProductError, is_good_map
@@ -50,11 +50,10 @@ class PolyInstance:
         """Exact product in GF(q)[x] (length may exceed m)."""
         a = np.asarray(a, dtype=np.uint8)
         b = np.asarray(b, dtype=np.uint8)
-        t = self.field.tables
-        out = np.zeros(len(a) + len(b) - 1, dtype=np.uint8)
-        for i in np.nonzero(a)[0]:
-            out[i:i + len(b)] = t.add[out[i:i + len(b)], t.mul[b, a[i]]]
-        return out
+        shifted = np.zeros((len(a), len(a) + len(b) - 1), dtype=np.uint8)   # row i: x^i b
+        for i in range(len(a)):
+            shifted[i, i:i + len(b)] = b
+        return matmul_data(self.field, a[None, :], shifted)[0]
 
     def degree_subspace(self, d: int) -> Subspace:
         """span{1, x, ..., x^(d-1)} inside the ambient V_m."""

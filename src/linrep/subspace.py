@@ -5,9 +5,9 @@ arrays, so equality and hashing are structural and O(1)-ish.
 
 Each basis row is 1 on its own pivot column and 0 on the other pivots, so
 the residual rows - rows[:, pivots] . basis is zero exactly on the rows
-inside the subspace; membership and sums reduce against it.  Kernels, and
-through annihilators intersections, come from one constructor,
-Subspace.kernel_of(field, n, rows) = {x : rows . x = 0}.
+inside the subspace; membership and sums reduce against it.  Annihilators
+are read off the basis without elimination; kernels, and through them
+intersections, come from Subspace.kernel_of(field, n, rows) = {x : rows . x = 0}.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .field import FieldSpec
-from .matrix import DenseMatrix, codes_from_json, matmul_data, rref_array
+from .matrix import (DenseMatrix, codes_from_json, echelon_kernel, matmul_data, rref_array,
+                     sub_data)
 
 
 class AmbientMismatchError(ValueError):
@@ -108,9 +109,8 @@ class Subspace:
         rows = np.asarray(rows, dtype=np.uint8)
         if rows.ndim != 2 or rows.shape[1] != self.ambient:
             raise AmbientMismatchError(f"expected rows of length {self.ambient}")
-        t = self.field.tables
         proj = matmul_data(self.field, rows[:, list(self.pivots)], self.basis)
-        return t.add[rows, t.neg[proj]]
+        return sub_data(self.field, rows, proj)
 
     # -- lattice operations --
 
@@ -127,8 +127,9 @@ class Subspace:
         return Subspace.kernel_of(self.field, self.ambient, ann)
 
     def annihilator(self) -> np.ndarray:
-        """Rows a with a . x = 0 for every x here, spanning all such functionals."""
-        return DenseMatrix(self.field, self.basis).kernel()
+        """Rows a with a . x = 0 for every x here, spanning all such functionals;
+        read off the echelon basis without elimination."""
+        return echelon_kernel(self.field, self.basis, self.pivots)
 
     def contains_vector(self, v) -> bool:
         return not np.any(self.residual(np.asarray(v, dtype=np.uint8)[None, :]))
@@ -153,13 +154,8 @@ class Subspace:
 
     def vectors(self):
         """Every vector of the subspace (q^dim of them), zero first."""
-        q = self.field.q
-        t = self.field.tables
-        for coeffs in product(range(q), repeat=self.dim):
-            v = np.zeros(self.ambient, dtype=np.uint8)
-            for c, row in zip(coeffs, self.basis):
-                v = t.add[v, t.mul[row, c]]
-            yield v
+        for coeffs in product(range(self.field.q), repeat=self.dim):
+            yield matmul_data(self.field, np.array([coeffs], dtype=np.uint8), self.basis)[0]
 
 
 def subspaces_independent(spaces) -> bool:

@@ -57,11 +57,10 @@ class FiniteApproxMap:
     def phi_of(self, coords) -> DenseMatrix:
         """Image of the span element with the given basis coordinates."""
         coords = np.asarray(coords, dtype=np.uint8)
-        t = self.field.tables
-        acc = np.zeros((self.n, self.n), dtype=np.uint8)
-        for idx in np.nonzero(coords)[0]:
-            acc = t.add[acc, t.mul[self.phi[idx].data, coords[idx]]]
-        return DenseMatrix(self.field, acc)
+        idx = np.flatnonzero(coords)
+        mats = np.array([self.phi[k].data for k in idx], dtype=np.uint8)
+        acc = matmul_data(self.field, coords[None, idx], mats.reshape(len(idx), self.n * self.n))
+        return DenseMatrix(self.field, acc.reshape(self.n, self.n))
 
     def product_matrix(self, a: int, b: int) -> DenseMatrix:
         """phi(r_a * r_b) via the table; raises when the entry is missing."""
@@ -77,15 +76,14 @@ class FiniteApproxMap:
         """Coordinates of the product of two span elements (bilinear expansion)."""
         ca = np.asarray(ca, dtype=np.uint8)
         cb = np.asarray(cb, dtype=np.uint8)
-        t = self.field.tables
-        out = np.zeros(self.i_max, dtype=np.uint8)
-        for a in np.nonzero(ca)[0]:
-            for b in np.nonzero(cb)[0]:
-                if (a + 1, b + 1) not in self.mult:
-                    raise MissingProductError(f"mult table has no entry for ({a + 1}, {b + 1})")
-                term = t.mul[self.mult[(a + 1, b + 1)], t.mul[ca[a], cb[b]]]
-                out = t.add[out, term]
-        return out
+        weights = matmul_data(self.field, ca[:, None], cb[None, :])    # ca[a] * cb[b]
+        keys = [(a + 1, b + 1) for a, b in zip(*np.nonzero(weights))]
+        missing = [key for key in keys if key not in self.mult]
+        if missing:
+            raise MissingProductError("mult table has no entry for ({}, {})".format(*missing[0]))
+        terms = np.array([self.mult[key] for key in keys], dtype=np.uint8)
+        return matmul_data(self.field, weights[weights != 0][None, :],
+                           terms.reshape(len(keys), self.i_max))[0]
 
     @staticmethod
     def from_json(field, obj):

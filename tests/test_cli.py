@@ -160,6 +160,9 @@ def test_sofic_check_poly_levels():
     obj = json.loads(out)
     assert obj["levels"] == [8, 16, 32, 64]
     assert all(r["all_ok"] for r in obj["reports"])
+    # The smallest level that holds the products of a basis of size 3.
+    code, out = run_cli("sofic-check", "--poly-levels", "5", "--basis-size", "3")
+    assert code == 0 and all(r["all_ok"] for r in json.loads(out)["reports"])
 
 
 def test_folner_subcommand():
@@ -231,6 +234,14 @@ _PROFILE = "2,2,1,1,2\n3,3,2,2,3\n"
 _MAP = {"field": {"p": 2}, "phi": [[[1, 0], [0, 1]], [[0, 0], [1, 0]]],
         "mult": [[1, 1, [1, 0]], [1, 2, [0, 1]]]}
 _SOFIC = {"field": {"p": 2}, "maps": [_MAP], "s": [{"num": 1, "den": 2}]}
+_REP = {"field": {"p": 2}, "generators": [[[1, 0], [0, 1]]]}
+# Cases whose detail text is pinned: it names the missing key or the real bound.
+_DETAILS = {
+    "sofic-basis-size-3-levels-4": "--basis-size must lie in 1..2 for these --poly-levels",
+    "rep-missing-field": "missing key: field",
+    "witness-missing-K": "missing key: K",
+    "sofic-mult-missing": "mult table has no entry for (2, 1)",
+}
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -289,8 +300,19 @@ _SOFIC = {"field": {"p": 2}, "maps": [_MAP], "s": [{"num": 1, "den": 2}]}
                  id="arg-basis-size-0"),
     pytest.param(["sofic-check", "--poly-levels", "4", "--basis-size", "9"], {},
                  id="arg-basis-size-9"),
+    pytest.param(["sofic-check", "--poly-levels", "4", "--basis-size", "3"], {},
+                 id="sofic-basis-size-3-levels-4"),
+    pytest.param(["cheeger", "--rep", "{r}"], {"r": json.dumps({"generators": [[[1]]]})},
+                 id="rep-missing-field"),
+    pytest.param(["hyperfinite-check", "--rep", "{r}", "--witness", "{w}"],
+                 {"r": json.dumps(_REP), "w": json.dumps({"epsilon": {"num": 1, "den": 2},
+                                                          "tiles": []})},
+                 id="witness-missing-K"),
+    pytest.param(["sofic-check", "--sofic", "{s}", "--level", "2"],
+                 {"s": json.dumps(dict(_SOFIC, maps=[_MAP, _MAP], s=_SOFIC["s"] * 2))},
+                 id="sofic-mult-missing"),
 ])
-def test_malformed_input_is_a_json_input_error(tmp_path, argv, files):
+def test_malformed_input_is_a_json_input_error(tmp_path, request, argv, files):
     paths = {}
     for name, text in files.items():
         paths[name] = str(tmp_path / name)
@@ -300,6 +322,8 @@ def test_malformed_input_is_a_json_input_error(tmp_path, argv, files):
     lines = proc.stdout.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "input"
     assert "Traceback" not in proc.stderr
+    detail = _DETAILS.get(request.node.callspec.id)
+    assert detail is None or json.loads(lines[0])["detail"] == detail
 
 
 def test_internal_error_is_a_json_internal_error(monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +126,48 @@ def test_cheeger_random_upper_bounds_exact():
         rn = cheeger_random(rep, 500, seed=seed)
         assert rn.min_ratio >= ex.min_ratio
         assert not rn.exact
+
+
+# (q, block sizes, seed) -> (min_ratio, witness dim, sha256 prefix of the report JSON)
+# for cheeger_random(block_rep(GF(q), sizes, seed=q), 60, seed).
+_PINNED_CHEEGER = {
+    (2, (2, 4), 0): ("4/3", 3, "449fcde5f99766ba"),
+    (2, (2, 4), 1): ("4/3", 3, "c33ed273c69c7a0e"),
+    (2, (2, 4), 2): ("4/3", 3, "cc247577054d6965"),
+    (2, (6,), 0): ("5/3", 3, "7538275a00ac3505"),
+    (2, (6,), 1): ("5/3", 3, "8b7d3042ca4c5620"),
+    (2, (6,), 2): ("5/3", 3, "22fd77602d8646fe"),
+    (3, (2, 4), 0): ("4/3", 3, "449fcde5f99766ba"),
+    (3, (2, 4), 1): ("2", 2, "fdf23369f72c7c64"),
+    (3, (2, 4), 2): ("2", 1, "6a05b655ef318773"),
+    (3, (6,), 0): ("5/3", 3, "82b7438a592385e0"),
+    (3, (6,), 1): ("2", 3, "4921d359f7250476"),
+    (3, (6,), 2): ("5/3", 3, "a47b151d7b3533cf"),
+    (4, (2, 4), 0): ("2", 3, "80a4cd1c8028a891"),
+    (4, (2, 4), 1): ("2", 3, "f8e4e90930ab9cf1"),
+    (4, (2, 4), 2): ("2", 3, "f4de274a8f36bffc"),
+    (4, (6,), 0): ("2", 3, "80a4cd1c8028a891"),
+    (4, (6,), 1): ("2", 3, "f8e4e90930ab9cf1"),
+    (4, (6,), 2): ("2", 3, "f4de274a8f36bffc"),
+    (9, (2, 4), 0): ("2", 3, "6b83f69644b1cbc2"),
+    (9, (2, 4), 1): ("2", 3, "01bae241e4f4b314"),
+    (9, (2, 4), 2): ("2", 3, "742ade6171dd6f62"),
+    (9, (6,), 0): ("2", 3, "6b83f69644b1cbc2"),
+    (9, (6,), 1): ("2", 3, "01bae241e4f4b314"),
+    (9, (6,), 2): ("2", 3, "742ade6171dd6f62"),
+}
+
+
+@pytest.mark.parametrize("q, sizes", sorted({key[:2] for key in _PINNED_CHEEGER}))
+def test_cheeger_random_is_pinned(q, sizes):
+    field = {2: GF2, 3: FieldSpec(3), 4: FieldSpec(2, 2), 9: FieldSpec(3, 2)}[q]
+    rep = block_rep(field, list(sizes), seed=q)
+    for seed in range(3):
+        report = cheeger_random(rep, 60, seed=seed)
+        blob = json.dumps(report.to_json(), sort_keys=True)
+        digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        assert (str(report.min_ratio), report.witness_subspace.dim, digest) == \
+            _PINNED_CHEEGER[(q, sizes, seed)]
 
 
 def test_planted_invariant_line_gives_ratio_one():

@@ -28,10 +28,21 @@ def test_cli_decodes_code_arrays_only_through_codes_from_json():
 
 
 def test_kernels_reach_subspaces_only_through_kernel_of():
-    # Subspace.kernel_of and Subspace.annihilator are the only callers of DenseMatrix.kernel.
+    # Subspace.kernel_of is the only caller of DenseMatrix.kernel; annihilators
+    # are read off the echelon basis by matrix.echelon_kernel.
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "subspace.py"
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "kernel"]
+    assert found == []
+
+
+def test_only_matrix_and_field_touch_the_field_tables():
+    # matrix.py is the one boundary for code-array arithmetic, so a kernel
+    # can change the representation it computes in without other modules knowing.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name not in ("field.py", "matrix.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "tables"]
     assert found == []
