@@ -138,20 +138,6 @@ class DenseMatrix:
         """Right null space, as rows: echelon_kernel of the rref."""
         return echelon_kernel(self.field, *rref_array(self.field, self.data))
 
-    def solve(self, rhs: np.ndarray):
-        """One solution x of self @ x = rhs, or None if inconsistent."""
-        rhs = np.asarray(rhs, dtype=np.uint8).reshape(-1, 1)
-        aug = np.concatenate([self.data, rhs], axis=1)
-        R, pivots = rref_array(self.field, aug, pivot_limit=self.cols)
-        # Inconsistent iff some row is (0 ... 0 | nonzero).
-        lead = np.any(R[:, : self.cols], axis=1)
-        if np.any(~lead & (R[:, self.cols] != 0)):
-            return None
-        x = np.zeros(self.cols, dtype=np.uint8)
-        for i, pc in enumerate(pivots):
-            x[pc] = R[i, self.cols]
-        return x
-
     def to_json(self):
         return self.data.astype(int).tolist()
 

@@ -2,7 +2,11 @@
 
 A representation is an r-tuple of invertible matrices over GF(q); group
 algebra matrices are evaluated blockwise, and normalized ranks are exact
-Fractions rank/n_k.
+Fractions rank/n_k.  A word is evaluated along its prefixes with only the
+products it needs: its first letter is the generator (or inverse) itself,
+and a permutation generator, the identity included, acts as a column
+gather and is inverted by its transpose, so the cyclic and abelian
+families run no matrix product and no elimination per letter.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .subspace import Subspace
 class Representation:
     """theta: F_r -> GL(n, GF(q)), given by its generator images."""
 
-    __slots__ = ("field", "r", "n", "generators", "inverses", "_word_cache")
+    __slots__ = ("field", "r", "n", "generators", "_letters", "_word_cache")
 
     def __init__(self, field: FieldSpec, generators):
         self.field = field
@@ -34,10 +38,22 @@ class Representation:
         for g in self.generators:
             if g.field != field or g.rows != self.n or g.cols != self.n:
                 raise ValueError("generators must be square matrices over the same field")
-        try:
-            self.inverses = [g.inverse() for g in self.generators]
-        except SingularMatrixError as exc:
-            raise ValueError("all generator images must be invertible") from exc
+        # _letters[(i, e)] = (g_i^e, order): m @ g_i^e is m[:, order] when
+        # g_i is a permutation matrix, inverted by its transpose; order is
+        # None for a dense g_i, which is inverted (and so checked
+        # invertible) by elimination.
+        self._letters = {}
+        for i, g in enumerate(self.generators, start=1):
+            inv_perm = _inverse_permutation(g.data)
+            if inv_perm is None:
+                try:
+                    inv = g.inverse()
+                except SingularMatrixError as exc:
+                    raise ValueError("all generator images must be invertible") from exc
+                self._letters[i, 1], self._letters[i, -1] = (g, None), (inv, None)
+            else:
+                inv = DenseMatrix(field, np.ascontiguousarray(g.data.T))
+                self._letters[i, 1], self._letters[i, -1] = (g, np.argsort(inv_perm)), (inv, inv_perm)
         self._word_cache = {(): DenseMatrix.identity(field, self.n)}
 
     def of_word(self, word: Word) -> DenseMatrix:
@@ -45,15 +61,18 @@ class Representation:
         if key in self._word_cache:
             return self._word_cache[key]
         # Build up along prefixes so shared prefixes are evaluated once.
-        m = self._word_cache[()]
         for idx in range(len(key)):
             prefix = key[: idx + 1]
             if prefix in self._word_cache:
                 m = self._word_cache[prefix]
                 continue
-            i, e = key[idx]
-            step = self.generators[i - 1] if e == 1 else self.inverses[i - 1]
-            m = m @ step
+            step, order = self._letters[key[idx]]
+            if idx == 0:
+                m = step
+            elif order is None:
+                m = m @ step
+            else:
+                m = DenseMatrix(self.field, m.data[:, order])
             self._word_cache[prefix] = m
         return m
 
@@ -203,6 +222,20 @@ class FamilyDescriptor:
     @staticmethod
     def block_diagonal(blocks):
         return FamilyDescriptor("block_diagonal", tuple(blocks))
+
+
+def _inverse_permutation(data):
+    """inv with data[j, inv[j]] == 1 for every row j, if data is a
+    permutation matrix (inv itself a permutation, all other entries 0),
+    else None.  A dense matrix costs one count_nonzero."""
+    n = data.shape[0]
+    if np.count_nonzero(data) != n:
+        return None
+    rows, cols = np.nonzero(data)
+    if not (np.array_equal(rows, np.arange(n)) and np.all(data[rows, cols] == 1)
+            and np.array_equal(np.sort(cols), np.arange(n))):
+        return None
+    return cols
 
 
 def _shift_matrix(field, k):

@@ -180,18 +180,6 @@ def test_kernel_annihilates_and_has_right_dimension():
         assert np.array_equal(DenseMatrix.zeros(field, 3, 5).kernel(), np.eye(5, dtype=np.uint8))
 
 
-def test_solve_consistent_and_inconsistent():
-    g = rng(5)
-    for _ in range(50):
-        m = random_matrix(F3, g, 4, 4)
-        x0 = g.integers(0, 3, size=4, dtype=np.uint64).astype(np.uint8)
-        rhs = m.apply(x0)
-        x = m.solve(rhs)
-        assert x is not None and np.array_equal(m.apply(x), rhs)
-    m = DenseMatrix.from_rows(GF2, [[1, 0], [1, 0]])
-    assert m.solve(np.array([1, 0], dtype=np.uint8)) is None
-
-
 def test_rank_is_transpose_invariant():
     g = rng(6)
     for field in (GF2, F4):

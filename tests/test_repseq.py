@@ -1,17 +1,20 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
+from linrep import matrix, repseq
 from linrep.field import GF2, FieldSpec
 from linrep.freealg import AlgebraMatrix, Word, parse_element
 from linrep.matrix import DenseMatrix, random_invertible, random_matrix
 from linrep.repseq import (FamilyDescriptor, RankProfile, Representation,
-                           apply_matrix, atiyah_check, family_generate,
-                           normalized_rank, rank_distance, rank_profile,
-                           repair_to_invertible)
+                           _perm_matrix, apply_matrix, atiyah_check,
+                           family_generate, normalized_rank, rank_distance,
+                           rank_profile, repair_to_invertible)
 
 F3 = FieldSpec(3)
+FIELDS = [GF2, F3, FieldSpec(251), FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(2, 8)]
 
 
 def rng(seed=0):
@@ -24,16 +27,121 @@ def test_representation_rejects_singular_generators():
         Representation(GF2, [sing])
 
 
+def _dense_word(rep, word):
+    """The word's image as a product of generator matrices and their
+    eliminated inverses, starting from the identity."""
+    m = DenseMatrix.identity(rep.field, rep.n)
+    for i, e in word.letters:
+        g = rep.generators[i - 1]
+        m = m @ (g if e == 1 else g.inverse())
+    return m
+
+
+def _test_reps(field, g):
+    """Permutation, dense and mixed representations with two generators."""
+    perms = [g.permutation(5) for _ in range(2)]
+    blocks = (FamilyDescriptor.cyclic_regular(2), FamilyDescriptor.cyclic_regular(2))
+    return [
+        family_generate(FamilyDescriptor.cyclic_regular(2), 5, field),
+        family_generate(FamilyDescriptor.abelian_quotient((3, 4)), 0, field),
+        family_generate(FamilyDescriptor.block_diagonal(blocks), 3, field),
+        Representation.from_json({"field": field.to_json(), "r": 2, "n": 5,
+                                  "generators": [_perm_matrix(field, p).to_json() for p in perms]}),
+        Representation(field, [_perm_matrix(field, perms[0]),
+                               random_invertible(field, g, 5)]),
+        Representation(field, [random_invertible(field, g, 4) for _ in range(2)]),
+    ]
+
+
 def test_word_evaluation_is_homomorphic():
     g = rng(1)
-    rep = Representation(F3, [random_invertible(F3, g, 4) for _ in range(2)])
-    words = [Word.generator(1), Word.generator(2, -1),
+    words = [Word.identity(), Word.generator(1), Word.generator(2, -1),
              Word.generator(1) * Word.generator(2),
-             Word.generator(2, 3) * Word.generator(1, -2)]
-    for u in words:
-        for v in words:
-            assert rep.of_word(u * v) == rep.of_word(u) @ rep.of_word(v)
-        assert rep.of_word(u) @ rep.of_word(u.inverse()) == DenseMatrix.identity(F3, 4)
+             Word.generator(2, 3) * Word.generator(1, -2),
+             Word.generator(1, -1) * Word.generator(2) * Word.generator(1, -1),
+             Word.generator(2, -2) * Word.generator(1, 2) * Word.generator(2)]
+    for field in FIELDS:
+        for rep in _test_reps(field, g):
+            identity = DenseMatrix.identity(field, rep.n)
+            for i, gen in enumerate(rep.generators, start=1):
+                assert rep.of_word(Word.generator(i)) == gen
+                assert rep.of_word(Word.generator(i, -1)) == gen.inverse()
+            for u in words:
+                for v in words:
+                    assert rep.of_word(u * v) == rep.of_word(u) @ rep.of_word(v)
+                assert rep.of_word(u) @ rep.of_word(u.inverse()) == identity
+                assert rep.of_word(u) == _dense_word(rep, u)
+
+
+def test_permutation_detection_edge_cases():
+    # 0/1 matrices with n nonzeros but a repeated row or column index are
+    # singular, and still rejected.
+    for field in (GF2, F3):
+        for rows in ([[1, 1], [0, 0]], [[1, 0], [1, 0]]):
+            with pytest.raises(ValueError):
+                Representation(field, [DenseMatrix.from_rows(field, rows)])
+    words = [Word.generator(1, 3), Word.generator(2, -2) * Word.generator(1),
+             Word.generator(1, -1) * Word.generator(2, 3)]
+    # A monomial matrix with an entry 2 is no permutation: same images as
+    # the products of generators and eliminated inverses.
+    mono = DenseMatrix.from_rows(F3, [[0, 2, 0], [0, 0, 1], [1, 0, 0]])
+    shift = DenseMatrix.from_rows(F3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    # n = 1: [[1]] is the identity permutation, [[2]] is dense.
+    one, two = DenseMatrix.from_rows(F3, [[1]]), DenseMatrix.from_rows(F3, [[2]])
+    for gens in ([mono, shift], [one, two], [two, one]):
+        rep = Representation(F3, gens)
+        for w in words:
+            assert rep.of_word(w) == _dense_word(rep, w)
+    rep = Representation(F3, [one, two])
+    assert rep.of_word(Word.generator(2, -1)) == two
+    assert rep.of_word(Word.generator(2, 2)) == one
+    assert rep.of_word(Word.generator(1, -3) * Word.generator(2, 3)) == two
+
+
+def _count_kernel_calls(monkeypatch):
+    """Record (a.shape, b.shape) per matmul_data and pivot_limit per rref_array."""
+    calls = {"matmul": [], "rref": []}
+    matmul_data, rref_array = matrix.matmul_data, matrix.rref_array
+
+    def counted_matmul(field, a, b):
+        calls["matmul"].append((a.shape, b.shape))
+        return matmul_data(field, a, b)
+
+    def counted_rref(field, data, pivot_limit=None):
+        calls["rref"].append(pivot_limit)
+        return rref_array(field, data, pivot_limit)
+
+    for module in (matrix, repseq):
+        monkeypatch.setattr(module, "matmul_data", counted_matmul)
+    monkeypatch.setattr(matrix, "rref_array", counted_rref)
+    return calls
+
+
+def test_words_run_only_the_products_they_need(monkeypatch):
+    g = rng(6)
+    dense = Representation(F3, [random_invertible(F3, g, 6) for _ in range(2)])
+    calls = _count_kernel_calls(monkeypatch)
+    # A one-letter word is the generator or its inverse: no product.
+    dense.of_word(Word.generator(2, -1))
+    dense.of_word(Word.generator(1))
+    assert calls["matmul"] == []
+    # Its two-letter extension costs one n x n product.
+    dense.of_word(Word.generator(1) * Word.generator(2))
+    assert calls["matmul"] == [((6, 6), (6, 6))]
+    # The cyclic family is permutations: building a member runs no
+    # elimination and its words run no product, so each k costs one rank
+    # and one coefficient-row product.
+    for field in FIELDS:
+        calls["matmul"].clear()
+        calls["rref"].clear()
+        elem = parse_element("g1*g1*g2 - g2^-1*g1^-1", field, 2)
+        a = AlgebraMatrix.scalar(field, 2, 1, elem)
+        ks = range(2, 9)
+        reps = ((k, family_generate(FamilyDescriptor.cyclic_regular(2), k, field)) for k in ks)
+        prof = rank_profile(reps, a)
+        assert [rank for (_, _, rank) in prof.entries] == [k - gcd(3, k) for k in ks]
+        assert calls["rref"] == [None] * len(ks)
+        assert [sa[0] for sa, _ in calls["matmul"]] == [1] * len(ks)
 
 
 def test_cyclic_profile_is_exact():
@@ -42,6 +150,18 @@ def test_cyclic_profile_is_exact():
     for k in range(2, 17):
         rep = family_generate(FamilyDescriptor.cyclic_regular(1), k, GF2)
         assert normalized_rank(rep, a) == Fraction(k - 1, k)
+    # c*w1 - c*w2 with g2 = 1 is c*S^e*(S^a - 1), a the difference of the
+    # g1-exponent sums, so its rank is k - gcd(a, k) over every field.
+    cases = [("g1*g1*g2", "g2^-1*g1^-1", 3), ("g1^-1*g2*g1^-1", "g2", -2),
+             ("g1*g2^-1*g1*g1", "g1^-1*g2", 4)]
+    for field in FIELDS[1:]:
+        c = field.q - 1
+        for w1, w2, shift in cases:
+            elem = parse_element(f"{c}*{w1} - {c}*{w2}", field, 2)
+            a = AlgebraMatrix.scalar(field, 2, 1, elem)
+            for k in range(2, 13):
+                rep = family_generate(FamilyDescriptor.cyclic_regular(2), k, field)
+                assert normalized_rank(rep, a) == Fraction(k - gcd(shift, k), k)
 
 
 def test_blockwise_evaluation_matches_diag_blocks():
