@@ -9,6 +9,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -316,7 +317,12 @@ def cmd_repair(args, out):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argparse parser, built once per process on first use.
+
+    parse_args keeps no state on it between calls: each call gets a fresh
+    namespace filled from the defaults."""
     p = argparse.ArgumentParser(prog="linrep",
                                 description="exact computations with sequences of "
                                             "linear representations over finite fields")
@@ -415,6 +421,11 @@ def build_parser():
 
 
 def main(argv=None, out=None):
+    """Run one subcommand and return its exit code; the report goes to `out`.
+
+    main may be called repeatedly in one process: the parser is built on
+    the first call and reused, so later calls only parse and dispatch.
+    """
     out = out or sys.stdout
     parser = build_parser()
     try:

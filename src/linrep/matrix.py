@@ -7,7 +7,9 @@ product, a difference is sub_data.  Each field family has its own
 kernel: characteristic 2 adds codes by XOR, GF(p) works on the residues
 themselves, and odd extensions GF(p^d) multiply base-p digit planes in
 int64 and add rows through the q x q tables (see matmul_data and
-rref_array).
+rref_array).  Elimination over GF(2) itself runs on bit rows: each row
+packed into one Python int, cleared by int XOR.  Arrays stay uint8 at
+the API; packing happens inside rref_array.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ from fractions import Fraction
 import numpy as np
 
 from .field import FieldSpec
+
+
+# Index entries per gather block of the characteristic-2 product (8 bytes
+# each), which keeps its temporaries near 256 KiB on any shape.
+_GATHER_TERMS = 1 << 15
 
 
 class SingularMatrixError(ValueError):
@@ -185,11 +192,12 @@ def matmul_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Prime fields: int64 matmul of the codes, reduced mod p.  Characteristic
     2: packed-code addition is XOR, so the products t.mul[a[r,k], b[k,s]]
-    are XOR-reduced over k.  Odd extensions: digit j of (ab)[r,s] is the
-    sum over k, i of digit_i(a[r,k]) * digit_j(x^i b[k,s]) mod p.  The d
-    digits of x^i b[k,s] are packed into one int64, w = 63 // d bits each,
-    so one int64 product of the digit planes of a accumulates all d output
-    digits; the inner dimension is cut into chunks of c terms, with
+    are XOR-reduced over k, gathered in blocks of rows so that no shape
+    builds the whole m x k x n tensor at once.  Odd extensions: digit j of
+    (ab)[r,s] is the sum over k, i of digit_i(a[r,k]) * digit_j(x^i b[k,s])
+    mod p.  The d digits of x^i b[k,s] are packed into one int64, w = 63 // d
+    bits each, so one int64 product of the digit planes of a accumulates all
+    d output digits; the inner dimension is cut into chunks of c terms, with
     c * d * (p-1)^2 < 2^w, so no packed field overflows into the next.
     """
     t = field.tables
@@ -197,8 +205,18 @@ def matmul_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         prod = a.astype(np.int64) @ b.astype(np.int64)
         return (prod % field.p).astype(np.uint8)
     if field.p == 2:
-        terms = t.mul[a[:, :, None], b[None, :, :]]
-        return np.bitwise_xor.reduce(terms, axis=1)
+        # terms[r, s, k] is gathered from the flat table at a[r,k] * q + b[k,s]
+        # (one intp index array gathers faster than a broadcast pair of uint8
+        # ones) and XOR-reduced along contiguous k, whatever b's strides.
+        # Rows go in blocks, so the index holds at most _GATHER_TERMS entries.
+        flat = t.mul.ravel()
+        rows_a = np.multiply(a, field.q, dtype=np.intp)[:, None, :]
+        cols_b = np.ascontiguousarray(b.T, dtype=np.intp)
+        step = max(1, _GATHER_TERMS // max(1, cols_b.size))
+        if len(a) <= step:
+            return np.bitwise_xor.reduce(flat.take(rows_a + cols_b), axis=2)
+        return np.concatenate([np.bitwise_xor.reduce(flat.take(block + cols_b), axis=2)
+                               for block in np.split(rows_a, range(step, len(a), step))])
     (m, inner), n, d, p = a.shape, b.shape[1], field.deg, field.p
     w = 63 // d
     shifts = w * np.arange(d)
@@ -235,24 +253,58 @@ def rref_array(field: FieldSpec, data: np.ndarray, pivot_limit: int | None = Non
     Row operations apply across the full width; pivots are only sought in
     the first `pivot_limit` columns (used for augmented systems).  Clearing
     a pivot column subtracts factor * pivot row from every other row that
-    holds it, by family: in characteristic 2 it XORs in rows gathered from
-    the pivot row's multiples t.mul[:, row]; over GF(p) it is the uint16
-    residue sum (R + f * row) % p, exact as (p-1) + (p-1)^2 < 2^16 for
-    p < 256; odd extensions add the gathered multiples with t.add.
+    holds it, by family: over GF(2) each row is a bit row, one Python int
+    with column j at bit w-1-j, and the pivot row is XORed into every row
+    that holds the pivot bit; in characteristic 2 extensions it XORs in
+    rows gathered from the pivot row's multiples t.mul[:, row]; over GF(p)
+    it is the uint16 residue sum (R + f * row) % p, exact as (p-1) +
+    (p-1)^2 < 2^16 for p < 256; odd extensions add the gathered multiples
+    with t.add.  The table loop moves past columns with no pivot in one
+    scan, so a wide array of low rank costs one step per pivot.  Every
+    family returns a fresh uint8 array.
     """
-    t = field.tables
-    p, deg = field.p, field.deg
-    R = np.array(data, dtype=np.uint8)
-    m, n = R.shape
+    data = np.asarray(data, dtype=np.uint8)
+    m, n = data.shape
     limit = n if pivot_limit is None else pivot_limit
     pivots = []
     row = 0
-    for col in range(limit):
-        if row >= m:
-            break
-        nz = np.nonzero(R[row:, col])[0]
+    if field.q == 2:
+        # Same pivot search, swap and clear as the table loop below.
+        nb = -(-n // 8)
+        w = 8 * nb
+        buf = np.packbits(data, axis=1).tobytes()
+        bits = [int.from_bytes(buf[i * nb:(i + 1) * nb], "big") for i in range(m)]
+        for col in range(limit):
+            if row >= m:
+                break
+            bit = 1 << (w - 1 - col)
+            for pr in range(row, m):
+                if bits[pr] & bit:
+                    break
+            else:
+                continue
+            pivot = bits[pr]
+            bits[pr] = bits[row]
+            bits = [b ^ pivot if b & bit else b for b in bits]
+            bits[row] = pivot
+            pivots.append(col)
+            row += 1
+        buf = b"".join(b.to_bytes(nb, "big") for b in bits)
+        return np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(m, nb), axis=1,
+                             count=n), pivots
+    t = field.tables
+    p, deg = field.p, field.deg
+    R = data.copy()
+    col = 0
+    while col < limit and row < m:
+        nz = R[row:, col].nonzero()[0]
         if nz.size == 0:
-            continue
+            # No pivot here: jump to the next column with an entry at or below `row`.
+            live = R[row:, col:limit].any(axis=0).nonzero()[0]
+            if live.size == 0:
+                break
+            col += int(live[0])
+            nz = R[row:, col].nonzero()[0]
         pr = row + int(nz[0])
         if pr != row:
             R[[row, pr]] = R[[pr, row]]
@@ -272,6 +324,7 @@ def rref_array(field: FieldSpec, data: np.ndarray, pivot_limit: int | None = Non
                 R[others] = t.add[R[others], multiples]
         pivots.append(col)
         row += 1
+        col += 1
     return R, pivots
 
 

@@ -338,3 +338,57 @@ def test_internal_error_is_a_json_internal_error(monkeypatch):
 def test_bad_subcommand_exit():
     code, _ = run_cli("frobnicate")
     assert code == 1
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    m = tmp_path / "m.json"
+    m.write_text("[[1,1],[0,1]]")
+    script = f"""
+import argparse, io, json
+from linrep import cli
+made = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    made.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+codes = [cli.main(["rank", "--matrix", {str(m)!r}, "--field", f], io.StringIO())
+         for f in ("2", "3", "2^2")]
+print(json.dumps([codes, made.count("linrep")]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    # Subparsers are ArgumentParsers too; "linrep" is the top-level one.
+    assert json.loads(proc.stdout or "null") == [[0, 0, 0], 1], proc.stderr
+
+
+def test_repeated_main_calls_do_not_leak_state(tmp_path, capsys):
+    """One process runs the argv list forward and then reversed: a call that
+    sets --seed/--budget is followed by one that omits them, and argparse
+    errors and --help share the parser.  Each argv gives the same exit
+    code and byte-identical stdout in both orders."""
+    rep = block_rep_file(tmp_path, [3, 4, 3], seed=1)
+    argvs = [
+        ["hyperfinite-search", "--rep", rep, "--K", "4", "--budget", "1", "--seed", "5"],
+        ["hyperfinite-search", "--rep", rep, "--K", "4"],
+        ["cheeger", "--rep", rep, "--trials", "5", "--seed", "3"],
+        ["cheeger", "--rep", rep, "--trials", "5"],
+        ["frobnicate"],
+        ["cheeger", "--trials", "5"],
+        ["--help"],
+        ["cheeger", "--help"],
+    ]
+
+    def run(order):
+        seen = {}
+        for argv in order:
+            out = io.StringIO()
+            code = cli.main(list(argv), out)
+            seen[tuple(argv)] = (code, out.getvalue() + capsys.readouterr().out)
+        return seen
+
+    forward, backward = run(argvs), run(argvs[::-1])
+    assert forward == backward
+    codes = [forward[tuple(a)][0] for a in argvs]
+    assert codes == [3, 0, 0, 0, 1, 1, 0, 0]
+    assert forward[tuple(argvs[2])] != forward[tuple(argvs[3])]     # the seed matters
+    assert "usage: linrep" in forward[("--help",)][1]

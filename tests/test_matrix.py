@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from linrep import matrix
 from linrep.field import GF2, MAX_Q, FieldSpec, _is_prime
 from linrep.matrix import (DenseMatrix, SingularMatrixError, matmul_data,
                            random_invertible, random_matrix, rref_array)
@@ -52,14 +53,19 @@ def scalar_matmul(field, a, b):
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS)
 def test_matmul_matches_scalar_oracle(field):
+    # 70 x 50 by 50 x 40 takes more than one characteristic-2 gather block.
+    assert 70 * 50 * 40 > matrix._GATHER_TERMS
     g = rng(2)
-    for m, inner, n in [(4, 3, 5)] * 10 + [(3, 0, 4), (2, 17, 3), (5, 20, 1), (3, 33, 2)]:
+    shapes = [(4, 3, 5)] * 10 + [(3, 0, 4), (0, 3, 4), (3, 4, 0), (2, 17, 3), (5, 20, 1),
+                                 (3, 33, 2), (70, 50, 40)]
+    for m, inner, n in shapes:
         a = random_matrix(field, g, m, inner)
         b = random_matrix(field, g, inner, n)
         want = scalar_matmul(field, a.data, b.data)
         assert np.array_equal((a @ b).data, want)
-        got = matmul_data(field, a.data, b.data)
-        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        for y in (b.data, np.ascontiguousarray(b.data.T).T):     # C-ordered and strided
+            got = matmul_data(field, a.data, y)
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 def test_matmul_odd_extension_across_packing_chunks():
@@ -116,13 +122,42 @@ def _rref_cases(field, g):
         aug = np.concatenate([a[:, :min(m, n)][:min(m, n)], np.eye(min(m, n), dtype=np.uint8)], axis=1)
         cases.append((aug, min(m, n)))
         cases.append((zc, int(g.integers(0, n + 1))))
+        cases += [(a.T, None), (zc[:, ::2], None)]     # non-contiguous views
+    for m, n in ((3, 30), (7, 40)):     # wide and low rank, with runs of zero columns
+        r = int(g.integers(1, m))
+        a = matmul_data(field, random_matrix(field, g, m, r).data, random_matrix(field, g, r, n).data)
+        a[:, :5] = 0
+        a[:, 12:25] = 0
+        cases += [(a, None), (a, 3), (a, 18), (a, 26)]
+    return cases
+
+
+def _gf2_wide_cases(g):
+    """GF(2) packs each row into bytes: widths on both sides of a byte and
+    of 64 bits, up to 70 rows, and singular [A | I] systems."""
+    def low_rank(m, n):
+        r = int(g.integers(0, min(m, n) + 1))
+        return matmul_data(GF2, random_matrix(GF2, g, m, r).data, random_matrix(GF2, g, r, n).data)
+
+    cases = []
+    for n in (1, 7, 8, 9, 16, 17, 63, 64, 65):
+        for m in (1, 9):
+            a, full = low_rank(m, n), random_matrix(GF2, g, m, n).data
+            cases += [(a, None), (full, None), (a, int(g.integers(0, n + 1))),
+                      (full.T, None), (full[:, ::2], None)]
+        cases.append((low_rank(70, n), None))
+        r = n - 1 - int(g.integers(0, n))
+        singular = matmul_data(GF2, random_matrix(GF2, g, n, r).data,
+                               random_matrix(GF2, g, r, n).data)
+        cases.append((np.concatenate([singular, np.eye(n, dtype=np.uint8)], axis=1), n))
     return cases
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS)
 def test_rref_matches_scalar_gauss_jordan(field):
     g = rng(7)
-    for data, limit in _rref_cases(field, g):
+    cases = _rref_cases(field, g) + (_gf2_wide_cases(g) if field == GF2 else [])
+    for data, limit in cases:
         before = data.copy()
         R, piv = rref_array(field, data, pivot_limit=limit)
         want, want_piv = gauss_jordan_oracle(field, data, limit)
