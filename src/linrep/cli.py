@@ -19,7 +19,8 @@ import numpy as np
 from . import hyperfin, ncrat, repseq, soficam, tiling
 from .field import MAX_Q, FieldSpec
 from .freealg import AlgebraMatrix, ParseError, parse_element
-from .matrix import DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json
+from .matrix import (DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json,
+                     json_typed)
 from .subspace import BudgetExceededError, Subspace
 
 EXIT_OK = 0
@@ -85,7 +86,7 @@ def load_approx_map(args) -> tiling.FiniteApproxMap:
     if getattr(args, "poly", None):
         field = parse_field(args.field)
         inst = soficam.PolyInstance(field, args.poly)
-        return soficam.poly_basis_map(inst, args.imax or args.poly)
+        return soficam.poly_basis_map(inst, args.poly if args.imax is None else args.imax)
     if getattr(args, "map", None):
         obj = load_object(args.map)
         return tiling.FiniteApproxMap.from_json(FieldSpec.from_json(obj["field"]), obj)
@@ -252,12 +253,13 @@ def cmd_sofic_check(args, out):
         return EXIT_OK if all_ok else EXIT_CHECK_FAILED
     obj = load_object(args.sofic)
     field = FieldSpec.from_json(obj["field"])
-    maps = [tiling.FiniteApproxMap.from_json(field, entry) for entry in obj["maps"]]
-    s_bounds = [fraction_from_json(s) for s in obj["s"]]
+    maps = [tiling.FiniteApproxMap.from_json(field, entry)
+            for entry in json_typed(obj["maps"], list, '"maps"')]
+    s_bounds = [fraction_from_json(s) for s in json_typed(obj["s"], list, '"s"')]
     if not 1 <= args.level <= min(len(maps), len(s_bounds)):
         raise InputError(f"--level {args.level} is not a level of the sofic file")
     elements = []
-    for entry in obj.get("elements", []):
+    for entry in json_typed(obj.get("elements", []), list, '"elements"'):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise InputError("elements must be [coords, j-floor] pairs")
         coords = codes_from_json(field, [entry[0]], maps[args.level - 1].i_max)[0]
@@ -284,7 +286,8 @@ def cmd_folner(args, out):
 def cmd_ncrat_eval(args, out):
     field = parse_field(args.field)
     expr = ncrat.parse_ratexpr(args.expr)
-    mats = [DenseMatrix.from_json(field, m) for m in load_json(args.matrices)]
+    mats = [DenseMatrix.from_json(field, m)
+            for m in json_typed(load_json(args.matrices), list, "--matrices")]
     result = ncrat.evaluate(expr, mats)
     if result.ok:
         emit({"ok": True, "value": result.value.to_json()}, out)

@@ -113,6 +113,8 @@ class FieldSpec:
 
     @staticmethod
     def from_json(obj) -> "FieldSpec":
+        if not isinstance(obj, dict):
+            raise ValueError('a field must be an object {"p": prime, "deg": degree}')
         return FieldSpec(int(obj["p"]), int(obj.get("deg", 1)),
                          tuple(obj["modulus"]) if obj.get("modulus") else None)
 

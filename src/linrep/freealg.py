@@ -171,9 +171,6 @@ class AlgebraElement:
     def length(self) -> int:
         return max((w.length for w in self.terms), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -213,23 +210,6 @@ class AlgebraMatrix:
         zero = AlgebraElement.zero(field, r)
         return cls(field, r, [[element if i == j else zero for j in range(n)]
                               for i in range(n)])
-
-    @classmethod
-    def diag_blocks(cls, a: "AlgebraMatrix", b: "AlgebraMatrix") -> "AlgebraMatrix":
-        zero = AlgebraElement.zero(a.field, a.r)
-        n = a.n + b.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                if i < a.n and j < a.n:
-                    row.append(a.entries[i][j])
-                elif i >= a.n and j >= a.n:
-                    row.append(b.entries[i - a.n][j - a.n])
-                else:
-                    row.append(zero)
-            rows.append(row)
-        return cls(a.field, a.r, rows)
 
     @property
     def length(self) -> int:

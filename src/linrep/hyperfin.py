@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import fraction_from_json, fraction_to_json, matmul_data
+from .matrix import fraction_from_json, fraction_to_json, json_typed, matmul_data
 from .repseq import Representation
 from .subspace import (BudgetExceededError, Subspace, enumerate_subspaces,
                        gaussian_binomial, subspaces_independent)
@@ -37,8 +37,9 @@ class HyperfiniteWitness:
     @staticmethod
     def from_json(field, n, obj):
         eps = fraction_from_json(obj["epsilon"])
-        tiles = [Subspace.from_json(field, n, rows) for rows in obj["tiles"]]
-        return HyperfiniteWitness(eps, int(obj["K"]), tiles)
+        tiles = [Subspace.from_json(field, n, rows)
+                 for rows in json_typed(obj["tiles"], list, '"tiles"')]
+        return HyperfiniteWitness(eps, json_typed(obj["K"], int, '"K"'), tiles)
 
 
 @dataclass

@@ -129,12 +129,14 @@ class DenseMatrix:
         return Fraction(self.rank(), self.rows)
 
     def inverse(self):
+        """A^-1, the right half of rref([A | I]).  A is invertible iff the pivots
+        are the first n columns, and elimination then stops after those n."""
         if self.rows != self.cols:
             raise SingularMatrixError("not square")
         n = self.rows
         aug = np.concatenate([self.data, np.eye(n, dtype=np.uint8)], axis=1)
-        R, pivots = rref_array(self.field, aug, pivot_limit=n)
-        if len(pivots) < n:
+        R, pivots = rref_array(self.field, aug)
+        if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
         return DenseMatrix(self.field, R[:, n:])
 
@@ -185,6 +187,13 @@ def fraction_from_json(obj) -> Fraction:
             and type(obj.get("den")) is int and obj["den"] != 0):
         raise ValueError('expected a rational {"num": int, "den": nonzero int}')
     return Fraction(obj["num"], obj["den"])
+
+
+def json_typed(value, kind: type, name: str):
+    """`value` if it is a JSON `kind` (list or int; a bool is no int), else ValueError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"expected {name} to be a JSON {kind.__name__}")
+    return value
 
 
 def matmul_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -247,15 +256,14 @@ def echelon_kernel(field: FieldSpec, R: np.ndarray, pivots) -> np.ndarray:
     return basis
 
 
-def rref_array(field: FieldSpec, data: np.ndarray, pivot_limit: int | None = None):
-    """Reduced row echelon form of a raw code array.
+def rref_array(field: FieldSpec, data: np.ndarray):
+    """Reduced row echelon form of a raw code array, with its pivot columns.
 
-    Row operations apply across the full width; pivots are only sought in
-    the first `pivot_limit` columns (used for augmented systems).  Clearing
-    a pivot column subtracts factor * pivot row from every other row that
-    holds it, by family: over GF(2) each row is a bit row, one Python int
-    with column j at bit w-1-j, and the pivot row is XORed into every row
-    that holds the pivot bit; in characteristic 2 extensions it XORs in
+    Elimination stops once every row holds a pivot.  Clearing a pivot
+    column subtracts factor * pivot row from every other row that holds
+    it, by family: over GF(2) each row is a bit row, one Python int with
+    column j at bit w-1-j, and the pivot row is XORed into every row that
+    holds the pivot bit; in characteristic 2 extensions it XORs in
     rows gathered from the pivot row's multiples t.mul[:, row]; over GF(p)
     it is the uint16 residue sum (R + f * row) % p, exact as (p-1) +
     (p-1)^2 < 2^16 for p < 256; odd extensions add the gathered multiples
@@ -265,7 +273,6 @@ def rref_array(field: FieldSpec, data: np.ndarray, pivot_limit: int | None = Non
     """
     data = np.asarray(data, dtype=np.uint8)
     m, n = data.shape
-    limit = n if pivot_limit is None else pivot_limit
     pivots = []
     row = 0
     if field.q == 2:
@@ -274,7 +281,7 @@ def rref_array(field: FieldSpec, data: np.ndarray, pivot_limit: int | None = Non
         w = 8 * nb
         buf = np.packbits(data, axis=1).tobytes()
         bits = [int.from_bytes(buf[i * nb:(i + 1) * nb], "big") for i in range(m)]
-        for col in range(limit):
+        for col in range(n):
             if row >= m:
                 break
             bit = 1 << (w - 1 - col)
@@ -296,11 +303,11 @@ def rref_array(field: FieldSpec, data: np.ndarray, pivot_limit: int | None = Non
     p, deg = field.p, field.deg
     R = data.copy()
     col = 0
-    while col < limit and row < m:
+    while col < n and row < m:
         nz = R[row:, col].nonzero()[0]
         if nz.size == 0:
             # No pivot here: jump to the next column with an entry at or below `row`.
-            live = R[row:, col:limit].any(axis=0).nonzero()[0]
+            live = R[row:, col:].any(axis=0).nonzero()[0]
             if live.size == 0:
                 break
             col += int(live[0])

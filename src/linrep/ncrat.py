@@ -164,6 +164,8 @@ def equiv_probabilistic(r_expr, s_expr, sizes, trials: int, ext_deg: int | None 
         ext_deg = 1
         while base.q ** (ext_deg + 1) <= MAX_Q:
             ext_deg += 1
+    if ext_deg < 1:
+        raise ValueError(f"extension degree {ext_deg} must be at least 1")
     field = FieldSpec(base.p, base.deg * ext_deg) if ext_deg > 1 else base
     r = max(max_variable(r_expr), max_variable(s_expr), 1)
     rng = np.random.Generator(np.random.Philox(seed))

@@ -18,8 +18,8 @@ import numpy as np
 
 from .field import FieldSpec
 from .freealg import AlgebraMatrix, Word
-from .matrix import (DenseMatrix, SingularMatrixError, fraction_to_json, matmul_data,
-                     random_invertible)
+from .matrix import (DenseMatrix, SingularMatrixError, fraction_to_json, json_typed,
+                     matmul_data, random_invertible)
 from .subspace import Subspace
 
 
@@ -83,7 +83,8 @@ class Representation:
     @staticmethod
     def from_json(obj) -> "Representation":
         field = FieldSpec.from_json(obj["field"])
-        gens = [DenseMatrix.from_json(field, g) for g in obj["generators"]]
+        gens = [DenseMatrix.from_json(field, g)
+                for g in json_typed(obj["generators"], list, '"generators"')]
         rep = Representation(field, gens)
         if rep.n != obj.get("n", rep.n) or rep.r != obj.get("r", rep.r):
             raise ValueError("representation file is inconsistent")
@@ -238,39 +239,27 @@ def _inverse_permutation(data):
     return cols
 
 
-def _shift_matrix(field, k):
-    data = np.zeros((k, k), dtype=np.uint8)
-    for i in range(k):
-        data[(i + 1) % k, i] = 1
-    return DenseMatrix(field, data)
-
-
 def _perm_matrix(field, perm):
-    k = len(perm)
-    data = np.zeros((k, k), dtype=np.uint8)
-    for i, p in enumerate(perm):
-        data[p, i] = 1
-    return DenseMatrix(field, data)
+    """The permutation matrix with column i the unit vector e_perm[i]."""
+    return DenseMatrix(field, np.eye(len(perm), dtype=np.uint8)[:, perm])
 
 
 def family_generate(spec: FamilyDescriptor, k: int, field: FieldSpec) -> Representation:
     """Instantiate the k-th member of a built-in representation family."""
     if spec.kind == "cyclic_regular":
+        # Z/k acting on itself: the shift sends e_i to e_(i+1 mod k).
         (r,) = spec.params or (1,)
-        gens = [_shift_matrix(field, k)] + [DenseMatrix.identity(field, k)] * (r - 1)
-        return Representation(field, gens)
+        shift = _perm_matrix(field, (np.arange(k) + 1) % k)
+        return Representation(field, [shift] + [DenseMatrix.identity(field, k)] * (r - 1))
     if spec.kind == "abelian_quotient":
+        # Z/m_1 x ... x Z/m_s acting on itself: index idx, with mixed-radix digits
+        # d_1 (least significant) .. d_s, sits at grid[d_s, ..., d_1]; generator
+        # `axis` adds 1 mod m_axis to its digit, a roll along that grid axis.
         moduli = spec.params
-        n = int(np.prod(moduli))
-        gens = []
-        for axis in range(len(moduli)):
-            perm = []
-            for idx in range(n):
-                digits = _mixed_digits(idx, moduli)
-                digits[axis] = (digits[axis] + 1) % moduli[axis]
-                perm.append(_mixed_value(digits, moduli))
-            gens.append(_perm_matrix(field, perm))
-        return Representation(field, gens)
+        grid = np.arange(int(np.prod(moduli))).reshape(moduli[::-1])
+        return Representation(field, [
+            _perm_matrix(field, np.roll(grid, -1, axis=len(moduli) - 1 - axis).ravel())
+            for axis in range(len(moduli))])
     if spec.kind == "random_invertible":
         seed, n, r = spec.params
         rng = np.random.Generator(np.random.Philox(seed))
@@ -291,23 +280,6 @@ def family_generate(spec: FamilyDescriptor, k: int, field: FieldSpec) -> Represe
             gens.append(DenseMatrix(field, data))
         return Representation(field, gens)
     raise ValueError(f"unknown family {spec.kind!r}")
-
-
-def _mixed_digits(idx, moduli):
-    digits = []
-    for m in moduli:
-        digits.append(idx % m)
-        idx //= m
-    return digits
-
-
-def _mixed_value(digits, moduli):
-    value = 0
-    mult = 1
-    for d, m in zip(digits, moduli):
-        value += d * mult
-        mult *= m
-    return value
 
 
 def rank_distance(a: DenseMatrix, b: DenseMatrix) -> Fraction:

@@ -18,7 +18,7 @@ from .field import FieldSpec
 from .freealg import Word
 from .matrix import DenseMatrix, fraction_to_json, matmul_data
 from .repseq import Representation
-from .subspace import Subspace, subspaces_independent
+from .subspace import Subspace, projection_onto
 from .tiling import FiniteApproxMap, MissingProductError, is_good_map
 
 
@@ -93,24 +93,16 @@ def truncation_map(instance: PolyInstance, v: Subspace, w: Subspace, poly) -> De
 
     P projects onto V along W; coordinates of the product above the ambient
     cap are cut by definition of the instance.  V + W must span the ambient.
+    In V's canonical echelon basis, coordinates are the entries on the pivots.
     """
     d = instance.coeffs(poly)
-    field = instance.field
-    n = v.dim
     if v.ambient != instance.m or w.ambient != instance.m:
         raise ValueError("subspaces must live in the instance ambient")
-    if v.dim + w.dim != instance.m or not subspaces_independent([v, w]):
-        raise ValueError("V and W must be complementary in the ambient")
-    cols = []
-    basis_mat = np.concatenate([v.basis, w.basis], axis=0)
-    binv = DenseMatrix(field, basis_mat.T).inverse()
-    for row in v.basis:
-        prod = instance.multiply(row, d)[: instance.m]
-        padded = np.zeros(instance.m, dtype=np.uint8)
-        padded[: len(prod)] = prod
-        coords = binv.apply(padded)     # coordinates in [V basis; W basis]
-        cols.append(coords[:n])         # drop the W part: that is P
-    return DenseMatrix(field, np.array(cols, dtype=np.uint8).T.reshape(n, n))
+    p = projection_onto(v, w)
+    prods = np.array([instance.multiply(row, d)[: instance.m] for row in v.basis],
+                     dtype=np.uint8).reshape(v.dim, instance.m)
+    return DenseMatrix(instance.field,
+                       matmul_data(instance.field, p.data, prods.T)[list(v.pivots)])
 
 
 def poly_basis_map(instance: PolyInstance, i_max: int) -> FiniteApproxMap:

@@ -43,7 +43,7 @@ class Subspace:
             return
         arr = np.asarray(rows, dtype=np.uint8).reshape(len(rows), ambient)
         if _canonical:
-            R, piv = arr, _pivot_cols(arr)
+            R, piv = arr, (arr != 0).argmax(axis=1).tolist()    # each row's first nonzero
         else:
             R, piv = rref_array(field, arr)
             R = R[: len(piv)]
@@ -140,17 +140,9 @@ class Subspace:
 
     def complement(self) -> "Subspace":
         """Coordinate complement: standard basis vectors off the pivot columns."""
-        free = [j for j in range(self.ambient) if j not in self.pivots]
-        rows = np.zeros((len(free), self.ambient), dtype=np.uint8)
-        for i, j in enumerate(free):
-            rows[i, j] = 1
-        return Subspace(self.field, self.ambient, rows, _canonical=True)
-
-    def image_under(self, m: DenseMatrix) -> "Subspace":
-        if m.cols != self.ambient:
-            raise AmbientMismatchError("matrix does not act on this ambient space")
-        mapped = matmul_data(self.field, m.data, self.basis.T).T
-        return Subspace(self.field, m.rows, mapped.reshape(self.dim, m.rows))
+        free = np.delete(np.arange(self.ambient), self.pivots)
+        return Subspace(self.field, self.ambient, np.eye(self.ambient, dtype=np.uint8)[free],
+                        _canonical=True)
 
     def vectors(self):
         """Every vector of the subspace (q^dim of them), zero first."""
@@ -221,11 +213,3 @@ def projection_onto(v: Subspace, w: Subspace) -> DenseMatrix:
     B = DenseMatrix(v.field, b_cols)
     target = np.concatenate([v.basis, np.zeros_like(w.basis)], axis=0).T
     return DenseMatrix(v.field, target) @ B.inverse()
-
-
-def _pivot_cols(arr):
-    piv = []
-    for row in arr:
-        nz = np.nonzero(row)[0]
-        piv.append(int(nz[0]))
-    return piv

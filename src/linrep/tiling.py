@@ -17,7 +17,7 @@ import numpy as np
 
 from .field import FieldSpec
 from .matrix import (DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json,
-                     matmul_data)
+                     json_typed, matmul_data)
 from .subspace import Subspace, subspaces_independent
 
 
@@ -88,10 +88,10 @@ class FiniteApproxMap:
     @staticmethod
     def from_json(field, obj):
         """Decode {"phi": [matrix, ...], "mult": [[a, b, coords], ...]}."""
-        phi = [DenseMatrix.from_json(field, m) for m in obj["phi"]]
+        phi = [DenseMatrix.from_json(field, m) for m in json_typed(obj["phi"], list, '"phi"')]
         i_max = len(phi)
         mult = {}
-        for entry in obj["mult"]:
+        for entry in json_typed(obj["mult"], list, '"mult"'):
             if not (isinstance(entry, list) and len(entry) == 3
                     and all(type(x) is int and 1 <= x <= i_max for x in entry[:2])):
                 raise ValueError(f"mult entries must be [a, b, coords] with a, b in 1..{i_max}")
@@ -153,15 +153,16 @@ class TilingCertificate:
 
     @staticmethod
     def from_json(field, n, obj):
-        tiles = [Subspace.from_json(field, n, rows) for rows in obj["tiles"]]
+        tiles = [Subspace.from_json(field, n, rows)
+                 for rows in json_typed(obj["tiles"], list, '"tiles"')]
         return TilingCertificate(
-            i=int(obj["i"]),
+            i=json_typed(obj["i"], int, '"i"'),
             delta=fraction_from_json(obj["delta"]),
-            dim_f=int(obj["dim_f"]),
+            dim_f=json_typed(obj["dim_f"], int, '"dim_f"'),
             centers=list(codes_from_json(field, obj["centers"], n)),
             tiles=tiles,
             h_basis=obj["h_basis"],
-            coverage=int(obj["coverage"]),
+            coverage=json_typed(obj["coverage"], int, '"coverage"'),
             partial=bool(obj.get("partial", False)))
 
 

@@ -235,12 +235,16 @@ _MAP = {"field": {"p": 2}, "phi": [[[1, 0], [0, 1]], [[0, 0], [1, 0]]],
         "mult": [[1, 1, [1, 0]], [1, 2, [0, 1]]]}
 _SOFIC = {"field": {"p": 2}, "maps": [_MAP], "s": [{"num": 1, "den": 2}]}
 _REP = {"field": {"p": 2}, "generators": [[[1, 0], [0, 1]]]}
+_WITNESS = {"epsilon": {"num": 1, "den": 2}, "K": 1, "tiles": []}
+_CERT_DELTA = dict(_CERT, delta={"num": 1, "den": 4})
 # Cases whose detail text is pinned: it names the missing key or the real bound.
 _DETAILS = {
     "sofic-basis-size-3-levels-4": "--basis-size must lie in 1..2 for these --poly-levels",
     "rep-missing-field": "missing key: field",
     "witness-missing-K": "missing key: K",
     "sofic-mult-missing": "mult table has no entry for (2, 1)",
+    "arg-imax-0": "phi needs at least the image of the unit",
+    "arg-ext-deg-0": "extension degree 0 must be at least 1",
 }
 
 
@@ -311,6 +315,44 @@ _DETAILS = {
     pytest.param(["sofic-check", "--sofic", "{s}", "--level", "2"],
                  {"s": json.dumps(dict(_SOFIC, maps=[_MAP, _MAP], s=_SOFIC["s"] * 2))},
                  id="sofic-mult-missing"),
+    # JSON values of the wrong type, each read by its own decoder.
+    pytest.param(["tile", "--map", "{m}"], {"m": json.dumps(dict(_MAP, phi=3))}, id="map-phi-int"),
+    pytest.param(["tile", "--map", "{m}"], {"m": json.dumps(dict(_MAP, mult=3))},
+                 id="map-mult-int"),
+    pytest.param(["tile", "--map", "{m}"], {"m": json.dumps(dict(_MAP, field=[2]))},
+                 id="map-field-list"),
+    pytest.param(["sofic-check", "--sofic", "{s}"], {"s": json.dumps(dict(_SOFIC, maps=3))},
+                 id="sofic-maps-int"),
+    pytest.param(["sofic-check", "--sofic", "{s}"], {"s": json.dumps(dict(_SOFIC, s=3))},
+                 id="sofic-s-int"),
+    pytest.param(["sofic-check", "--sofic", "{s}"], {"s": json.dumps(dict(_SOFIC, elements=4))},
+                 id="sofic-elements-int"),
+    pytest.param(["hyperfinite-check", "--rep", "{r}", "--witness", "{w}"],
+                 {"r": json.dumps(_REP), "w": json.dumps(dict(_WITNESS, tiles=5))},
+                 id="witness-tiles-int"),
+    pytest.param(["hyperfinite-check", "--rep", "{r}", "--witness", "{w}"],
+                 {"r": json.dumps(_REP), "w": json.dumps(dict(_WITNESS, K=[3]))},
+                 id="witness-K-list"),
+    pytest.param(["tile-verify", "--poly", "8", "--cert", "{c}"],
+                 {"c": json.dumps(dict(_CERT_DELTA, tiles=5))}, id="cert-tiles-int"),
+    pytest.param(["tile-verify", "--poly", "8", "--cert", "{c}"],
+                 {"c": json.dumps(dict(_CERT_DELTA, i=[1]))}, id="cert-i-list"),
+    pytest.param(["tile-verify", "--poly", "8", "--cert", "{c}"],
+                 {"c": json.dumps(dict(_CERT_DELTA, coverage={}))}, id="cert-coverage-object"),
+    pytest.param(["ncrat-eval", "--expr", "z1", "--matrices", "{x}"], {"x": "5"},
+                 id="matrices-int"),
+    pytest.param(["cheeger", "--rep", "{r}"], {"r": json.dumps(dict(_REP, field=5))},
+                 id="rep-field-int"),
+    pytest.param(["cheeger", "--rep", "{r}"], {"r": json.dumps(dict(_REP, generators=7))},
+                 id="rep-generators-int"),
+    # Out-of-range arguments that used to run with another value.
+    pytest.param(["tile", "--poly", "8", "--imax", "0"], {}, id="arg-imax-0"),
+    pytest.param(["tile-verify", "--poly", "8", "--imax", "0", "--cert", "{c}"],
+                 {"c": json.dumps(_CERT_DELTA)}, id="verify-arg-imax-0"),
+    pytest.param(["ncrat-equiv", "--r-expr", "z1", "--s-expr", "z1", "--ext-deg", "0"], {},
+                 id="arg-ext-deg-0"),
+    pytest.param(["ncrat-equiv", "--r-expr", "z1", "--s-expr", "z1", "--ext-deg", "-3"], {},
+                 id="arg-ext-deg-negative"),
 ])
 def test_malformed_input_is_a_json_input_error(tmp_path, request, argv, files):
     paths = {}

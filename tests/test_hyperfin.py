@@ -11,7 +11,7 @@ from linrep.hyperfin import (HyperfiniteWitness, cheeger_exact, cheeger_random,
                              epsilon_for_delta, expander_check, grow,
                              orbit_closure, witness_check, witness_from_tiling,
                              witness_search)
-from linrep.matrix import DenseMatrix, random_invertible
+from linrep.matrix import DenseMatrix, matmul_data, random_invertible
 from linrep.repseq import (FamilyDescriptor, Representation, family_generate,
                            repair_to_invertible)
 from linrep.soficam import PolyInstance, poly_basis_map
@@ -45,7 +45,8 @@ def test_grow_contains_and_is_invariant_on_fixed_points():
     gw = grow(rep, w)
     assert gw.contains(w)
     for gen in rep.generators:
-        assert gw.contains(w.image_under(gen))
+        image = matmul_data(GF2, w.basis, gen.data.T)      # rows: gen applied to w's basis
+        assert gw.contains(Subspace(GF2, 5, image))
     full = Subspace.full(GF2, 5)
     assert grow(rep, full) == full
 

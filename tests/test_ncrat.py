@@ -123,6 +123,13 @@ def test_no_common_domain_verdict():
     assert verdict.common_domain_points == 0
 
 
+@pytest.mark.parametrize("ext_deg", [0, -3])
+def test_extension_degree_below_one_is_rejected(ext_deg):
+    z1 = parse_ratexpr("z1")
+    with pytest.raises(ValueError, match="extension degree"):
+        equiv_probabilistic(z1, z1, [2], 5, ext_deg=ext_deg)
+
+
 def test_inverse_perturbation_rank_identity():
     # rank(A^-1 - B^-1) = rank(A - B) for invertible A, B: a sampled law
     # that doubles as an oracle for inverse correctness.

@@ -6,7 +6,7 @@ import pytest
 
 from linrep import matrix, repseq
 from linrep.field import GF2, FieldSpec
-from linrep.freealg import AlgebraMatrix, Word, parse_element
+from linrep.freealg import AlgebraElement, AlgebraMatrix, Word, parse_element
 from linrep.matrix import DenseMatrix, random_invertible, random_matrix
 from linrep.repseq import (FamilyDescriptor, RankProfile, Representation,
                            _perm_matrix, apply_matrix, atiyah_check,
@@ -99,7 +99,8 @@ def test_permutation_detection_edge_cases():
 
 
 def _count_kernel_calls(monkeypatch):
-    """Record (a.shape, b.shape) per matmul_data and pivot_limit per rref_array."""
+    """Record (a.shape, b.shape) per matmul_data and data.shape per rref_array:
+    an inverse is an n x 2n elimination of [A | I], a rank an n x n one."""
     calls = {"matmul": [], "rref": []}
     matmul_data, rref_array = matrix.matmul_data, matrix.rref_array
 
@@ -107,9 +108,9 @@ def _count_kernel_calls(monkeypatch):
         calls["matmul"].append((a.shape, b.shape))
         return matmul_data(field, a, b)
 
-    def counted_rref(field, data, pivot_limit=None):
-        calls["rref"].append(pivot_limit)
-        return rref_array(field, data, pivot_limit)
+    def counted_rref(field, data):
+        calls["rref"].append(data.shape)
+        return rref_array(field, data)
 
     for module in (matrix, repseq):
         monkeypatch.setattr(module, "matmul_data", counted_matmul)
@@ -128,6 +129,9 @@ def test_words_run_only_the_products_they_need(monkeypatch):
     # Its two-letter extension costs one n x n product.
     dense.of_word(Word.generator(1) * Word.generator(2))
     assert calls["matmul"] == [((6, 6), (6, 6))]
+    # Building a dense representation inverts each generator once.
+    Representation(F3, dense.generators)
+    assert calls["rref"] == [(6, 12), (6, 12)]
     # The cyclic family is permutations: building a member runs no
     # elimination and its words run no product, so each k costs one rank
     # and one coefficient-row product.
@@ -140,7 +144,7 @@ def test_words_run_only_the_products_they_need(monkeypatch):
         reps = ((k, family_generate(FamilyDescriptor.cyclic_regular(2), k, field)) for k in ks)
         prof = rank_profile(reps, a)
         assert [rank for (_, _, rank) in prof.entries] == [k - gcd(3, k) for k in ks]
-        assert calls["rref"] == [None] * len(ks)
+        assert calls["rref"] == [(k, k) for k in ks]
         assert [sa[0] for sa, _ in calls["matmul"]] == [1] * len(ks)
 
 
@@ -169,13 +173,51 @@ def test_blockwise_evaluation_matches_diag_blocks():
     # the evaluations (additivity of rank over blocks comes for free).
     g = rng(2)
     rep = Representation(GF2, [random_invertible(GF2, g, 3) for _ in range(2)])
-    a = AlgebraMatrix.scalar(GF2, 2, 1, parse_element("g1 + g2^-1", GF2, 2))
-    b = AlgebraMatrix.scalar(GF2, 2, 2, parse_element("g1*g2 - e", GF2, 2))
-    d = AlgebraMatrix.diag_blocks(a, b)
+    x, y = parse_element("g1 + g2^-1", GF2, 2), parse_element("g1*g2 - e", GF2, 2)
+    zero = AlgebraElement.zero(GF2, 2)
+    a = AlgebraMatrix.scalar(GF2, 2, 1, x)
+    b = AlgebraMatrix.scalar(GF2, 2, 2, y)
+    d = AlgebraMatrix(GF2, 2, [[x, zero, zero], [zero, y, zero], [zero, zero, y]])
     ma, mb, md = apply_matrix(rep, a), apply_matrix(rep, b), apply_matrix(rep, d)
     assert md.rank() == ma.rank() + mb.rank()
     assert np.array_equal(md.data[:3, :3], ma.data)
     assert np.array_equal(md.data[3:, 3:], mb.data)
+
+
+def _perm_columns(gen):
+    """perm with gen's column i the unit vector e_perm[i], after checking
+    that gen is a 0/1 matrix with one 1 per column."""
+    data = gen.data
+    assert set(np.unique(data)) <= {0, 1} and np.all(data.sum(axis=0) == 1)
+    return data.argmax(axis=0).tolist()
+
+
+# Generator permutations of the built-in permutation families, recorded from
+# the per-index construction they replaced: moduli digits are little-endian,
+# generator i adds 1 to digit i.
+_PINNED_FAMILIES = [
+    (FamilyDescriptor.cyclic_regular(2), 1, [[0], [0]]),
+    (FamilyDescriptor.cyclic_regular(2), 2, [[1, 0], [0, 1]]),
+    (FamilyDescriptor.cyclic_regular(1), 7, [[1, 2, 3, 4, 5, 6, 0]]),
+    (FamilyDescriptor.abelian_quotient((3,)), 0, [[1, 2, 0]]),
+    (FamilyDescriptor.abelian_quotient((3, 4)), 0,
+     [[1, 2, 0, 4, 5, 3, 7, 8, 6, 10, 11, 9], [3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2]]),
+    (FamilyDescriptor.abelian_quotient((2, 3, 4)), 0,
+     [[1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, 17, 16, 19, 18, 21, 20, 23, 22],
+      [2, 3, 4, 5, 0, 1, 8, 9, 10, 11, 6, 7, 14, 15, 16, 17, 12, 13, 20, 21, 22, 23, 18, 19],
+      [6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 0, 1, 2, 3, 4, 5]]),
+    (FamilyDescriptor.abelian_quotient((1, 5)), 0, [[0, 1, 2, 3, 4], [1, 2, 3, 4, 0]]),
+    (FamilyDescriptor.abelian_quotient((4, 1, 2)), 0,
+     [[1, 2, 3, 0, 5, 6, 7, 4], [0, 1, 2, 3, 4, 5, 6, 7], [4, 5, 6, 7, 0, 1, 2, 3]]),
+]
+
+
+@pytest.mark.parametrize("field", [GF2, F3])
+def test_permutation_family_generators_are_pinned(field):
+    for desc, k, perms in _PINNED_FAMILIES:
+        rep = family_generate(desc, k, field)
+        assert [_perm_columns(g) for g in rep.generators] == perms
+        assert all(g.data.dtype == np.uint8 for g in rep.generators)
 
 
 def test_abelian_quotient_generators_commute():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from linrep.field import GF2, FieldSpec
-from linrep.matrix import DenseMatrix
+from linrep.matrix import DenseMatrix, matmul_data, random_invertible, random_matrix, sub_data
 from linrep.repseq import Representation
 from linrep.soficam import (ExtensionReport, InfeasibleParametersError,
                             PolyInstance, SoficData, approx_extension_check,
@@ -52,6 +52,26 @@ def test_truncation_map_is_multiplication_then_projection():
     # On span{1..x^3}: multiply by x, chop degree >= 4.
     assert m.apply(np.array([1, 0, 0, 0], dtype=np.uint8)).tolist() == [0, 1, 0, 0]
     assert m.apply(np.array([0, 0, 0, 1], dtype=np.uint8)).tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("field", [GF2, F3, FieldSpec(2, 2)], ids=["q2", "q3", "q4"])
+def test_truncation_map_on_random_complementary_pairs(field):
+    # P(x) is the one vector of V with x - P(x) in W; column i of the map
+    # holds its coordinates in V's basis, for x = poly times basis row i.
+    g = np.random.Generator(np.random.Philox(3))
+    for m in (1, 2, 4, 6):
+        inst = PolyInstance(field, m)
+        for _ in range(6):
+            b = random_invertible(field, g, m).data
+            k = int(g.integers(0, m + 1))
+            v, w = Subspace(field, m, b[:k]), Subspace(field, m, b[k:])
+            poly = random_matrix(field, g, 1, int(g.integers(1, m + 1))).data[0]
+            got = truncation_map(inst, v, w, poly).data
+            assert got.shape == (k, k)
+            for i, row in enumerate(v.basis):
+                x = inst.multiply(row, poly)[:m]
+                image = matmul_data(field, got[:, i][None, :], v.basis)[0]
+                assert w.contains_vector(sub_data(field, x, image))
 
 
 def test_truncation_map_needs_complementary_pair():

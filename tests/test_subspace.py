@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linrep.field import GF2, FieldSpec
-from linrep.matrix import DenseMatrix, matmul_data, rref_array
+from linrep.matrix import matmul_data, rref_array
 from linrep.subspace import (AmbientMismatchError, BudgetExceededError,
                              Subspace, enumerate_subspaces, gaussian_binomial,
                              projection_onto, subspaces_independent)
@@ -181,12 +181,3 @@ def test_projection_idempotent_image_kernel():
                 assert np.array_equal(p.apply(row), row)
             for row in c.basis:
                 assert not np.any(p.apply(row))
-
-
-def test_image_under_matches_vector_images():
-    g = rng(6)
-    m = DenseMatrix(GF2, g.integers(0, 2, size=(4, 4)).astype(np.uint8))
-    s = random_subspace(GF2, g, 4, 2)
-    img = s.image_under(m)
-    for v in s.vectors():
-        assert img.contains_vector(m.apply(v))
