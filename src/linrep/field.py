@@ -76,6 +76,13 @@ def default_modulus(p: int, deg: int) -> tuple:
     raise FieldError(f"no irreducible polynomial of degree {deg} over GF({p})")
 
 
+def json_typed(value, kind: type, name: str):
+    """`value` if it is a JSON `kind` (list or int; a bool is no int), else ValueError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"expected {name} to be a JSON {kind.__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A finite field GF(p^deg) with an explicit irreducible modulus.
@@ -89,12 +96,11 @@ class FieldSpec:
     modulus: tuple = dc_field(default=None)
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise FieldError(f"{self.p} is not prime")
-        if self.deg < 1:
-            raise FieldError("deg must be positive")
-        if self.q > MAX_Q:
-            raise FieldError(f"q = {self.q} exceeds supported maximum {MAX_Q}")
+        # Bounds first (q >= 2^deg): trial division or p**deg never ends on a huge p or deg.
+        if not (self.p <= MAX_Q and _is_prime(self.p)):
+            raise FieldError(f"p = {self.p} is not a prime up to {MAX_Q}")
+        if not 1 <= self.deg < MAX_Q.bit_length() or self.q > MAX_Q:
+            raise FieldError(f"GF({self.p}^{self.deg}) needs deg >= 1 and q <= {MAX_Q}")
         if self.modulus is None:
             object.__setattr__(self, "modulus", default_modulus(self.p, self.deg))
         else:
@@ -115,8 +121,10 @@ class FieldSpec:
     def from_json(obj) -> "FieldSpec":
         if not isinstance(obj, dict):
             raise ValueError('a field must be an object {"p": prime, "deg": degree}')
-        return FieldSpec(int(obj["p"]), int(obj.get("deg", 1)),
-                         tuple(obj["modulus"]) if obj.get("modulus") else None)
+        modulus = [json_typed(c, int, '"modulus" entries')
+                   for c in json_typed(obj.get("modulus", []), list, '"modulus"')]
+        return FieldSpec(json_typed(obj["p"], int, '"p"'),
+                         json_typed(obj.get("deg", 1), int, '"deg"'), tuple(modulus) or None)
 
     # -- element-level arithmetic (tables built lazily, cached per spec) --
 

@@ -86,6 +86,8 @@ def witness_check(rep: Representation, w: HyperfiniteWitness) -> bool:
 def cheeger_exact(rep: Representation, cap: int = ENUM_CAP) -> ExpansionReport:
     """Exact minimal growth ratio over all W with 1 <= dim W <= n/2."""
     n = rep.n
+    if n < 2:
+        raise ValueError(f"expansion needs n >= 2: at n = {n} no W has 1 <= dim W <= n/2")
     total = sum(gaussian_binomial(n, d, rep.field.q) for d in range(1, n // 2 + 1))
     if total > cap:
         raise BudgetExceededError(f"{total} subspaces exceeds cap {cap}")
@@ -110,12 +112,13 @@ def cheeger_random(rep: Representation, trials: int, seed: int = 0) -> Expansion
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = rep.n
+    if n < 2:
+        raise ValueError(f"expansion needs n >= 2: at n = {n} no W has 1 <= dim W <= n/2")
     rng = np.random.Generator(np.random.Philox(seed))
     best = None
     best_w = None
-    half = max(1, n // 2)
     for _ in range(trials):
-        d = int(rng.integers(1, half + 1))
+        d = int(rng.integers(1, n // 2 + 1))
         rows = rng.integers(0, rep.field.q, size=(d, n), dtype=np.uint64).astype(np.uint8)
         w = Subspace(rep.field, n, rows)
         if w.dim == 0:
@@ -174,18 +177,6 @@ def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
     grown_accum = Subspace.zero(rep.field, n)
     covered = 0
 
-    def try_tile(v: Subspace, wv: Subspace):
-        nonlocal grown_accum, covered
-        if Fraction(wv.dim) >= (1 + epsilon) * v.dim:
-            return False
-        joined = grown_accum.sum(wv)
-        if joined.dim != grown_accum.dim + wv.dim:
-            return False
-        tiles.append(v)
-        grown_accum = joined
-        covered += v.dim
-        return True
-
     seeds = list(np.eye(n, dtype=np.uint8))
     for _ in range(budget):
         if Fraction(covered) >= (1 - epsilon) * n:
@@ -199,7 +190,13 @@ def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
         chain, closed = _chain(rep, vec, k_bound)
         # The orbit closure first, then almost-invariant members, smallest up.
         for v, wv in (chain[-1:] + chain[:-1] if closed else chain):
-            if try_tile(v, wv):
+            if Fraction(wv.dim) >= (1 + epsilon) * v.dim:
+                continue
+            joined = grown_accum.sum(wv)
+            if joined.dim == grown_accum.dim + wv.dim:
+                tiles.append(v)
+                grown_accum = joined
+                covered += v.dim
                 break
 
     if Fraction(covered) >= (1 - epsilon) * n:

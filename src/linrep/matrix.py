@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import FieldSpec
+from .field import FieldSpec, json_typed    # json_typed is re-exported to the loaders
 
 
 # Index entries per gather block of the characteristic-2 product (8 bytes
@@ -187,13 +187,6 @@ def fraction_from_json(obj) -> Fraction:
             and type(obj.get("den")) is int and obj["den"] != 0):
         raise ValueError('expected a rational {"num": int, "den": nonzero int}')
     return Fraction(obj["num"], obj["den"])
-
-
-def json_typed(value, kind: type, name: str):
-    """`value` if it is a JSON `kind` (list or int; a bool is no int), else ValueError."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"expected {name} to be a JSON {kind.__name__}")
-    return value
 
 
 def matmul_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -69,13 +69,6 @@ class Subspace:
             return cls.full(field, n)
         return cls(field, n, DenseMatrix(field, rows).kernel())
 
-    @classmethod
-    def span(cls, field, vectors):
-        vecs = [np.asarray(v, dtype=np.uint8) for v in vectors]
-        if not vecs:
-            raise ValueError("span of empty vector list needs explicit ambient")
-        return cls(field, len(vecs[0]), np.array(vecs))
-
     def to_json(self):
         """The canonical basis as a list of rows of integer codes."""
         return self.basis.astype(int).tolist()

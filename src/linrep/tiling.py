@@ -6,6 +6,8 @@ multiplication table for the basis.  Goodness of a vector means the map is
 exactly multiplicative on it for all products from the first i basis
 elements; tilings pack mutually independent orbits of good vectors.  The
 good subspace and the candidate space are kernels of stacked conditions.
+Orbits come from one product with the stacked F-basis images; the greedy
+tiler's candidates lie in A_{F,i}, so it tests only dimension and independence.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .field import FieldSpec
 from .matrix import (DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json,
                      json_typed, matmul_data)
-from .subspace import Subspace, subspaces_independent
+from .subspace import AmbientMismatchError, Subspace, subspaces_independent
 
 
 class MissingProductError(KeyError):
@@ -188,18 +190,25 @@ def candidate_space(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
                     good: Subspace | None = None) -> Subspace:
     """A_{F,i}: vectors x with phi(f)(x) in G intersect H for every f in F,
     the kernel of the blocks [ann(G); ann(H)] . phi(f)."""
-    if h.ambient != m.n:
-        raise ValueError("H must live in the map's ambient space")
+    if h.field != m.field or h.ambient != m.n:
+        raise AmbientMismatchError("H must live in the map's ambient space")
     good = good_subspace(m, i) if good is None else good
     ann = np.concatenate([good.annihilator(), h.annihilator()], axis=0)
     blocks = [matmul_data(m.field, ann, m.phi_of(coords).data) for coords in f.basis]
     return Subspace.kernel_of(m.field, m.n, np.concatenate(blocks))
 
 
+def _images(m: FiniteApproxMap, f: FSubspaceData, xs) -> np.ndarray:
+    """images[j, k] = phi(f_k)(x_j) for every row x_j of `xs`, in one product
+    with the images of the F-basis stacked as a (dim F * n) x n array."""
+    xs = np.asarray(xs, dtype=np.uint8).reshape(len(xs), m.n)
+    stacked = np.concatenate([m.phi_of(coords).data for coords in f.basis])
+    return matmul_data(m.field, xs, stacked.T).reshape(len(xs), f.dim, m.n)
+
+
 def orbit_of(m: FiniteApproxMap, f: FSubspaceData, x) -> Subspace:
     """phi(F)(x), the tile spanned by the images of x under the F-basis."""
-    vecs = [m.phi_of(coords).apply(x) for coords in f.basis]
-    return Subspace(m.field, m.n, np.array(vecs, dtype=np.uint8))
+    return Subspace(m.field, m.n, _images(m, f, [x])[0])
 
 
 def is_center(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int, x,
@@ -208,16 +217,21 @@ def is_center(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int, x,
     the orbit has dimension dim F, lies in H, and every image is i-good.
     """
     good = good_subspace(m, i) if good is None else good
-    return _center_orbit(m, f, h, x, good) is not None
+    return _center_orbits(m, f, h, [x], good)[0] is not None
 
 
-def _center_orbit(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, x,
-                  good: Subspace) -> Subspace | None:
-    """The orbit phi(F)(x) when x meets the center conditions, else None."""
-    orbit = orbit_of(m, f, x)
-    if orbit.dim != f.dim or not h.contains(orbit) or not good.contains(orbit):
-        return None
-    return orbit
+def _center_orbits(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, xs,
+                   good: Subspace) -> list:
+    """For each row x of `xs`, the orbit phi(F)(x) when x meets the center
+    conditions, else None; H and G test all images in one residual each."""
+    if h.field != m.field or h.ambient != m.n:
+        raise AmbientMismatchError("H must live in the map's ambient space")
+    images = _images(m, f, xs)
+    flat = images.reshape(-1, m.n)
+    inside = ~np.any(h.residual(flat), axis=1) & ~np.any(good.residual(flat), axis=1)
+    orbits = [Subspace(m.field, m.n, ims) for ims in images]
+    return [orbit if ok and orbit.dim == f.dim else None
+            for orbit, ok in zip(orbits, inside.reshape(len(images), f.dim).all(axis=1))]
 
 
 @dataclass
@@ -288,37 +302,35 @@ def greedy_tiling(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
     """Maximal greedy set of centers over a deterministic candidate pool.
 
     Candidates are the echelon basis vectors of A_{F,i} first, then seeded
-    pseudo-random samples from A_{F,i}.  If the precondition report is
-    all-true, the theorem's coverage bound (1 - delta) n is asserted.
+    pseudo-random samples from A_{F,i}, whose orbits lie in G and H: one is
+    accepted when its orbit has dimension dim F and is independent of the
+    tiles before it.  If the precondition report is all-true, the theorem's
+    coverage bound (1 - delta) n is asserted.
     """
     delta = Fraction(delta)
     good = good_subspace(m, i)
     a_space = candidate_space(m, f, h, i, good=good)
     report = _preconditions(m, f, h, i, delta, good, a_space)
 
-    centers, tiles = [], []
-    accum = Subspace.zero(m.field, m.n)
-
-    def try_center(x):
-        nonlocal accum
-        orbit = _center_orbit(m, f, h, x, good)
-        if orbit is None:
-            return
-        joined = accum.sum(orbit)
-        if joined.dim != accum.dim + orbit.dim:
-            return
-        centers.append(np.array(x, dtype=np.uint8))
-        tiles.append(orbit)
-        accum = joined
-
-    for row in a_space.basis:
-        try_center(row)
-
     rng = np.random.Generator(np.random.Philox(seed))
     exhausted = a_space.dim > 0 and m.field.q ** a_space.dim > sample_budget + a_space.dim
-    for _ in range(sample_budget if a_space.dim else 0):
-        coeffs = rng.integers(0, m.field.q, size=a_space.dim, dtype=np.uint64).astype(np.uint8)
-        try_center(matmul_data(m.field, coeffs[None], a_space.basis)[0])
+    draws = [rng.integers(0, m.field.q, size=a_space.dim, dtype=np.uint64)
+             for _ in range(sample_budget if a_space.dim else 0)]
+    coeffs = np.array(draws, dtype=np.uint8).reshape(len(draws), a_space.dim)
+    candidates = np.concatenate([a_space.basis, matmul_data(m.field, coeffs, a_space.basis)])
+
+    centers, tiles = [], []
+    accum = Subspace.zero(m.field, m.n)
+    for x, images in zip(candidates, _images(m, f, candidates)):
+        orbit = Subspace(m.field, m.n, images)
+        if orbit.dim != f.dim:
+            continue
+        joined = accum.sum(orbit)
+        if joined.dim != accum.dim + orbit.dim:
+            continue
+        centers.append(x.copy())
+        tiles.append(orbit)
+        accum = joined
 
     coverage = sum(t.dim for t in tiles)
     cert = TilingCertificate(i=i, delta=delta, dim_f=f.dim, centers=centers,
@@ -337,16 +349,12 @@ def verify_certificate(cert: TilingCertificate, m: FiniteApproxMap, f: FSubspace
     delta = Fraction(delta)
     if f.dim != cert.dim_f or len(cert.centers) != len(cert.tiles):
         return False
-    good = good_subspace(m, i)
-    recomputed = []
-    for x, claimed in zip(cert.centers, cert.tiles):
-        orbit = _center_orbit(m, f, h, x, good)
-        if orbit is None or orbit != claimed:
-            return False
-        recomputed.append(orbit)
-    if not subspaces_independent(recomputed):
+    orbits = _center_orbits(m, f, h, cert.centers, good_subspace(m, i))
+    if any(orbit is None or orbit != claimed for orbit, claimed in zip(orbits, cert.tiles)):
         return False
-    coverage = sum(t.dim for t in recomputed)
+    if not subspaces_independent(orbits):
+        return False
+    coverage = sum(t.dim for t in orbits)
     if coverage != cert.coverage:
         return False
     return Fraction(coverage, m.n) >= 1 - delta

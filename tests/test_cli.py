@@ -235,6 +235,7 @@ _MAP = {"field": {"p": 2}, "phi": [[[1, 0], [0, 1]], [[0, 0], [1, 0]]],
         "mult": [[1, 1, [1, 0]], [1, 2, [0, 1]]]}
 _SOFIC = {"field": {"p": 2}, "maps": [_MAP], "s": [{"num": 1, "den": 2}]}
 _REP = {"field": {"p": 2}, "generators": [[[1, 0], [0, 1]]]}
+_REP_1 = {"field": {"p": 2}, "generators": [[[1]]]}
 _WITNESS = {"epsilon": {"num": 1, "den": 2}, "K": 1, "tiles": []}
 _CERT_DELTA = dict(_CERT, delta={"num": 1, "den": 4})
 # Cases whose detail text is pinned: it names the missing key or the real bound.
@@ -245,6 +246,7 @@ _DETAILS = {
     "sofic-mult-missing": "mult table has no entry for (2, 1)",
     "arg-imax-0": "phi needs at least the image of the unit",
     "arg-ext-deg-0": "extension degree 0 must be at least 1",
+    "rep-field-p-float": 'expected "p" to be a JSON int',
 }
 
 
@@ -353,6 +355,19 @@ _DETAILS = {
                  id="arg-ext-deg-0"),
     pytest.param(["ncrat-equiv", "--r-expr", "z1", "--s-expr", "z1", "--ext-deg", "-3"], {},
                  id="arg-ext-deg-negative"),
+    # Expansion on GF(q)^1, where no W has 1 <= dim W <= n/2.
+    pytest.param(["cheeger", "--rep", "{r}"], {"r": json.dumps(_REP_1)}, id="cheeger-n-1"),
+    pytest.param(["expander", "--rep", "{r}", "--alpha", "1/2"], {"r": json.dumps(_REP_1)},
+                 id="expander-n-1"),
+    pytest.param(["cheeger", "--rep", "{r}", "--trials", "3"], {"r": json.dumps(_REP_1)},
+                 id="cheeger-trials-n-1"),
+    # Field values that FieldSpec.from_json once converted instead of checking.
+    *(pytest.param(["cheeger", "--rep", "{r}"], {"r": json.dumps(dict(_REP, field=field))},
+                   id=f"rep-field-{name}")
+      for name, field in [("p-list", {"p": [2]}), ("deg-list", {"p": 2, "deg": [1]}),
+                          ("modulus-int", {"p": 2, "deg": 2, "modulus": 5}),
+                          ("p-str", {"p": "2"}), ("p-float", {"p": 2.5}),
+                          ("modulus-entry-str", {"p": 2, "deg": 2, "modulus": [1, "1", 1]})]),
 ])
 def test_malformed_input_is_a_json_input_error(tmp_path, request, argv, files):
     paths = {}

@@ -1,0 +1,79 @@
+"""Fuzz the CLI boundary: representation files of arbitrary JSON shape.
+
+Whatever the file holds, `cheeger --rep` prints exactly one JSON line and
+exits 0 (a report), 1 (an input error) or 3 (over the enumeration cap);
+no exception escapes main.
+"""
+
+import io
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from linrep import cli
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=3))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+
+
+def mostly(good, other):
+    """`good` about three times in four, else `other`."""
+    return st.sampled_from([good, good, good, other]).flatmap(lambda chosen: chosen)
+
+
+def squares(k, entries):
+    return st.lists(st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k)
+
+
+def invertible(k):
+    """k x k permutation matrices and unitriangular 0/1 matrices."""
+    perms = st.permutations(range(k)).map(
+        lambda perm: [[int(perm[r] == c) for c in range(k)] for r in range(k)])
+    unitri = squares(k, st.integers(0, 1)).map(
+        lambda rows: [[int(r == c) if c <= r else rows[r][c] for c in range(k)]
+                      for r in range(k)])
+    return st.one_of(perms, unitri)
+
+
+# Well-formed pieces outweigh arbitrary ones, so that the computation behind
+# the decoders is reached too.
+fields = mostly(
+    st.sampled_from([{"p": 2}, {"p": 3, "deg": 1}, {"p": 2, "deg": 2},
+                     {"p": 2, "deg": 2, "modulus": [1, 1, 1]}, {"p": 5, "modulus": []}]),
+    st.one_of(
+        st.fixed_dictionaries(
+            {"p": st.one_of(st.sampled_from([2, 3, 5]), json_values)},
+            optional={"deg": st.one_of(st.integers(1, 3), json_values),
+                      "modulus": st.one_of(st.lists(st.integers(0, 4), max_size=4),
+                                           json_values)}),
+        json_values))
+any_squares = st.integers(0, 3).flatmap(
+    lambda k: squares(k, st.one_of(st.integers(-2, 300), json_values)))
+generators = mostly(
+    mostly(st.integers(2, 3), st.integers(0, 1)).flatmap(lambda k: st.lists(
+        mostly(invertible(k), squares(k, st.integers(0, 4))), min_size=1, max_size=3)),
+    st.one_of(st.lists(st.one_of(any_squares, json_values), max_size=3), json_values))
+reps = mostly(
+    st.fixed_dictionaries({"field": fields, "generators": generators},
+                          optional={"n": st.one_of(st.integers(0, 4), json_values)}),
+    json_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rep=reps)
+def test_cheeger_answers_any_representation_file(tmp_path_factory, rep):
+    path = tmp_path_factory.getbasetemp() / "fuzz-rep.json"
+    path.write_text(json.dumps(rep))
+    # A small cap turns large enumerations into exit 3 instead of long runs.
+    for extra in (["--cap", "500"], ["--trials", "2"]):
+        out = io.StringIO()
+        code = cli.main(["cheeger", "--rep", str(path), *extra], out)
+        text = out.getvalue()
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_BUDGET), (code, text)
+        assert text.endswith("\n") and text.count("\n") == 1, text
+        assert isinstance(json.loads(text), dict)

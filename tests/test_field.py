@@ -16,6 +16,14 @@ def test_rejects_oversized_field():
     assert FieldSpec(2, 8).q == MAX_Q
 
 
+def test_huge_characteristic_or_degree_is_rejected_up_front():
+    # Bounded before trial division and p**deg, neither of which would finish.
+    with pytest.raises(FieldError):
+        FieldSpec(2**61 - 1)    # a Mersenne prime
+    with pytest.raises(FieldError):
+        FieldSpec(2, 10**12)
+
+
 def test_default_moduli_are_lex_smallest_irreducible():
     # x^2 + x + 1 over GF(2), x^3 + x + 1 over GF(2), x^2 + 1 over GF(3).
     assert default_modulus(2, 2) == (1, 1, 1)

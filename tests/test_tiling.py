@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from linrep.field import GF2, FieldSpec
-from linrep.matrix import DenseMatrix
+from linrep.matrix import DenseMatrix, matmul_data
 from linrep.repseq import repair_to_invertible
 from linrep.soficam import PolyInstance, poly_basis_map
-from linrep.subspace import Subspace
+from linrep.subspace import AmbientMismatchError, Subspace, subspaces_independent
 from linrep.tiling import (FiniteApproxMap, FSubspaceData, MissingProductError,
                            TilingCertificate, candidate_space, good_subspace,
                            greedy_tiling, is_center, is_good_map, orbit_of,
@@ -253,3 +253,102 @@ def test_corrupted_map_tiling_is_pinned(q, fdim, i):
                        "cert": cert.to_json()}, sort_keys=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
     assert (good.dim, a_space.dim, cert.coverage, digest) == _PINNED_TILINGS[(q, fdim, i)]
+
+
+def _counting(monkeypatch, cls, name, calls):
+    original = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cls, name, counted)
+
+
+def test_greedy_tiling_phi_of_calls_do_not_grow_with_budget(monkeypatch):
+    # The orbits of all candidates come from one stacked product, so phi_of
+    # runs a fixed number of times however many samples are drawn.
+    m = poly_basis_map(PolyInstance(GF2, 16), 16)
+    eye = np.eye(16, dtype=np.uint8)
+    f = FSubspaceData([eye[0], eye[1]], {0: eye[0]})
+    h = Subspace.full(GF2, 16)
+    counts = []
+    for budget in (8, 64):
+        calls = []
+        _counting(monkeypatch, FiniteApproxMap, "phi_of", calls)
+        greedy_tiling(m, f, h, 4, Fraction(1, 4), seed=0, sample_budget=budget)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_greedy_tiling_never_tests_containment(monkeypatch):
+    # Candidates lie in A_{F,i}, whose orbits lie in G and H by construction.
+    m = corrupted_map(poly_basis_map(PolyInstance(GF2, 8), 6))
+    eye = np.eye(6, dtype=np.uint8)
+    f = FSubspaceData([eye[0], eye[1]], {0: eye[0]})
+    h = Subspace(GF2, 8, np.eye(8, dtype=np.uint8)[:6])
+    calls = []
+    _counting(monkeypatch, Subspace, "contains", calls)
+    cert = greedy_tiling(m, f, h, 1, Fraction(1, 4), seed=0, sample_budget=16)
+    assert cert.centers and calls == []
+
+
+@pytest.mark.parametrize("q, fdim, i", sorted(_PINNED_TILINGS))
+def test_corrupted_map_centers_meet_every_condition(q, fdim, i):
+    field = {2: GF2, 3: FieldSpec(3), 4: FieldSpec(2, 2), 9: FieldSpec(3, 2)}[q]
+    m = corrupted_map(poly_basis_map(PolyInstance(field, 8), 6))
+    g = np.random.Generator(np.random.Philox(q))
+    h = Subspace(field, 8, g.integers(0, q, size=(6, 8), dtype=np.uint64).astype(np.uint8))
+    eye = np.eye(6, dtype=np.uint8)
+    f = FSubspaceData(list(eye[:fdim]), {0: eye[0]})
+    good = good_subspace(m, i)
+    cert = greedy_tiling(m, f, h, i, Fraction(1, 4), seed=0, sample_budget=16)
+    for x, tile in zip(cert.centers, cert.tiles):
+        assert is_center(m, f, h, i, x, good=good)
+        assert tile == orbit_of(m, f, x)
+    assert subspaces_independent(cert.tiles)
+
+
+@pytest.mark.parametrize("field", [GF2, FieldSpec(3), FieldSpec(2, 2), FieldSpec(3, 2)])
+def test_verifier_rejects_a_tampered_middle_center(field):
+    # F = span{1} on the exact truncation map: G is everything, A = H, and
+    # each tile is the line through its center.
+    m = poly_basis_map(PolyInstance(field, 8), 8)
+    f = unit_f(8)
+    eye = np.eye(8, dtype=np.uint8)
+    h = Subspace(field, 8, eye[:6])
+    delta = Fraction(1, 2)
+    cert = greedy_tiling(m, f, h, 2, delta, seed=0, sample_budget=4)
+    assert len(cert.centers) == 6 and verify_certificate(cert, m, f, h, 2, delta)
+    mid = len(cert.centers) // 2
+
+    def with_middle(center, tile):
+        centers, tiles = list(cert.centers), list(cert.tiles)
+        centers[mid], tiles[mid] = center, tile
+        return TilingCertificate(cert.i, cert.delta, cert.dim_f, centers, tiles,
+                                 cert.h_basis, cert.coverage, cert.partial)
+
+    # A line independent of the other tiles, but not the middle center's orbit.
+    line = Subspace(field, 8, matmul_data(field, np.ones((1, 2), dtype=np.uint8),
+                                          np.array([cert.centers[mid], cert.centers[0]])))
+    assert subspaces_independent(cert.tiles[:mid] + [line] + cert.tiles[mid + 1:])
+    assert not verify_certificate(with_middle(cert.centers[mid], line), m, f, h, 2, delta)
+    # A center outside H whose tile is its own orbit and independent of the rest.
+    outside = eye[7]
+    assert not h.contains_vector(outside)
+    tampered = with_middle(outside, orbit_of(m, f, outside))
+    assert subspaces_independent(tampered.tiles)
+    assert not verify_certificate(tampered, m, f, h, 2, delta)
+
+
+def test_h_over_another_field_is_rejected():
+    m = poly_basis_map(PolyInstance(GF2, 8), 8)
+    f = unit_f(8)
+    cert = greedy_tiling(m, f, Subspace.full(GF2, 8), 2, Fraction(1, 4), sample_budget=4)
+    h3 = Subspace.full(FieldSpec(3), 8)
+    with pytest.raises(AmbientMismatchError):
+        is_center(m, f, h3, 2, np.eye(8, dtype=np.uint8)[1])
+    with pytest.raises(AmbientMismatchError):
+        greedy_tiling(m, f, h3, 2, Fraction(1, 4), sample_budget=4)
+    with pytest.raises(AmbientMismatchError):
+        verify_certificate(cert, m, f, h3, 2, Fraction(1, 4))
