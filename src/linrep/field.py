@@ -77,8 +77,8 @@ def default_modulus(p: int, deg: int) -> tuple:
 
 
 def json_typed(value, kind: type, name: str):
-    """`value` if it is a JSON `kind` (list or int; a bool is no int), else ValueError."""
-    if not isinstance(value, kind) or isinstance(value, bool):
+    """`value` if it is a JSON `kind` (list, int or bool; a bool is no int), else ValueError."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"expected {name} to be a JSON {kind.__name__}")
     return value
 

@@ -8,8 +8,11 @@ kernel: characteristic 2 adds codes by XOR, GF(p) works on the residues
 themselves, and odd extensions GF(p^d) multiply base-p digit planes in
 int64 and add rows through the q x q tables (see matmul_data and
 rref_array).  Elimination over GF(2) itself runs on bit rows: each row
-packed into one Python int, cleared by int XOR.  Arrays stay uint8 at
-the API; packing happens inside rref_array.
+packed into one Python int, cleared by int XOR; every other field
+updates only the live columns, from the pivot column on.  Arrays stay
+uint8 at the API; packing happens inside rref_array.  A DenseMatrix
+keeps its inverse once computed, so random_invertible's invertibility
+test is also the inverse a Representation later asks for.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ class SingularMatrixError(ValueError):
 class DenseMatrix:
     """Immutable rows-by-cols matrix with entries in a fixed GF(q)."""
 
-    __slots__ = ("field", "data")
+    __slots__ = ("field", "data", "_inverse")
 
     def __init__(self, field: FieldSpec, data):
         self.field = field
@@ -44,6 +47,7 @@ class DenseMatrix:
             raise ValueError("entry code out of range for field")
         arr.setflags(write=False)
         self.data = arr
+        self._inverse = None
 
     # -- constructors --
 
@@ -130,15 +134,22 @@ class DenseMatrix:
 
     def inverse(self):
         """A^-1, the right half of rref([A | I]).  A is invertible iff the pivots
-        are the first n columns, and elimination then stops after those n."""
-        if self.rows != self.cols:
-            raise SingularMatrixError("not square")
-        n = self.rows
-        aug = np.concatenate([self.data, np.eye(n, dtype=np.uint8)], axis=1)
-        R, pivots = rref_array(self.field, aug)
-        if pivots != list(range(n)):
-            raise SingularMatrixError("matrix is singular")
-        return DenseMatrix(self.field, R[:, n:])
+        are the first n columns, and elimination then stops after those n.
+
+        The matrix keeps its inverse: later calls return it with no
+        elimination.  A singular matrix keeps nothing and raises
+        SingularMatrixError on every call.
+        """
+        if self._inverse is None:
+            if self.rows != self.cols:
+                raise SingularMatrixError("not square")
+            n = self.rows
+            aug = np.concatenate([self.data, np.eye(n, dtype=np.uint8)], axis=1)
+            R, pivots = rref_array(self.field, aug)
+            if pivots != list(range(n)):
+                raise SingularMatrixError("matrix is singular")
+            self._inverse = DenseMatrix(self.field, R[:, n:])
+        return self._inverse
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -261,8 +272,10 @@ def rref_array(field: FieldSpec, data: np.ndarray):
     it is the uint16 residue sum (R + f * row) % p, exact as (p-1) +
     (p-1)^2 < 2^16 for p < 256; odd extensions add the gathered multiples
     with t.add.  The table loop moves past columns with no pivot in one
-    scan, so a wide array of low rank costs one step per pivot.  Every
-    family returns a fresh uint8 array.
+    scan, so a wide array of low rank costs one step per pivot, and it
+    swaps, scales and clears only the live columns R[:, col:]: the rows
+    from `row` down are zero left of col, so the pivot row adds nothing
+    there.  Every family returns a fresh uint8 array.
     """
     data = np.asarray(data, dtype=np.uint8)
     m, n = data.shape
@@ -300,28 +313,30 @@ def rref_array(field: FieldSpec, data: np.ndarray):
         nz = R[row:, col].nonzero()[0]
         if nz.size == 0:
             # No pivot here: jump to the next column with an entry at or below `row`.
-            live = R[row:, col:].any(axis=0).nonzero()[0]
-            if live.size == 0:
+            ahead = R[row:, col:].any(axis=0).nonzero()[0]
+            if ahead.size == 0:
                 break
-            col += int(live[0])
+            col += int(ahead[0])
             nz = R[row:, col].nonzero()[0]
         pr = row + int(nz[0])
+        # The rows from `row` down are zero left of col; `live` is a view of R.
+        live = R[:, col:]
         if pr != row:
-            R[[row, pr]] = R[[pr, row]]
-        pv = R[row, col]
+            live[[row, pr]] = live[[pr, row]]
+        pv = live[row, 0]
         if pv != 1:
-            R[row] = t.mul[t.inv[pv]][R[row]]
-        others = np.nonzero(R[:, col])[0]
+            live[row] = t.mul[t.inv[pv]][live[row]]
+        others = np.nonzero(live[:, 0])[0]
         others = others[others != row]
         if others.size:
             if p == 2:      # -f = f and addition is XOR
-                R[others] ^= t.mul[:, R[row]][R[others, col]]
+                live[others] ^= t.mul[:, live[row]][live[others, 0]]
             elif deg == 1:
-                factors = t.neg[R[others, col]].astype(np.uint16)
-                R[others] = (R[others] + factors[:, None] * R[row]) % p
+                factors = t.neg[live[others, 0]].astype(np.uint16)
+                live[others] = (live[others] + factors[:, None] * live[row]) % p
             else:
-                multiples = t.mul[:, R[row]][t.neg[R[others, col]]]
-                R[others] = t.add[R[others], multiples]
+                multiples = t.mul[:, live[row]][t.neg[live[others, 0]]]
+                live[others] = t.add[live[others], multiples]
         pivots.append(col)
         row += 1
         col += 1
@@ -334,7 +349,13 @@ def random_matrix(field, rng, rows, cols=None) -> DenseMatrix:
 
 
 def random_invertible(field, rng, n) -> DenseMatrix:
+    """The first invertible draw of random_matrix.  Each draw is tested by
+    inverse(), one [A | I] elimination, so the matrix returned already
+    keeps its inverse and a later inverse() runs no elimination."""
     while True:
         m = random_matrix(field, rng, n)
-        if m.is_invertible():
-            return m
+        try:
+            m.inverse()
+        except SingularMatrixError:
+            continue
+        return m

@@ -159,13 +159,21 @@ class TilingCertificate:
                  for rows in json_typed(obj["tiles"], list, '"tiles"')]
         return TilingCertificate(
             i=json_typed(obj["i"], int, '"i"'),
-            delta=fraction_from_json(obj["delta"]),
+            delta=_tiling_delta(fraction_from_json(obj["delta"])),
             dim_f=json_typed(obj["dim_f"], int, '"dim_f"'),
             centers=list(codes_from_json(field, obj["centers"], n)),
             tiles=tiles,
-            h_basis=obj["h_basis"],
+            h_basis=codes_from_json(field, obj["h_basis"], n).tolist(),
             coverage=json_typed(obj["coverage"], int, '"coverage"'),
-            partial=bool(obj.get("partial", False)))
+            partial=json_typed(obj.get("partial", False), bool, '"partial"'))
+
+
+def _tiling_delta(delta) -> Fraction:
+    """delta as a Fraction; the tiling theorem needs 0 < delta < 1."""
+    delta = Fraction(delta)
+    if not 0 < delta < 1:
+        raise ValueError(f"delta = {delta} must lie strictly between 0 and 1")
+    return delta
 
 
 def good_subspace(m: FiniteApproxMap, i: int) -> Subspace:
@@ -304,10 +312,12 @@ def greedy_tiling(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
     Candidates are the echelon basis vectors of A_{F,i} first, then seeded
     pseudo-random samples from A_{F,i}, whose orbits lie in G and H: one is
     accepted when its orbit has dimension dim F and is independent of the
-    tiles before it.  If the precondition report is all-true, the theorem's
-    coverage bound (1 - delta) n is asserted.
+    tiles before it.  The scan stops once the tiles leave less than dim F
+    of H uncovered, since no later orbit can then be independent of them.
+    If the precondition report is all-true, the theorem's coverage bound
+    (1 - delta) n is asserted.  A delta outside (0, 1) raises ValueError.
     """
-    delta = Fraction(delta)
+    delta = _tiling_delta(delta)
     good = good_subspace(m, i)
     a_space = candidate_space(m, f, h, i, good=good)
     report = _preconditions(m, f, h, i, delta, good, a_space)
@@ -322,6 +332,8 @@ def greedy_tiling(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
     centers, tiles = [], []
     accum = Subspace.zero(m.field, m.n)
     for x, images in zip(candidates, _images(m, f, candidates)):
+        if accum.dim + f.dim > h.dim:
+            break
         orbit = Subspace(m.field, m.n, images)
         if orbit.dim != f.dim:
             continue

@@ -361,6 +361,20 @@ _DETAILS = {
                  id="expander-n-1"),
     pytest.param(["cheeger", "--rep", "{r}", "--trials", "3"], {"r": json.dumps(_REP_1)},
                  id="cheeger-trials-n-1"),
+    # A delta outside (0, 1) makes the coverage bound vacuous or unmeetable.
+    pytest.param(["tile-verify", "--poly", "8", "--i", "2", "--cert", "{c}"],
+                 {"c": json.dumps(dict(_CERT, i=2, delta={"num": 1, "den": 1}))},
+                 id="cert-empty-delta-1"),
+    pytest.param(["tile-verify", "--poly", "8", "--i", "2", "--cert", "{c}"],
+                 {"c": json.dumps(dict(_CERT, i=2, delta={"num": 2, "den": 1}))},
+                 id="cert-empty-delta-2"),
+    pytest.param(["tile", "--poly", "8", "--delta", "2"], {}, id="arg-delta-2"),
+    pytest.param(["tile", "--poly", "8", "--delta", "-1"], {}, id="arg-delta-negative"),
+    pytest.param(["tile", "--poly", "8", "--delta", "0"], {}, id="arg-delta-0"),
+    pytest.param(["tile-verify", "--poly", "8", "--cert", "{c}"],
+                 {"c": json.dumps(dict(_CERT_DELTA, partial="no"))}, id="cert-partial-str"),
+    pytest.param(["tile-verify", "--poly", "8", "--cert", "{c}"],
+                 {"c": json.dumps(dict(_CERT_DELTA, h_basis=3))}, id="cert-h-basis-int"),
     # Field values that FieldSpec.from_json once converted instead of checking.
     *(pytest.param(["cheeger", "--rep", "{r}"], {"r": json.dumps(dict(_REP, field=field))},
                    id=f"rep-field-{name}")

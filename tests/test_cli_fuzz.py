@@ -1,12 +1,15 @@
-"""Fuzz the CLI boundary: representation files of arbitrary JSON shape.
+"""Fuzz the CLI boundary: input files of arbitrary JSON shape.
 
 Whatever the file holds, `cheeger --rep` prints exactly one JSON line and
-exits 0 (a report), 1 (an input error) or 3 (over the enumeration cap);
-no exception escapes main.
+exits 0 (a report), 1 (an input error) or 3 (over the enumeration cap),
+and `tile-verify --cert` prints one JSON line and exits 0 (valid), 1 or 2
+(invalid); no exception escapes main.
 """
 
+import functools
 import io
 import json
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -77,3 +80,51 @@ def test_cheeger_answers_any_representation_file(tmp_path_factory, rep):
         assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_BUDGET), (code, text)
         assert text.endswith("\n") and text.count("\n") == 1, text
         assert isinstance(json.loads(text), dict)
+
+
+@functools.cache
+def valid_certificate():
+    """The certificate `tile --poly 8 --i 2` writes; tile-verify accepts it."""
+    out = io.StringIO()
+    assert cli.main(["tile", "--poly", "8", "--i", "2"], out) == cli.EXIT_OK
+    return json.loads(out.getvalue())
+
+
+def rows(width, entries, max_size=9):
+    return st.lists(st.lists(entries, min_size=width, max_size=width), max_size=max_size)
+
+
+# Per certificate field, values close to a valid one: delta in and out of
+# (0, 1), zero denominators included; codes just past GF(2); wrong widths.
+near_valid = {
+    "delta": st.fixed_dictionaries({"num": st.integers(-3, 9), "den": st.integers(-3, 9)}),
+    "i": st.integers(-1, 9),
+    "dim_f": st.integers(-1, 3),
+    "coverage": st.integers(-1, 10),
+    "partial": st.booleans(),
+    "centers": rows(8, st.integers(0, 2)),
+    "tiles": st.lists(rows(8, st.integers(0, 1), max_size=2), max_size=9),
+    "h_basis": st.one_of(rows(8, st.integers(0, 1)), rows(7, st.integers(0, 1))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_tile_verify_answers_any_certificate(tmp_path_factory, data):
+    cert = dict(valid_certificate())
+    for key in data.draw(st.lists(st.sampled_from(sorted(near_valid)), max_size=3, unique=True)):
+        how = data.draw(st.sampled_from(["near", "near", "any", "drop"]))
+        if how == "drop":
+            del cert[key]
+        else:
+            cert[key] = data.draw(near_valid[key] if how == "near" else json_values)
+    path = tmp_path_factory.getbasetemp() / "fuzz-cert.json"
+    path.write_text(json.dumps(cert))
+    out = io.StringIO()
+    code = cli.main(["tile-verify", "--poly", "8", "--i", "2", "--cert", str(path)], out)
+    text = out.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CHECK_FAILED), (code, text)
+    assert text.endswith("\n") and text.count("\n") == 1, text
+    assert isinstance(json.loads(text), dict)
+    if code == cli.EXIT_OK:
+        assert 0 < Fraction(cert["delta"]["num"], cert["delta"]["den"]) < 1, cert

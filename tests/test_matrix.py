@@ -5,6 +5,7 @@ from linrep import matrix
 from linrep.field import GF2, MAX_Q, FieldSpec, _is_prime
 from linrep.matrix import (DenseMatrix, SingularMatrixError, matmul_data,
                            random_invertible, random_matrix, rref_array)
+from linrep.repseq import Representation
 
 F3 = FieldSpec(3)
 F4 = FieldSpec(2, 2)
@@ -213,8 +214,34 @@ def test_inverse_matches_scalar_oracle(field):
 
 def test_singular_inverse_raises():
     m = DenseMatrix.from_rows(GF2, [[1, 1], [1, 1]])
-    with pytest.raises(SingularMatrixError):
-        m.inverse()
+    # Nothing is kept from a failed inversion: the second call raises too.
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+
+
+@pytest.mark.parametrize("field", [GF2, F3, F251, F4, F9, F256])
+def test_random_invertible_eliminates_each_draw_once(monkeypatch, field):
+    shapes = []
+
+    def counted(f, data):
+        shapes.append(data.shape)
+        return rref_array(f, data)
+    monkeypatch.setattr(matrix, "rref_array", counted)
+    for n in (1, 5, 40):
+        # The draw count, replayed from the same Philox stream with the
+        # scalar oracle's rank.
+        replay, draws = rng(n), 1
+        while len(gauss_jordan_oracle(field, random_matrix(field, replay, n).data)[1]) < n:
+            draws += 1
+        shapes.clear()
+        a = random_invertible(field, rng(n), n)
+        assert shapes == [(n, 2 * n)] * draws
+        # The inverse is kept: a Representation on it eliminates nothing.
+        shapes.clear()
+        rep = Representation(field, [a])
+        assert shapes == []
+        assert a @ rep.generators[0].inverse() == DenseMatrix.identity(field, n)
 
 
 def test_kernel_annihilates_and_has_right_dimension():

@@ -293,6 +293,26 @@ def test_greedy_tiling_never_tests_containment(monkeypatch):
     assert cert.centers and calls == []
 
 
+@pytest.mark.parametrize("fdim", [1, 2])
+def test_greedy_tiling_stops_when_full(monkeypatch, fdim):
+    # Every orbit lies in H, so once the tiles leave less than dim F of H
+    # uncovered no later candidate is tried.
+    m = poly_basis_map(PolyInstance(GF2, 16), 16)
+    eye = np.eye(16, dtype=np.uint8)
+    f = FSubspaceData(list(eye[:fdim]), {0: eye[0]})
+    h = Subspace.full(GF2, 16)
+    full_sums = []
+    summed = Subspace.sum
+
+    def counted(self, other):
+        if self.dim + fdim > h.dim:
+            full_sums.append(self.dim)
+        return summed(self, other)
+    monkeypatch.setattr(Subspace, "sum", counted)
+    cert = greedy_tiling(m, f, h, 4, Fraction(1, 4), seed=0, sample_budget=64)
+    assert cert.coverage > 16 - fdim and full_sums == []
+
+
 @pytest.mark.parametrize("q, fdim, i", sorted(_PINNED_TILINGS))
 def test_corrupted_map_centers_meet_every_condition(q, fdim, i):
     field = {2: GF2, 3: FieldSpec(3), 4: FieldSpec(2, 2), 9: FieldSpec(3, 2)}[q]
