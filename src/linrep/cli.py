@@ -176,12 +176,15 @@ def cmd_tile(args, out):
 
 
 def cmd_tile_verify(args, out):
+    delta = None if args.delta is None else parse_fraction(args.delta)
     m = load_approx_map(args)
     f = load_f_data(args, m)
     h = load_h(args, m.field, m.n)
     obj = load_object(args.cert)
     cert = tiling.TilingCertificate.from_json(m.field, m.n, obj)
-    ok = tiling.verify_certificate(cert, m, f, h, cert.i, cert.delta)
+    # A certificate made for another i or delta than the one asked about is invalid.
+    ok = (args.i in (None, cert.i) and delta in (None, cert.delta)
+          and tiling.verify_certificate(cert, m, f, h, cert.i, cert.delta))
     emit({"valid": ok}, out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -361,12 +364,18 @@ def build_parser():
         sp.add_argument("--field", default="2")
         sp.add_argument("--f", help="F data JSON file (default: span{1})")
         sp.add_argument("--h", help="H basis JSON file (default: full space)")
-        sp.add_argument("--i", type=int, default=1)
-        sp.add_argument("--delta", default="1/4")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=2048)
-        if name == "tile-verify":
+        if name == "tile":
+            sp.add_argument("--i", type=int, default=1)
+            sp.add_argument("--delta", default="1/4")
+            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--budget", type=int, default=2048)
+        else:
             sp.add_argument("--cert", required=True)
+            sp.add_argument("--i", type=int,
+                            help="fail unless the certificate was made for this i")
+            sp.add_argument("--delta", help="fail unless the certificate was made for this delta")
+            for flag in ("--seed", "--budget"):
+                sp.add_argument(flag, type=int, help="ignored: accepted for tile's command line")
 
     sp = add("hyperfinite-check", cmd_hyperfinite_check, help="verify a witness file")
     sp.add_argument("--rep", required=True)

@@ -167,6 +167,8 @@ class FieldTables:
         add_digits = (digits[:, None, :] + digits[None, :, :]) % p
         self.add = (add_digits @ powers).astype(np.uint8)
         self.neg = (((-digits) % p) @ powers).astype(np.uint8)
+        # sub[a, b] = a - b; matrix.sub_data gathers from it by flat index.
+        self.sub = self.add[:, self.neg]
 
         # xtimes[c] = code of x * element(c) reduced by the modulus.
         mod = list(spec.modulus)

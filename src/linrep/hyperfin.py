@@ -36,10 +36,20 @@ class HyperfiniteWitness:
 
     @staticmethod
     def from_json(field, n, obj):
-        eps = fraction_from_json(obj["epsilon"])
+        eps = _witness_epsilon(fraction_from_json(obj["epsilon"]))
         tiles = [Subspace.from_json(field, n, rows)
                  for rows in json_typed(obj["tiles"], list, '"tiles"')]
         return HyperfiniteWitness(eps, json_typed(obj["K"], int, '"K"'), tiles)
+
+
+def _witness_epsilon(epsilon) -> Fraction:
+    """epsilon as a Fraction; a witness needs 0 < epsilon < 1.  At epsilon >= 1
+    no tiles at all cover (1 - epsilon) n, and at epsilon <= 0 no tile passes
+    witness_check."""
+    epsilon = Fraction(epsilon)
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon = {epsilon} must lie strictly between 0 and 1")
+    return epsilon
 
 
 @dataclass
@@ -170,7 +180,7 @@ def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
     then greedy acceptance of almost-invariant tiles that stay independent
     of what has been accepted already.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = _witness_epsilon(epsilon)
     n = rep.n
     rng = np.random.Generator(np.random.Philox(seed))
     tiles = []

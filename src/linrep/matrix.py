@@ -4,15 +4,16 @@ Entries are integer codes (see linrep.field) held in a numpy uint8 array.
 Everything is exact and uses no floats.  No other module does code-array
 arithmetic: a sum c_1 X_1 + ... + c_k X_k elsewhere is one matmul_data
 product, a difference is sub_data.  Each field family has its own
-kernel: characteristic 2 adds codes by XOR, GF(p) works on the residues
-themselves, and odd extensions GF(p^d) multiply base-p digit planes in
-int64 and add rows through the q x q tables (see matmul_data and
-rref_array).  Elimination over GF(2) itself runs on bit rows: each row
-packed into one Python int, cleared by int XOR; every other field
-updates only the live columns, from the pivot column on.  Arrays stay
-uint8 at the API; packing happens inside rref_array.  A DenseMatrix
-keeps its inverse once computed, so random_invertible's invertibility
-test is also the inverse a Representation later asks for.
+kernels: characteristic 2 subtracts codes by XOR, GF(p) subtracts the
+residues in uint8 with a borrow of p, and odd extensions GF(p^d)
+subtract through one flat q x q table and multiply base-p digit planes
+in int64 (see sub_data and matmul_data).  Elimination over GF(2) itself
+runs on bit rows: each row packed into one Python int, cleared by int
+XOR; every other field clears a pivot column by one sub_data call on the
+live columns, from the pivot column on.  Arrays stay uint8 at the API;
+packing happens inside rref_array.  A DenseMatrix owns its read-only
+array and keeps its inverse once computed, so random_invertible's
+invertibility test is also the inverse a Representation later asks for.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class DenseMatrix:
             raise ValueError("matrix data must be 2-dimensional")
         if arr.size and arr.max() >= field.q:
             raise ValueError("entry code out of range for field")
+        if arr.base is not None:    # a view: a write to its base would change the matrix
+            arr = arr.copy()
         arr.setflags(write=False)
         self.data = arr
         self._inverse = None
@@ -246,9 +249,19 @@ def matmul_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sub_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise difference a - b of two code arrays of one shape."""
-    t = field.tables
-    return t.add[a, t.neg[b]]
+    """Elementwise difference a - b of two uint8 code arrays of one shape,
+    one exact kernel per field family.
+
+    Characteristic 2: a - b = a + b is XOR.  GF(p): uint8 arithmetic wraps
+    mod 256 and the true difference lies in [0, p), so a - b plus a borrow
+    of p where a < b is exact for every p <= 251.  Odd extensions: one
+    gather from the flat q x q table t.sub at a * q + b.
+    """
+    if field.p == 2:
+        return a ^ b
+    if field.deg == 1:
+        return a - b + np.multiply(a < b, field.p, dtype=np.uint8)
+    return field.tables.sub.take(a.astype(np.intp) * field.q + b)
 
 
 def echelon_kernel(field: FieldSpec, R: np.ndarray, pivots) -> np.ndarray:
@@ -264,17 +277,19 @@ def rref_array(field: FieldSpec, data: np.ndarray):
     """Reduced row echelon form of a raw code array, with its pivot columns.
 
     Elimination stops once every row holds a pivot.  Clearing a pivot
-    column subtracts factor * pivot row from every other row that holds
-    it, by family: over GF(2) each row is a bit row, one Python int with
+    column subtracts f * pivot row from every other row whose entry in
+    it is f.  Over GF(2) each row is a bit row, one Python int with
     column j at bit w-1-j, and the pivot row is XORed into every row that
-    holds the pivot bit; in characteristic 2 extensions it XORs in
-    rows gathered from the pivot row's multiples t.mul[:, row]; over GF(p)
-    it is the uint16 residue sum (R + f * row) % p, exact as (p-1) +
-    (p-1)^2 < 2^16 for p < 256; odd extensions add the gathered multiples
-    with t.add.  The table loop moves past columns with no pivot in one
-    scan, so a wide array of low rank costs one step per pivot, and it
-    swaps, scales and clears only the live columns R[:, col:]: the rows
-    from `row` down are zero left of col, so the pivot row adds nothing
+    holds the pivot bit.  Every other field runs the table loop: the
+    multiples f * row come from one of two gathers from t.mul, and one
+    sub_data call subtracts them.  With k rows to clear, k >= q gathers
+    the q multiples of the pivot row once, t.mul[:, row], and picks k of
+    them; fewer rows gather their own factors' rows t.mul[f] and then
+    the pivot row's columns, so a sparse column costs k x w, not q x w.
+    The table loop moves past columns with no pivot in one scan, so a
+    wide array of low rank costs one step per pivot, and it swaps,
+    scales and clears only the live columns R[:, col:]: the rows from
+    `row` down are zero left of col, so the pivot row adds nothing
     there.  Every family returns a fresh uint8 array.
     """
     data = np.asarray(data, dtype=np.uint8)
@@ -306,7 +321,7 @@ def rref_array(field: FieldSpec, data: np.ndarray):
         return np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(m, nb), axis=1,
                              count=n), pivots
     t = field.tables
-    p, deg = field.p, field.deg
+    q = field.q
     R = data.copy()
     col = 0
     while col < n and row < m:
@@ -329,14 +344,11 @@ def rref_array(field: FieldSpec, data: np.ndarray):
         others = np.nonzero(live[:, 0])[0]
         others = others[others != row]
         if others.size:
-            if p == 2:      # -f = f and addition is XOR
-                live[others] ^= t.mul[:, live[row]][live[others, 0]]
-            elif deg == 1:
-                factors = t.neg[live[others, 0]].astype(np.uint16)
-                live[others] = (live[others] + factors[:, None] * live[row]) % p
-            else:
-                multiples = t.mul[:, live[row]][t.neg[live[others, 0]]]
-                live[others] = t.add[live[others], multiples]
+            block = live[others]
+            f = block[:, 0]
+            prow = live[row]
+            multiples = t.mul[:, prow][f] if q <= f.size else t.mul[f][:, prow]
+            live[others] = sub_data(field, block, multiples)
         pivots.append(col)
         row += 1
         col += 1

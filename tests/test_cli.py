@@ -99,6 +99,29 @@ def test_tile_and_verify_round_trip(tmp_path):
     assert code == 2 and json.loads(vout) == {"valid": False}
 
 
+@pytest.fixture(scope="module")
+def cert_i2(tmp_path_factory):
+    """A certificate made by `tile --poly 8 --i 2 --delta 1/4`."""
+    code, out = run_cli("tile", "--poly", "8", "--i", "2", "--delta", "1/4")
+    assert code == 0
+    path = tmp_path_factory.mktemp("cert") / "cert.json"
+    path.write_text(out)
+    return str(path)
+
+
+@pytest.mark.parametrize("extra, want", [
+    pytest.param([], 0, id="omitted"),
+    pytest.param(["--i", "2", "--delta", "2/8"], 0, id="matching"),
+    pytest.param(["--seed", "5", "--budget", "1"], 0, id="seed-budget-ignored"),
+    pytest.param(["--i", "3"], 2, id="other-i"),
+    pytest.param(["--delta", "1/3"], 2, id="other-delta"),
+    pytest.param(["--i", "2", "--delta", "1/2"], 2, id="matching-i-other-delta"),
+])
+def test_tile_verify_checks_the_asked_i_and_delta(cert_i2, extra, want):
+    code, out = run_cli("tile-verify", "--poly", "8", "--cert", cert_i2, *extra)
+    assert (code, json.loads(out)) == (want, {"valid": want == 0})
+
+
 def test_hyperfinite_search_and_check(tmp_path):
     rep = block_rep_file(tmp_path, [3, 4, 3], seed=1)
     code, out = run_cli("hyperfinite-search", "--rep", rep, "--epsilon", "1/10",
@@ -371,6 +394,17 @@ _DETAILS = {
     pytest.param(["tile", "--poly", "8", "--delta", "2"], {}, id="arg-delta-2"),
     pytest.param(["tile", "--poly", "8", "--delta", "-1"], {}, id="arg-delta-negative"),
     pytest.param(["tile", "--poly", "8", "--delta", "0"], {}, id="arg-delta-0"),
+    # Likewise an epsilon of 1 or more: no tiles at all cover (1 - epsilon) n.
+    pytest.param(["hyperfinite-check", "--rep", "{r}", "--witness", "{w}"],
+                 {"r": json.dumps(_REP), "w": json.dumps(dict(_WITNESS, epsilon={"num": 1, "den": 1}))},
+                 id="witness-epsilon-1"),
+    pytest.param(["hyperfinite-check", "--rep", "{r}", "--witness", "{w}"],
+                 {"r": json.dumps(_REP), "w": json.dumps(dict(_WITNESS, epsilon={"num": 5, "den": 1}))},
+                 id="witness-epsilon-5"),
+    pytest.param(["hyperfinite-search", "--rep", "{r}", "--epsilon", "1"], {"r": json.dumps(_REP)},
+                 id="arg-epsilon-1"),
+    pytest.param(["hyperfinite-search", "--rep", "{r}", "--epsilon", "2"], {"r": json.dumps(_REP)},
+                 id="arg-epsilon-2"),
     pytest.param(["tile-verify", "--poly", "8", "--cert", "{c}"],
                  {"c": json.dumps(dict(_CERT_DELTA, partial="no"))}, id="cert-partial-str"),
     pytest.param(["tile-verify", "--poly", "8", "--cert", "{c}"],

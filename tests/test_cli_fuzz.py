@@ -2,8 +2,8 @@
 
 Whatever the file holds, `cheeger --rep` prints exactly one JSON line and
 exits 0 (a report), 1 (an input error) or 3 (over the enumeration cap),
-and `tile-verify --cert` prints one JSON line and exits 0 (valid), 1 or 2
-(invalid); no exception escapes main.
+and `tile-verify --cert` and `hyperfinite-check --witness` print one JSON
+line and exit 0 (valid), 1 or 2 (invalid); no exception escapes main.
 """
 
 import functools
@@ -128,3 +128,56 @@ def test_tile_verify_answers_any_certificate(tmp_path_factory, data):
     assert isinstance(json.loads(text), dict)
     if code == cli.EXIT_OK:
         assert 0 < Fraction(cert["delta"]["num"], cert["delta"]["den"]) < 1, cert
+
+
+# Two 3-cycles on GF(2)^6, (0 1 2)(3 4 5): each block is the orbit closure of
+# its first coordinate, so the two blocks make a witness at any K >= 3.
+_CYCLES_REP = {"field": {"p": 2},
+               "generators": [[[0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+                               [0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]]]}
+
+
+@functools.cache
+def valid_witness(tmp):
+    """The witness `hyperfinite-search --K 3` finds for _CYCLES_REP, and that
+    representation's file; hyperfinite-check accepts the witness."""
+    rep = tmp / "cycles-rep.json"
+    rep.write_text(json.dumps(_CYCLES_REP))
+    out = io.StringIO()
+    assert cli.main(["hyperfinite-search", "--rep", str(rep), "--K", "3"], out) == cli.EXIT_OK
+    return str(rep), json.loads(out.getvalue())["witness"]
+
+
+# Per witness field, values close to a valid one: epsilon in and out of
+# (0, 1), zero denominators included; K around the tile size; tiles with
+# codes just past GF(2), zero rows, repeats and wrong widths.
+near_valid_witness = {
+    "epsilon": st.fixed_dictionaries({"num": st.integers(-3, 9), "den": st.integers(-3, 9)}),
+    "K": st.integers(-1, 7),
+    "tiles": st.lists(st.one_of(rows(6, st.integers(0, 2), max_size=4),
+                                rows(5, st.integers(0, 1), max_size=2)), max_size=4),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hyperfinite_check_answers_any_witness(tmp_path_factory, data):
+    rep, witness = valid_witness(tmp_path_factory.getbasetemp())
+    witness = dict(witness)
+    for key in data.draw(st.lists(st.sampled_from(sorted(near_valid_witness)), max_size=3,
+                                  unique=True)):
+        how = data.draw(st.sampled_from(["near", "near", "any", "drop"]))
+        if how == "drop":
+            del witness[key]
+        else:
+            witness[key] = data.draw(near_valid_witness[key] if how == "near" else json_values)
+    path = tmp_path_factory.getbasetemp() / "fuzz-witness.json"
+    path.write_text(json.dumps(witness))
+    out = io.StringIO()
+    code = cli.main(["hyperfinite-check", "--rep", rep, "--witness", str(path)], out)
+    text = out.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CHECK_FAILED), (code, text)
+    assert text.endswith("\n") and text.count("\n") == 1, text
+    assert isinstance(json.loads(text), dict)
+    if code == cli.EXIT_OK:
+        assert 0 < Fraction(witness["epsilon"]["num"], witness["epsilon"]["den"]) < 1, witness

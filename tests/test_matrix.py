@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linrep import matrix
-from linrep.field import GF2, MAX_Q, FieldSpec, _is_prime
+from linrep.field import GF2, FieldSpec
 from linrep.matrix import (DenseMatrix, SingularMatrixError, matmul_data,
                            random_invertible, random_matrix, rref_array)
 from linrep.repseq import Representation
@@ -173,9 +173,47 @@ def test_rref_prime_update_at_the_largest_residues():
         assert piv == want_piv and np.array_equal(R, want)
 
 
-def test_prime_row_update_fits_uint16():
-    p = max(x for x in range(2, MAX_Q + 1) if _is_prime(x))
-    assert (p - 1) + (p - 1) ** 2 < 2 ** 16
+@pytest.mark.parametrize("field", KERNEL_FIELDS + [FieldSpec(127), FieldSpec(131)])
+def test_sub_data_matches_field_sub_on_every_pair(field):
+    # Every pair (a, b).  GF(127) and GF(131) sit either side of 2(p - 1) = 255:
+    # a sum of two residues, such as a + (p - b), fits in uint8 only below it.
+    q = field.q
+    a, b = (x.astype(np.uint8) for x in np.divmod(np.arange(q * q), q))
+    want = np.array([field.sub(int(x), int(y)) for x, y in zip(a, b)], dtype=np.uint8)
+    got = matrix.sub_data(field, a.reshape(q, q), b.reshape(q, q))
+    assert got.dtype == np.uint8 and np.array_equal(got, want.reshape(q, q))
+
+
+class _GatherLog(np.ndarray):
+    """A field table that logs the first index of each gather from it."""
+    keys = []
+
+    def __getitem__(self, key):
+        self.keys.append(key)
+        return np.asarray(super().__getitem__(key))
+
+
+@pytest.mark.parametrize("field", [F3, F4, F9, F25, F251, F256])
+def test_rref_takes_both_multiples_gathers(monkeypatch, field):
+    # Clearing k >= q rows gathers from the q multiples of the pivot row,
+    # t.mul[:, row]; fewer rows gather their own multiples, t.mul[f].
+    # Cases: (q + 6) x 12 of rank 3 (its first pivot clears >= q rows), the
+    # same shape sparse, and a few rows.
+    q = field.q
+    g = rng(11)
+    low = matmul_data(field, random_matrix(field, g, q + 6, 3).data,
+                      random_matrix(field, g, 3, 12).data)
+    sparse = random_matrix(field, g, q + 6, 12).data * (g.random((q + 6, 12)) < 0.1)
+    few = random_matrix(field, g, 3, 5).data
+    monkeypatch.setattr(_GatherLog, "keys", [])
+    monkeypatch.setattr(field.tables, "mul", field.tables.mul.view(_GatherLog))
+    for data in (low, sparse, few):
+        R, piv = rref_array(field, data)
+        want, want_piv = gauss_jordan_oracle(field, data)
+        assert piv == want_piv and np.array_equal(R, want)
+    table = sum(isinstance(k, tuple) and k[0] == slice(None) for k in _GatherLog.keys)
+    per_row = [k.size for k in _GatherLog.keys if isinstance(k, np.ndarray) and k.ndim == 1]
+    assert table >= 1 and per_row and max(per_row) < q
 
 
 def test_inverse_round_trip():
@@ -218,6 +256,17 @@ def test_singular_inverse_raises():
     for _ in range(2):
         with pytest.raises(SingularMatrixError):
             m.inverse()
+
+
+@pytest.mark.parametrize("field", [GF2, F9])
+def test_matrix_on_a_view_does_not_follow_its_base(field):
+    # The kept inverse would go stale if a write to the base reached the matrix.
+    base = np.eye(3, dtype=np.uint8)
+    m = DenseMatrix(field, base[:, :])
+    inv = m.inverse()
+    base[0, 1] = 1
+    assert np.array_equal(m.data, np.eye(3)) and m.inverse() is inv
+    assert m @ m.inverse() == DenseMatrix.identity(field, 3)
 
 
 @pytest.mark.parametrize("field", [GF2, F3, F251, F4, F9, F256])
