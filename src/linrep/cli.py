@@ -83,11 +83,11 @@ def emit(obj, out):
 
 
 def load_approx_map(args) -> tiling.FiniteApproxMap:
-    if getattr(args, "poly", None):
+    if args.poly:
         field = parse_field(args.field)
         inst = soficam.PolyInstance(field, args.poly)
         return soficam.poly_basis_map(inst, args.poly if args.imax is None else args.imax)
-    if getattr(args, "map", None):
+    if args.map:
         obj = load_object(args.map)
         return tiling.FiniteApproxMap.from_json(FieldSpec.from_json(obj["field"]), obj)
     raise InputError("need --map FILE or --poly M")
@@ -99,8 +99,13 @@ def load_f_data(args, m: tiling.FiniteApproxMap) -> tiling.FSubspaceData:
         finv = obj.get("finv", {})
         if not isinstance(finv, dict):
             raise InputError('"finv" must map basis indices to coordinates')
+        basis = codes_from_json(m.field, obj["basis"], m.i_max)
+        # dim F counts the rows, so a dependent basis would ask for orbits
+        # of a dimension that F cannot reach.
+        if Subspace(m.field, m.i_max, basis).dim < len(basis):
+            raise InputError("the F basis is linearly dependent")
         return tiling.FSubspaceData(
-            list(codes_from_json(m.field, obj["basis"], m.i_max)),
+            list(basis),
             {int(k): codes_from_json(m.field, [v], m.i_max)[0] for k, v in finv.items()})
     # Default F = span{1}.
     unit = np.zeros(m.i_max, dtype=np.uint8)
@@ -109,7 +114,7 @@ def load_f_data(args, m: tiling.FiniteApproxMap) -> tiling.FSubspaceData:
 
 
 def load_h(args, field, n) -> Subspace:
-    if getattr(args, "h", None):
+    if args.h:
         return Subspace.from_json(field, n, load_json(args.h))
     return Subspace.full(field, n)
 

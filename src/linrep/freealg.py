@@ -61,9 +61,6 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         return Word(reduce_letters(self.letters + other.letters))
 
-    def inverse(self) -> "Word":
-        return Word(tuple((i, -e) for (i, e) in reversed(self.letters)))
-
     def max_generator(self) -> int:
         return max((i for (i, _) in self.letters), default=0)
 
@@ -117,10 +114,6 @@ class AlgebraElement:
     def zero(cls, field, r):
         return cls(field, r, {})
 
-    @classmethod
-    def one(cls, field, r):
-        return cls(field, r, {Word.identity(): 1})
-
     def _check(self, other):
         if self.field != other.field or self.r != other.r:
             raise ValueError("algebra mismatch")
@@ -149,27 +142,6 @@ class AlgebraElement:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                s = self.field.add(out.get(w, 0), self.field.mul(c1, c2))
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return AlgebraElement(self.field, self.r, out)
-
-    def scale(self, c: int):
-        return AlgebraElement(self.field, self.r,
-                              {w: self.field.mul(k, c) for w, k in self.terms.items()})
-
-    @property
-    def length(self) -> int:
-        return max((w.length for w in self.terms), default=0)
 
     def __str__(self):
         if not self.terms:
@@ -210,22 +182,6 @@ class AlgebraMatrix:
         zero = AlgebraElement.zero(field, r)
         return cls(field, r, [[element if i == j else zero for j in range(n)]
                               for i in range(n)])
-
-    @property
-    def length(self) -> int:
-        return max((e.length for row in self.entries for e in row), default=0)
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraMatrix) and self.n == other.n
-                and self.entries == other.entries)
-
-    def to_json(self):
-        return [[str(e) for e in row] for row in self.entries]
-
-    @staticmethod
-    def from_json(field, r, obj):
-        return AlgebraMatrix(field, r, [[parse_element(s, field, r) for s in row]
-                                        for row in obj])
 
 
 # -- parsing --

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import fraction_from_json, fraction_to_json, json_typed, matmul_data
+from .matrix import (fraction_from_json, fraction_to_json, json_typed, matmul_data,
+                     open_unit_fraction)
 from .repseq import Representation
 from .subspace import (BudgetExceededError, Subspace, enumerate_subspaces,
                        gaussian_binomial, subspaces_independent)
@@ -36,20 +37,10 @@ class HyperfiniteWitness:
 
     @staticmethod
     def from_json(field, n, obj):
-        eps = _witness_epsilon(fraction_from_json(obj["epsilon"]))
+        eps = open_unit_fraction(fraction_from_json(obj["epsilon"]), "epsilon")
         tiles = [Subspace.from_json(field, n, rows)
                  for rows in json_typed(obj["tiles"], list, '"tiles"')]
         return HyperfiniteWitness(eps, json_typed(obj["K"], int, '"K"'), tiles)
-
-
-def _witness_epsilon(epsilon) -> Fraction:
-    """epsilon as a Fraction; a witness needs 0 < epsilon < 1.  At epsilon >= 1
-    no tiles at all cover (1 - epsilon) n, and at epsilon <= 0 no tile passes
-    witness_check."""
-    epsilon = Fraction(epsilon)
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon = {epsilon} must lie strictly between 0 and 1")
-    return epsilon
 
 
 @dataclass
@@ -152,12 +143,6 @@ def expander_check(rep: Representation, alpha: Fraction, cap: int = ENUM_CAP) ->
     return cheeger_exact(rep, cap).min_ratio >= 1 + Fraction(alpha)
 
 
-def orbit_closure(rep: Representation, vec, max_dim: int) -> Subspace | None:
-    """Smallest invariant subspace containing vec, or None past max_dim."""
-    chain, closed = _chain(rep, vec, max_dim)
-    return chain[-1][0] if closed else None
-
-
 def _chain(rep: Representation, vec, max_dim: int):
     """span(vec) < grow(span(vec)) < ... while dim <= max_dim, each member
     paired with its growth; True when the last member is invariant."""
@@ -180,7 +165,7 @@ def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
     then greedy acceptance of almost-invariant tiles that stay independent
     of what has been accepted already.
     """
-    epsilon = _witness_epsilon(epsilon)
+    epsilon = open_unit_fraction(epsilon, "epsilon")
     n = rep.n
     rng = np.random.Generator(np.random.Philox(seed))
     tiles = []
@@ -219,14 +204,13 @@ def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
 
 def epsilon_for_delta(delta: Fraction) -> Fraction:
     """Smallest workable epsilon for a tiling parameter delta:
-    needs (1-delta)^2 > 1-eps and (1-delta)^(-1) <= 1+eps.
+    needs (1-delta)^2 > 1-eps and (1-delta)^(-1) <= 1+eps.  Every delta >= 1/2
+    needs eps >= 1, which no witness has, and raises ValueError.
     """
-    delta = Fraction(delta)
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
+    delta = open_unit_fraction(delta, "delta")
     lower = max(1 - (1 - delta) ** 2, 1 / (1 - delta) - 1)
     # Strict inequality in the first bound: nudge upward.
-    return lower + Fraction(1, 1 + lower.denominator * 4)
+    return open_unit_fraction(lower + Fraction(1, 1 + lower.denominator * 4), "epsilon")
 
 
 def witness_from_tiling(rep: Representation, approx: FiniteApproxMap,
@@ -235,8 +219,9 @@ def witness_from_tiling(rep: Representation, approx: FiniteApproxMap,
     """Tiles V_x = phi(F_1)(x) for each certified center x.
 
     F_1 must sit inside F; acceptance is decided separately by
-    witness_check, never here.
+    witness_check, never here.  An epsilon outside (0, 1) raises ValueError.
     """
+    epsilon = open_unit_fraction(epsilon, "epsilon")
     f_space = Subspace(approx.field, approx.i_max, f_basis)
     if not f_space.contains(Subspace(approx.field, approx.i_max, f1_basis)):
         raise ValueError("F_1 is not contained in F")
@@ -246,4 +231,4 @@ def witness_from_tiling(rep: Representation, approx: FiniteApproxMap,
                 for coords in f1_basis]
         tiles.append(Subspace(approx.field, approx.n,
                               np.array(vecs, dtype=np.uint8)))
-    return HyperfiniteWitness(Fraction(epsilon), cert.dim_f, tiles)
+    return HyperfiniteWitness(epsilon, cert.dim_f, tiles)

@@ -55,17 +55,8 @@ class DenseMatrix:
     # -- constructors --
 
     @classmethod
-    def zeros(cls, field, rows, cols=None):
-        cols = rows if cols is None else cols
-        return cls(field, np.zeros((rows, cols), dtype=np.uint8))
-
-    @classmethod
     def identity(cls, field, n):
         return cls(field, np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        return cls(field, np.array(rows, dtype=np.uint8).reshape(len(rows), -1))
 
     # -- basic protocol --
 
@@ -103,9 +94,6 @@ class DenseMatrix:
         self._check_same(other)
         return DenseMatrix(self.field, sub_data(self.field, self.data, other.data))
 
-    def __neg__(self):
-        return DenseMatrix(self.field, sub_data(self.field, np.zeros_like(self.data), self.data))
-
     def __matmul__(self, other):
         self._check_same(other)
         if self.cols != other.rows:
@@ -129,11 +117,6 @@ class DenseMatrix:
 
     def rank(self) -> int:
         return len(self.rref()[1])
-
-    def normalized_rank(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("normalized rank needs a square matrix")
-        return Fraction(self.rank(), self.rows)
 
     def inverse(self):
         """A^-1, the right half of rref([A | I]).  A is invertible iff the pivots
@@ -201,6 +184,18 @@ def fraction_from_json(obj) -> Fraction:
             and type(obj.get("den")) is int and obj["den"] != 0):
         raise ValueError('expected a rational {"num": int, "den": nonzero int}')
     return Fraction(obj["num"], obj["den"])
+
+
+def open_unit_fraction(x, name: str) -> Fraction:
+    """x as a Fraction, which must lie strictly between 0 and 1: the range of
+    the tiling parameter delta, outside which the coverage bound (1 - delta) n
+    is vacuous or unmeetable, and of a witness's epsilon, since at epsilon >= 1
+    no tiles at all cover (1 - epsilon) n and at epsilon <= 0 no tile passes
+    witness_check."""
+    x = Fraction(x)
+    if not 0 < x < 1:
+        raise ValueError(f"{name} = {x} must lie strictly between 0 and 1")
+    return x
 
 
 def matmul_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:

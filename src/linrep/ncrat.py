@@ -130,10 +130,6 @@ def _eval(expr, mats, field, n, path):
     raise TypeError(f"not a rational expression node: {expr!r}")
 
 
-def in_domain(expr, matrices) -> bool:
-    return evaluate(expr, matrices).ok
-
-
 # -- equivalence sampling --
 
 @dataclass

@@ -5,8 +5,8 @@ algebra matrices are evaluated blockwise, and normalized ranks are exact
 Fractions rank/n_k.  A word is evaluated along its prefixes with only the
 products it needs: its first letter is the generator (or inverse) itself,
 and a permutation generator, the identity included, acts as a column
-gather and is inverted by its transpose, so the cyclic and abelian
-families run no matrix product and no elimination per letter.
+gather and is inverted by its transpose, so the cyclic family runs no
+matrix product and no elimination per letter.
 """
 
 from __future__ import annotations
@@ -163,15 +163,6 @@ def atiyah_check(profile: RankProfile, tail_window: int, tol: Fraction) -> Atiya
     return AtiyahReport(limit, oscillation, nearest, integral, Fraction(tol))
 
 
-def rank_profile(reps, a: AlgebraMatrix) -> RankProfile:
-    """Profile of A over an iterable of (k, Representation)."""
-    profile = RankProfile()
-    for k, rep in reps:
-        m = apply_matrix(rep, a)
-        profile.add(k, rep.n, m.rank())
-    return profile
-
-
 def repair_to_invertible(m: DenseMatrix) -> DenseMatrix:
     """Closest invertible matrix in rank distance.
 
@@ -213,16 +204,8 @@ class FamilyDescriptor:
         return FamilyDescriptor("cyclic_regular", (r,))
 
     @staticmethod
-    def abelian_quotient(moduli):
-        return FamilyDescriptor("abelian_quotient", tuple(moduli))
-
-    @staticmethod
     def random_invertible(seed: int, n: int, r: int):
         return FamilyDescriptor("random_invertible", (seed, n, r))
-
-    @staticmethod
-    def block_diagonal(blocks):
-        return FamilyDescriptor("block_diagonal", tuple(blocks))
 
 
 def _inverse_permutation(data):
@@ -251,39 +234,8 @@ def family_generate(spec: FamilyDescriptor, k: int, field: FieldSpec) -> Represe
         (r,) = spec.params or (1,)
         shift = _perm_matrix(field, (np.arange(k) + 1) % k)
         return Representation(field, [shift] + [DenseMatrix.identity(field, k)] * (r - 1))
-    if spec.kind == "abelian_quotient":
-        # Z/m_1 x ... x Z/m_s acting on itself: index idx, with mixed-radix digits
-        # d_1 (least significant) .. d_s, sits at grid[d_s, ..., d_1]; generator
-        # `axis` adds 1 mod m_axis to its digit, a roll along that grid axis.
-        moduli = spec.params
-        grid = np.arange(int(np.prod(moduli))).reshape(moduli[::-1])
-        return Representation(field, [
-            _perm_matrix(field, np.roll(grid, -1, axis=len(moduli) - 1 - axis).ravel())
-            for axis in range(len(moduli))])
     if spec.kind == "random_invertible":
         seed, n, r = spec.params
         rng = np.random.Generator(np.random.Philox(seed))
         return Representation(field, [random_invertible(field, rng, n) for _ in range(r)])
-    if spec.kind == "block_diagonal":
-        subreps = [family_generate(sub, k, field) for sub in spec.params]
-        r = subreps[0].r
-        if any(s.r != r for s in subreps):
-            raise ValueError("all blocks need the same generator count")
-        gens = []
-        for i in range(r):
-            total = sum(s.n for s in subreps)
-            data = np.zeros((total, total), dtype=np.uint8)
-            off = 0
-            for s in subreps:
-                data[off:off + s.n, off:off + s.n] = s.generators[i].data
-                off += s.n
-            gens.append(DenseMatrix(field, data))
-        return Representation(field, gens)
     raise ValueError(f"unknown family {spec.kind!r}")
-
-
-def rank_distance(a: DenseMatrix, b: DenseMatrix) -> Fraction:
-    """d(A, B) = rank(A - B)/n, the rank metric on n x n matrices."""
-    if a.rows != b.rows or a.cols != b.cols or a.rows != a.cols:
-        raise ValueError("need square matrices of equal size")
-    return Fraction((a - b).rank(), a.rows)

@@ -18,7 +18,7 @@ from .field import FieldSpec
 from .freealg import Word
 from .matrix import DenseMatrix, fraction_to_json, matmul_data
 from .repseq import Representation
-from .subspace import Subspace, projection_onto
+from .subspace import Subspace
 from .tiling import FiniteApproxMap, MissingProductError, is_good_map
 
 
@@ -86,23 +86,6 @@ def folner_pair(instance: PolyInstance, elements, delta: Fraction):
         raise InfeasibleParametersError(
             f"needs degree window {m_prime}, instance caps at {instance.m}")
     return instance.degree_subspace(m_prime - d), instance.degree_subspace(m_prime)
-
-
-def truncation_map(instance: PolyInstance, v: Subspace, w: Subspace, poly) -> DenseMatrix:
-    """Matrix of P o M_poly as an endomorphism of V (in V's basis).
-
-    P projects onto V along W; coordinates of the product above the ambient
-    cap are cut by definition of the instance.  V + W must span the ambient.
-    In V's canonical echelon basis, coordinates are the entries on the pivots.
-    """
-    d = instance.coeffs(poly)
-    if v.ambient != instance.m or w.ambient != instance.m:
-        raise ValueError("subspaces must live in the instance ambient")
-    p = projection_onto(v, w)
-    prods = np.array([instance.multiply(row, d)[: instance.m] for row in v.basis],
-                     dtype=np.uint8).reshape(v.dim, instance.m)
-    return DenseMatrix(instance.field,
-                       matmul_data(instance.field, p.data, prods.T)[list(v.pivots)])
 
 
 def poly_basis_map(instance: PolyInstance, i_max: int) -> FiniteApproxMap:

@@ -6,8 +6,8 @@ arrays, so equality and hashing are structural and O(1)-ish.
 Each basis row is 1 on its own pivot column and 0 on the other pivots, so
 the residual rows - rows[:, pivots] . basis is zero exactly on the rows
 inside the subspace; membership and sums reduce against it.  Annihilators
-are read off the basis without elimination; kernels, and through them
-intersections, come from Subspace.kernel_of(field, n, rows) = {x : rows . x = 0}.
+are read off the basis without elimination; kernels come from
+Subspace.kernel_of(field, n, rows) = {x : rows . x = 0}.
 """
 
 from __future__ import annotations
@@ -113,11 +113,6 @@ class Subspace:
         if not np.any(res):
             return self
         return Subspace(self.field, self.ambient, np.concatenate([self.basis, res], axis=0))
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        ann = np.concatenate([self.annihilator(), other.annihilator()], axis=0)
-        return Subspace.kernel_of(self.field, self.ambient, ann)
 
     def annihilator(self) -> np.ndarray:
         """Rows a with a . x = 0 for every x here, spanning all such functionals;

@@ -19,7 +19,7 @@ import numpy as np
 
 from .field import FieldSpec
 from .matrix import (DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json,
-                     json_typed, matmul_data)
+                     json_typed, matmul_data, open_unit_fraction)
 from .subspace import AmbientMismatchError, Subspace, subspaces_independent
 
 
@@ -159,21 +159,13 @@ class TilingCertificate:
                  for rows in json_typed(obj["tiles"], list, '"tiles"')]
         return TilingCertificate(
             i=json_typed(obj["i"], int, '"i"'),
-            delta=_tiling_delta(fraction_from_json(obj["delta"])),
+            delta=open_unit_fraction(fraction_from_json(obj["delta"]), "delta"),
             dim_f=json_typed(obj["dim_f"], int, '"dim_f"'),
             centers=list(codes_from_json(field, obj["centers"], n)),
             tiles=tiles,
             h_basis=codes_from_json(field, obj["h_basis"], n).tolist(),
             coverage=json_typed(obj["coverage"], int, '"coverage"'),
             partial=json_typed(obj.get("partial", False), bool, '"partial"'))
-
-
-def _tiling_delta(delta) -> Fraction:
-    """delta as a Fraction; the tiling theorem needs 0 < delta < 1."""
-    delta = Fraction(delta)
-    if not 0 < delta < 1:
-        raise ValueError(f"delta = {delta} must lie strictly between 0 and 1")
-    return delta
 
 
 def good_subspace(m: FiniteApproxMap, i: int) -> Subspace:
@@ -212,11 +204,6 @@ def _images(m: FiniteApproxMap, f: FSubspaceData, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.uint8).reshape(len(xs), m.n)
     stacked = np.concatenate([m.phi_of(coords).data for coords in f.basis])
     return matmul_data(m.field, xs, stacked.T).reshape(len(xs), f.dim, m.n)
-
-
-def orbit_of(m: FiniteApproxMap, f: FSubspaceData, x) -> Subspace:
-    """phi(F)(x), the tile spanned by the images of x under the F-basis."""
-    return Subspace(m.field, m.n, _images(m, f, [x])[0])
 
 
 def is_center(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int, x,
@@ -317,7 +304,7 @@ def greedy_tiling(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
     If the precondition report is all-true, the theorem's coverage bound
     (1 - delta) n is asserted.  A delta outside (0, 1) raises ValueError.
     """
-    delta = _tiling_delta(delta)
+    delta = open_unit_fraction(delta, "delta")
     good = good_subspace(m, i)
     a_space = candidate_space(m, f, h, i, good=good)
     report = _preconditions(m, f, h, i, delta, good, a_space)

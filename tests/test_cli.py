@@ -261,6 +261,14 @@ _REP = {"field": {"p": 2}, "generators": [[[1, 0], [0, 1]]]}
 _REP_1 = {"field": {"p": 2}, "generators": [[[1]]]}
 _WITNESS = {"epsilon": {"num": 1, "den": 2}, "K": 1, "tiles": []}
 _CERT_DELTA = dict(_CERT, delta={"num": 1, "den": 4})
+# F files on the degree-<8 basis whose rows are linearly dependent.
+_E8 = [[int(i == j) for j in range(8)] for i in range(3)]
+_F_DEPENDENT = {
+    "twice-1": {"basis": [_E8[0], _E8[0]], "finv": {"0": _E8[0], "1": _E8[0]}},
+    "1-x-1+x": {"basis": [_E8[0], _E8[1], [1, 1, 0, 0, 0, 0, 0, 0]],
+                "finv": {"0": _E8[0], "1": _E8[1], "2": [1, 1, 0, 0, 0, 0, 0, 0]}},
+}
+_TILE_DEPENDENT = ["--poly", "64", "--imax", "8", "--i", "2", "--delta", "1/4", "--f", "{f}"]
 # Cases whose detail text is pinned: it names the missing key or the real bound.
 _DETAILS = {
     "sofic-basis-size-3-levels-4": "--basis-size must lie in 1..2 for these --poly-levels",
@@ -270,6 +278,8 @@ _DETAILS = {
     "arg-imax-0": "phi needs at least the image of the unit",
     "arg-ext-deg-0": "extension degree 0 must be at least 1",
     "rep-field-p-float": 'expected "p" to be a JSON int',
+    **{f"{cmd}-f-{name}": "the F basis is linearly dependent"
+       for cmd in ("tile", "verify") for name in _F_DEPENDENT},
 }
 
 
@@ -409,6 +419,14 @@ _DETAILS = {
                  {"c": json.dumps(dict(_CERT_DELTA, partial="no"))}, id="cert-partial-str"),
     pytest.param(["tile-verify", "--poly", "8", "--cert", "{c}"],
                  {"c": json.dumps(dict(_CERT_DELTA, h_basis=3))}, id="cert-h-basis-int"),
+    # A dependent F basis: dim F counts its rows, a dimension no orbit reaches.
+    *(pytest.param(["tile", *_TILE_DEPENDENT], {"f": json.dumps(f)}, id=f"tile-f-{name}")
+      for name, f in _F_DEPENDENT.items()),
+    *(pytest.param(["tile-verify", *_TILE_DEPENDENT, "--cert", "{c}"],
+                   {"f": json.dumps(f),
+                    "c": json.dumps(dict(_CERT_DELTA, i=2, dim_f=len(f["basis"])))},
+                   id=f"verify-f-{name}")
+      for name, f in _F_DEPENDENT.items()),
     # Field values that FieldSpec.from_json once converted instead of checking.
     *(pytest.param(["cheeger", "--rep", "{r}"], {"r": json.dumps(dict(_REP, field=field))},
                    id=f"rep-field-{name}")

@@ -9,8 +9,7 @@ from linrep import hyperfin
 from linrep.field import GF2, FieldSpec
 from linrep.hyperfin import (HyperfiniteWitness, cheeger_exact, cheeger_random,
                              epsilon_for_delta, expander_check, grow,
-                             orbit_closure, witness_check, witness_from_tiling,
-                             witness_search)
+                             witness_check, witness_from_tiling, witness_search)
 from linrep.matrix import DenseMatrix, matmul_data, random_invertible
 from linrep.repseq import (FamilyDescriptor, Representation, family_generate,
                            repair_to_invertible)
@@ -95,8 +94,8 @@ def test_witness_check_rejects_each_violated_condition():
 
 def test_witness_growth_inequality_is_strict():
     # A tile growing by exactly (1 + eps) must be rejected.
-    shift = DenseMatrix.from_rows(GF2, [[0, 0, 0, 1], [1, 0, 0, 0],
-                                        [0, 1, 0, 0], [0, 0, 1, 0]])
+    shift = DenseMatrix(GF2, [[0, 0, 0, 1], [1, 0, 0, 0],
+                              [0, 1, 0, 0], [0, 0, 1, 0]])
     rep = Representation(GF2, [shift])
     eye = np.eye(4, dtype=np.uint8)
     line = Subspace(GF2, 4, eye[0:1])  # grows to dim 2 = (1 + 1) * 1
@@ -192,15 +191,6 @@ def test_expander_check_thresholds():
     assert not expander_check(rep, c)  # strict margin fails: needs >= 1 + alpha
 
 
-def test_orbit_closure_finds_block():
-    rep = block_rep(GF2, [3, 4], seed=9)
-    eye = np.eye(7, dtype=np.uint8)
-    s = orbit_closure(rep, eye[0], max_dim=3)
-    assert s is not None and s.dim <= 3
-    assert grow(rep, s) == s
-    assert orbit_closure(rep, eye[0], max_dim=0) is None
-
-
 def test_witness_search_on_block_fixture():
     sizes = [3, 5, 2, 4, 2]
     rep = block_rep(GF2, sizes, seed=10)
@@ -223,7 +213,7 @@ def test_witness_search_almost_invariant_fallback_is_pinned(q):
     # No seed vector has an invariant closure of dimension <= 3 here, so
     # every tile comes from the almost-invariant fallback (span(v), grow(span(v)), ...).
     rep = family_generate(FamilyDescriptor.random_invertible(0, 8, 1), 8, FieldSpec(q))
-    assert all(orbit_closure(rep, v, 3) is None for v in np.eye(8, dtype=np.uint8))
+    assert not any(hyperfin._chain(rep, v, 3)[1] for v in np.eye(8, dtype=np.uint8))
     w = witness_search(rep, Fraction(1, 2), 3, budget=60)
     assert w is not None
     assert w.to_json() == {"epsilon": {"num": 1, "den": 2}, "K": 3, "tiles": _FALLBACK_TILES[q]}
@@ -245,11 +235,21 @@ def test_witness_search_returns_none_when_hopeless():
 
 
 def test_epsilon_for_delta_satisfies_both_inequalities():
-    for num, den in ((1, 4), (1, 10), (1, 2), (3, 7)):
+    for num, den in ((1, 4), (1, 10), (3, 7), (49, 100)):
         delta = Fraction(num, den)
         eps = epsilon_for_delta(delta)
+        assert eps < 1
         assert (1 - delta) ** 2 > 1 - eps
         assert 1 / (1 - delta) <= 1 + eps
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(7, 10), Fraction(0), Fraction(1)],
+                         ids=["1/2", "7/10", "0", "1"])
+def test_epsilon_for_delta_rejects_what_no_witness_meets(delta):
+    # From delta = 1/2 on, the inequalities need eps >= 1 (6/5 at 1/2), which
+    # makes the witness coverage bound vacuous.
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        epsilon_for_delta(delta)
 
 
 def test_witness_from_tiling_pipeline():
@@ -265,6 +265,9 @@ def test_witness_from_tiling_pipeline():
     assert witness_check(rep, w)
     with pytest.raises(ValueError):
         witness_from_tiling(rep, m, cert, [eye[0]], [eye[5]], Fraction(1, 2))
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        witness_from_tiling(rep, m, cert, [eye[j] for j in range(4)],
+                            [eye[j] for j in range(3)], Fraction(6, 5))
 
 
 def test_witness_json_round_trip():

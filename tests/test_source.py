@@ -46,3 +46,62 @@ def test_only_matrix_and_field_touch_the_field_tables():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "tables"]
     assert found == []
+
+
+# Public names that nothing in the package calls yet, kept on purpose: the
+# bridge from a tiling to a hyperfiniteness witness (ROADMAP item 1), the
+# scalar reference oracles the kernel tests compare against, and the
+# console-script entry point named in pyproject.toml.
+_UNCALLED_ON_PURPOSE = {
+    "hyperfin.witness_from_tiling", "hyperfin.epsilon_for_delta",
+    "soficam.approx_extension_check",
+    "field.FieldSpec.sub", "field.FieldSpec.mul", "field.FieldSpec.inv",
+    "subspace.Subspace.vectors", "soficam.PolyInstance.multiply",
+    "cli.entrypoint",
+}
+
+
+def _names_used(tree):
+    """(name, ids of the enclosing defs) for every Name, attribute and import alias."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {id(node)}
+        if isinstance(node, ast.Name):
+            found.append((node.id, inside))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, inside))
+        elif isinstance(node, ast.alias):
+            found.append((node.name, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_public_function_is_reached():
+    # A public function or method must be named somewhere in the package
+    # outside its own def (the __init__ re-exports do not count), be used
+    # by the acceptance suite, or be listed above.  Names are matched
+    # without their class, so this catches a dead function, not every
+    # dead method whose name another one shares.
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    used = [u for tree in trees.values() for u in _names_used(tree)]
+    acceptance = Path(__file__).parent / "test_acceptance.py"
+    accepted = {name for name, _ in _names_used(ast.parse(acceptance.read_text()))}
+    defs = {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{mod}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef):
+                defs.update((f"{mod}.{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef))
+    assert _UNCALLED_ON_PURPOSE <= set(defs)
+    dead = [qual for qual, node in defs.items()
+            if not node.name.startswith("_") and qual not in _UNCALLED_ON_PURPOSE
+            and node.name not in accepted
+            and not any(name == node.name and id(node) not in inside for name, inside in used)]
+    assert dead == []
