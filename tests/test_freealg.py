@@ -31,6 +31,14 @@ def test_word_multiplication_associative(a, b, c):
     assert (u * v) * w == u * (v * w)
 
 
+@given(letters)
+def test_inverse_cancels(ls):
+    w = Word.from_letters(ls)
+    inverse = Word(tuple((i, -e) for i, e in reversed(w.letters)))
+    assert w * inverse == Word.identity()
+    assert inverse * w == Word.identity()
+
+
 def test_word_rejects_unreduced_input():
     with pytest.raises(ValueError):
         Word(((1, 1), (1, -1)))
@@ -42,7 +50,7 @@ def test_word_str_compresses_runs():
     assert str(Word.identity()) == "e"
 
 
-def test_algebra_additive_identities():
+def test_algebra_ring_identities():
     a = parse_element("g1 + g2", F3, 2)
     b = parse_element("2*g1^-1 + e", F3, 2)
     c = parse_element("g1*g2 - g2*g1", F3, 2)

@@ -191,6 +191,18 @@ def test_expander_check_thresholds():
     assert not expander_check(rep, c)  # strict margin fails: needs >= 1 + alpha
 
 
+def test_orbit_closure_finds_block():
+    # witness_search takes an invariant tile from the chain span(v) <
+    # grow(span(v)) < ... when it closes within the dimension bound.
+    rep = block_rep(GF2, [3, 4], seed=9)
+    eye = np.eye(7, dtype=np.uint8)
+    chain, closed = hyperfin._chain(rep, eye[0], 3)
+    s = chain[-1][0]
+    assert closed and s.dim <= 3
+    assert grow(rep, s) == s
+    assert hyperfin._chain(rep, eye[0], 0) == ([], False)
+
+
 def test_witness_search_on_block_fixture():
     sizes = [3, 5, 2, 4, 2]
     rep = block_rep(GF2, sizes, seed=10)

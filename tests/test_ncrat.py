@@ -87,7 +87,7 @@ def test_failure_path_points_at_inner_inverse():
     assert not res.ok and res.failure_path == (0, 0)
 
 
-def test_domain_and_const_range():
+def test_in_domain_and_const_range():
     assert evaluate(parse_ratexpr("inv(z1)"), [DenseMatrix.identity(GF2, 2)]).ok
     with pytest.raises(ValueError):
         evaluate(Const(5), [DenseMatrix.identity(GF2, 2)])

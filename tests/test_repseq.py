@@ -8,7 +8,7 @@ import pytest
 from linrep import matrix, repseq
 from linrep.field import GF2, FieldSpec
 from linrep.freealg import AlgebraElement, AlgebraMatrix, Word, parse_element
-from linrep.matrix import DenseMatrix, random_invertible
+from linrep.matrix import DenseMatrix, random_invertible, random_matrix
 from linrep.repseq import (FamilyDescriptor, RankProfile, Representation,
                            _perm_matrix, apply_matrix, atiyah_check,
                            family_generate, normalized_rank, repair_to_invertible)
@@ -265,6 +265,17 @@ def test_atiyah_needs_enough_entries():
         atiyah_check(prof, 8, Fraction(1, 32))
 
 
+def test_rank_profile_collects_in_order():
+    # The ranks the profile command writes, one (k, n_k, rank) entry per k.
+    a = AlgebraMatrix.scalar(GF2, 1, 1, parse_element("g1 - e", GF2, 1))
+    prof = RankProfile()
+    for k in (2, 3, 4):
+        rep = family_generate(FamilyDescriptor.cyclic_regular(1), k, GF2)
+        prof.add(k, rep.n, apply_matrix(rep, a).rank())
+    assert prof.entries == [(2, 2, 1), (3, 3, 2), (4, 4, 3)]
+    assert prof.values() == [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
+
+
 def test_repair_identity_on_invertible():
     g = rng(3)
     m = random_invertible(F3, g, 4)
@@ -290,6 +301,19 @@ def test_repair_minimality_exhaustive_2x2_gf2():
         dist = (r - m).rank()
         best = min((n - m).rank() for n in invertibles)
         assert dist == best == m.rows - m.rank()
+
+
+def test_rank_distance_is_a_metric_sample():
+    # rk(A - B), the distance the repair minimises.
+    def dist(a, b):
+        return (a - b).rank()
+
+    g = rng(4)
+    for _ in range(50):
+        a, b, c = (random_matrix(GF2, g, 4) for _ in range(3))
+        assert dist(a, a) == 0
+        assert dist(a, b) == dist(b, a)
+        assert dist(a, c) <= dist(a, b) + dist(b, c)
 
 
 def test_json_round_trip():

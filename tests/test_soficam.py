@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from linrep.field import GF2, FieldSpec
-from linrep.matrix import DenseMatrix
+from linrep.matrix import DenseMatrix, random_invertible, random_matrix, sub_data
 from linrep.repseq import Representation
 from linrep.soficam import (ExtensionReport, InfeasibleParametersError,
                             PolyInstance, SoficData, approx_extension_check,
                             folner_pair, poly_basis_map, sofic_check)
+from linrep.subspace import Subspace, projection_onto
 from linrep.tiling import FiniteApproxMap, MissingProductError
 
 F3 = FieldSpec(3)
@@ -39,6 +40,48 @@ def test_poly_multiply_matches_convolution():
     got = inst.multiply(a, b)
     # (1 + 2x + x^3)(2 + x) = 2 + 5x + 2x^2 + 2x^3 + x^4, coefficients mod 3.
     assert got.tolist() == [2, 2, 2, 2, 1]
+
+
+# The truncation map of a polynomial on V along W is multiplication by it
+# followed by the projection onto V along W.
+
+def test_truncation_map_is_multiplication_then_projection():
+    inst = PolyInstance(GF2, 6)
+    v = inst.degree_subspace(4)
+    w = Subspace(GF2, 6, np.eye(6, dtype=np.uint8)[4:])
+    x = np.array([0, 1], dtype=np.uint8)  # the polynomial x
+    p = projection_onto(v, w)
+    # On span{1..x^3}: multiply by x, chop degree >= 4.
+    one, cube = np.eye(6, dtype=np.uint8)[[0, 3]]
+    assert p.apply(inst.multiply(one, x)[:6]).tolist() == [0, 1, 0, 0, 0, 0]
+    assert p.apply(inst.multiply(cube, x)[:6]).tolist() == [0] * 6
+
+
+@pytest.mark.parametrize("field", [GF2, F3, FieldSpec(2, 2)], ids=["q2", "q3", "q4"])
+def test_truncation_map_on_random_complementary_pairs(field):
+    # P(x) is the one vector of V with x - P(x) in W, for x = poly times
+    # each basis row of V.
+    g = np.random.Generator(np.random.Philox(3))
+    for m in (1, 2, 4, 6):
+        inst = PolyInstance(field, m)
+        for _ in range(6):
+            b = random_invertible(field, g, m).data
+            k = int(g.integers(0, m + 1))
+            v, w = Subspace(field, m, b[:k]), Subspace(field, m, b[k:])
+            poly = random_matrix(field, g, 1, int(g.integers(1, m + 1))).data[0]
+            p = projection_onto(v, w)
+            for row in v.basis:
+                x = inst.multiply(row, poly)[:m]
+                image = p.apply(x)
+                assert v.contains_vector(image)
+                assert w.contains_vector(sub_data(field, x, image))
+
+
+def test_truncation_map_needs_complementary_pair():
+    inst = PolyInstance(GF2, 6)
+    v = inst.degree_subspace(4)
+    with pytest.raises(ValueError):
+        projection_onto(v, v)
 
 
 @pytest.mark.parametrize("field", [GF2, F3, FieldSpec(2, 2)], ids=["q2", "q3", "q4"])

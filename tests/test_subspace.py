@@ -26,7 +26,7 @@ def test_canonical_equality_ignores_basis_choice():
     assert a == b and hash(a) == hash(b)
 
 
-def test_sum_dimension_matches_brute_force_intersection():
+def test_intersection_matches_brute_force():
     g = rng(1)
     for field in (GF2, F3, FieldSpec(2, 2), FieldSpec(3, 2)):
         pairs = [(random_subspace(field, g, 4, 2), random_subspace(field, g, 4, 2))

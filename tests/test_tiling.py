@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from linrep import tiling
 from linrep.field import GF2, FieldSpec
 from linrep.matrix import DenseMatrix, matmul_data
 from linrep.repseq import repair_to_invertible
@@ -197,6 +198,14 @@ def test_missing_finv_blocks_inverse_precondition():
     f = FSubspaceData([e0], {})  # no inverse data supplied
     report = precondition_check(m, f, Subspace.full(GF2, 16), 4, Fraction(1, 4))
     assert not report.inverses_in_span
+
+
+def test_orbit_of_unit_f_is_the_line():
+    inst = PolyInstance(GF2, 8)
+    m = poly_basis_map(inst, 8)
+    x = np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=np.uint8)
+    orbit = Subspace(GF2, 8, tiling._images(m, unit_f(8), [x])[0])
+    assert orbit.dim == 1 and orbit.contains_vector(x)
 
 
 # (q, dim F, i) -> (dim G, dim A, coverage, sha256 prefix of the JSON of G, A,
