@@ -100,10 +100,7 @@ def load_f_data(args, m: tiling.FiniteApproxMap) -> tiling.FSubspaceData:
         if not isinstance(finv, dict):
             raise InputError('"finv" must map basis indices to coordinates')
         basis = codes_from_json(m.field, obj["basis"], m.i_max)
-        # dim F counts the rows, so a dependent basis would ask for orbits
-        # of a dimension that F cannot reach.
-        if Subspace(m.field, m.i_max, basis).dim < len(basis):
-            raise InputError("the F basis is linearly dependent")
+        tiling._require_independent(m.field, basis)
         return tiling.FSubspaceData(
             list(basis),
             {int(k): codes_from_json(m.field, [v], m.i_max)[0] for k, v in finv.items()})
@@ -133,19 +130,10 @@ def cmd_profile(args, out):
     ks = parse_range(args.k)
     elem = parse_element(args.element, field, args.r)
     a = AlgebraMatrix.scalar(field, args.r, 1, elem)
-    if args.family == "cyclic":
-        desc = repseq.FamilyDescriptor.cyclic_regular(args.r)
-    elif args.family == "random":
-        desc = None
-    else:
-        raise InputError(f"unknown family {args.family!r}")
-
     for k in sorted(ks):   # a comma list may be unordered; output is ordered by k
-        if desc is not None:
-            rep = repseq.family_generate(desc, k, field)
-        else:
-            rep = repseq.family_generate(
-                repseq.FamilyDescriptor.random_invertible(args.seed + k, k, args.r), k, field)
+        desc = (repseq.FamilyDescriptor.cyclic_regular(args.r) if args.family == "cyclic"
+                else repseq.FamilyDescriptor.random_invertible(args.seed + k, k, args.r))
+        rep = repseq.family_generate(desc, k, field)
         rank = repseq.apply_matrix(rep, a).rank()
         frac = Fraction(rank, rep.n)
         out.write(f"{k},{rep.n},{rank},{frac.numerator},{frac.denominator}\n")

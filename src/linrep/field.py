@@ -3,7 +3,11 @@
 An element of GF(p^d) is stored as a single integer in [0, q): the
 coefficient vector of the element in the power basis, packed base p with
 the least-significant coefficient first.  All arithmetic is table-driven
-so that bulk matrix operations can run as numpy fancy indexing.
+so that bulk matrix operations can run as numpy fancy indexing.  Every
+table comes from two digit planes, the coefficients of each element c
+and of each x^i * c: digit j of a * b is the sum over i of
+digit_i(b) * digit_j(x^i a) mod p, the identity matrix.matmul_data
+multiplies odd-extension matrices by.
 """
 
 from __future__ import annotations
@@ -32,36 +36,23 @@ def _is_prime(p: int) -> bool:
 
 
 def _poly_mod(a, m, p):
+    """Remainder of a modulo the monic m over GF(p), constant terms first."""
     a = list(a)
     dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p) if p > 2 else m[-1]
-    while len(a) - 1 >= dm and any(a):
-        shift = len(a) - 1 - dm
-        factor = (a[-1] * inv_lead) % p
+    for top in range(len(a) - 1, dm - 1, -1):
+        factor = a[top]
         for i, c in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return a
+            a[top - dm + i] = (a[top - dm + i] - factor * c) % p
+    return a[:dm]
 
 
 def _is_irreducible(poly, p):
     """Trial division by all monic polynomials of degree <= deg/2."""
-    deg = len(poly) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        # All monic polynomials of degree d over GF(p).
-        for code in range(p**d):
-            divisor = [(code // p**i) % p for i in range(d)] + [1]
-            if _poly_divides(divisor, poly, p):
+    for d in range(1, (len(poly) - 1) // 2 + 1):
+        for code in range(p**d):    # all monic polynomials of degree d
+            if not any(_poly_mod(poly, [(code // p**i) % p for i in range(d)] + [1], p)):
                 return False
     return True
-
-
-def _poly_divides(d, a, p):
-    rem = _poly_mod(a, d, p)
-    return rem == [0]
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +127,7 @@ class FieldSpec:
         return int(self.tables.add[a, b])
 
     def sub(self, a: int, b: int) -> int:
-        return int(self.tables.add[a, self.tables.neg[b]])
+        return int(self.tables.sub[a, b])
 
     def mul(self, a: int, b: int) -> int:
         return int(self.tables.mul[a, b])
@@ -151,59 +142,37 @@ class FieldSpec:
 
 
 class FieldTables:
-    """Dense q-by-q operation tables for one FieldSpec."""
+    """Dense q-by-q operation tables for one FieldSpec, built from its digit planes.
+
+    digits[c, i] is the i-th base-p coefficient of code c, and xdigits[c, i, j]
+    the j-th coefficient of x^i * element(c); matrix.matmul_data multiplies
+    with the same two arrays.
+    """
 
     def __init__(self, spec: FieldSpec):
         p, deg, q = spec.p, spec.deg, spec.q
-        codes = np.arange(q)
-        # Digit matrix: digits[c, i] = i-th base-p coefficient of code c.
-        digits = np.zeros((q, deg), dtype=np.int64)
-        rest = codes.copy()
-        for i in range(deg):
-            digits[:, i] = rest % p
-            rest //= p
         powers = p ** np.arange(deg)
-
-        add_digits = (digits[:, None, :] + digits[None, :, :]) % p
-        self.add = (add_digits @ powers).astype(np.uint8)
-        self.neg = (((-digits) % p) @ powers).astype(np.uint8)
-        # sub[a, b] = a - b; matrix.sub_data gathers from it by flat index.
-        self.sub = self.add[:, self.neg]
-
-        # xtimes[c] = code of x * element(c) reduced by the modulus.
-        mod = list(spec.modulus)
-        xtimes = np.empty(q, dtype=np.int64)
-        for c in range(q):
-            poly = [int(digits[c, i]) for i in range(deg)]
-            shifted = [0] + poly
-            red = _poly_mod(shifted, mod, p) if len(shifted) - 1 >= deg else shifted
-            red = (red + [0] * deg)[:deg]
-            xtimes[c] = sum(red[i] * p**i for i in range(deg))
-
-        # mul[a, b] = sum_i b_i * (a * x^i), accumulated with the add table.
-        # xdigits[c, i, j] = j-th base-p coefficient of x^i * element(c), so
-        # digit j of a * b is sum_i digits[a, i] * xdigits[b, i, j] mod p:
-        # the digit-plane product of matrix.matmul_data.
-        scalar_mul = np.zeros((p, q), dtype=np.int64)
-        for c in range(p):
-            scalar_mul[c] = ((c * digits) % p) @ powers
-        a_xi = codes.copy()
-        mul = np.zeros((q, q), dtype=np.uint8)
+        digits = np.arange(q)[:, None] // powers % p
+        # x^i c from x^(i-1) c: shift every coefficient up one place, and the
+        # top one, at x^deg, becomes minus that multiple of the monic modulus.
         xdigits = np.zeros((q, deg, deg), dtype=np.int64)
-        for i in range(deg):
-            xdigits[:, i, :] = digits[a_xi]
-            partial = scalar_mul[digits[:, i][None, :].repeat(q, axis=0),
-                                 a_xi[:, None].repeat(q, axis=1)]
-            mul = self.add[mul, partial.astype(np.uint8)]
-            a_xi = xtimes[a_xi]
-        self.mul = mul
+        xdigits[:, 0] = digits
+        for i in range(1, deg):
+            prev = xdigits[:, i - 1]
+            xdigits[:, i, 1:] = prev[:, :-1]
+            xdigits[:, i] = (xdigits[:, i] - prev[:, -1:] * spec.modulus[:deg]) % p
         self.digits = digits
         self.xdigits = xdigits
 
-        inv = np.zeros(q, dtype=np.uint8)
-        rows, cols = np.nonzero(mul == 1)
-        inv[rows] = cols
-        self.inv = inv
+        self.add = ((digits[:, None] + digits) % p @ powers).astype(np.uint8)
+        self.neg = (-digits % p @ powers).astype(np.uint8)
+        # sub[a, b] = a - b; matrix.sub_data gathers from it by flat index.
+        self.sub = self.add.take(self.neg, axis=1)
+        # mul[a, b] digit j = sum_i digits[b, i] * xdigits[a, i, j] mod p.
+        self.mul = ((digits @ xdigits) % p @ powers).astype(np.uint8)
+        self.inv = np.zeros(q, dtype=np.uint8)
+        rows, cols = np.nonzero(self.mul == 1)
+        self.inv[rows] = cols
 
 
 @lru_cache(maxsize=None)

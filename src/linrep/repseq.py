@@ -72,7 +72,7 @@ class Representation:
             elif order is None:
                 m = m @ step
             else:
-                m = DenseMatrix(self.field, m.data[:, order])
+                m = DenseMatrix(self.field, m.data.take(order, axis=1))
             self._word_cache[prefix] = m
         return m
 
@@ -224,7 +224,7 @@ def _inverse_permutation(data):
 
 def _perm_matrix(field, perm):
     """The permutation matrix with column i the unit vector e_perm[i]."""
-    return DenseMatrix(field, np.eye(len(perm), dtype=np.uint8)[:, perm])
+    return DenseMatrix(field, np.eye(len(perm), dtype=np.uint8).take(perm, axis=1))
 
 
 def family_generate(spec: FamilyDescriptor, k: int, field: FieldSpec) -> Representation:

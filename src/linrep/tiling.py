@@ -12,7 +12,7 @@ tiler's candidates lie in A_{F,i}, so it tests only dimension and independence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +130,15 @@ class FSubspaceData:
         return len(self.basis)
 
 
+def _require_independent(field: FieldSpec, basis) -> None:
+    """ValueError unless the rows of `basis` are linearly independent: dim F
+    counts the rows, so a dependent basis would ask for orbits of a
+    dimension that F cannot reach."""
+    basis = np.asarray(basis, dtype=np.uint8)
+    if Subspace(field, basis.shape[1], basis).dim < len(basis):
+        raise ValueError("the F basis is linearly dependent")
+
+
 @dataclass
 class TilingCertificate:
     """Checkable evidence of an (F, H, i, delta)-tiling."""
@@ -242,14 +251,10 @@ class PreconditionReport:
 
     @property
     def all_ok(self) -> bool:
-        return (self.inverses_in_span and self.candidate_dim_ok
-                and self.kernel_bound_ok and self.f_size_ok
-                and self.h_dim_ok and self.good_map_ok)
+        return all(asdict(self).values())
 
     def to_json(self):
-        return {k: getattr(self, k) for k in
-                ("inverses_in_span", "candidate_dim_ok", "kernel_bound_ok",
-                 "f_size_ok", "h_dim_ok", "good_map_ok")} | {"all_ok": self.all_ok}
+        return asdict(self) | {"all_ok": self.all_ok}
 
 
 def precondition_check(m: FiniteApproxMap, f: FSubspaceData, h: Subspace,
@@ -265,26 +270,11 @@ def _preconditions(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
     n = m.n
 
     # F and the inverses of its listed nonzero basis elements inside span{r_1..r_i}.
-    def in_level(coords):
-        return not np.any(coords[i:])
-
-    inverses = (all(in_level(c) for c in f.basis)
-                and all(idx in f.finv and in_level(f.finv[idx])
-                        for idx in range(len(f.basis))))
-
+    inverses = all(idx in f.finv and not (np.any(coords[i:]) or np.any(f.finv[idx][i:]))
+                   for idx, coords in enumerate(f.basis))
     candidate_ok = Fraction(a_space.dim, n) >= 1 - delta / 4
-
-    kernel_ok = True
-    for coords in f.basis:
-        mat = m.phi_of(coords)
-        defect = n - mat.rank()
-        if not np.any(coords):
-            kernel_ok = False
-            break
-        if Fraction(defect, n) > delta / 3:
-            kernel_ok = False
-            break
-
+    kernel_ok = all(np.any(coords) and Fraction(n - m.phi_of(coords).rank(), n) <= delta / 3
+                    for coords in f.basis)
     # |F| = q^dim F <= q^(delta n / 3), i.e. dim F <= delta n / 3.
     f_size_ok = Fraction(f.dim) <= delta * n / 3
     h_ok = Fraction(h.dim, n) >= 1 - Fraction(1, i)
@@ -305,6 +295,7 @@ def greedy_tiling(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
     (1 - delta) n is asserted.  A delta outside (0, 1) raises ValueError.
     """
     delta = open_unit_fraction(delta, "delta")
+    _require_independent(m.field, f.basis)
     good = good_subspace(m, i)
     a_space = candidate_space(m, f, h, i, good=good)
     report = _preconditions(m, f, h, i, delta, good, a_space)

@@ -2,7 +2,8 @@
 
 Whatever the file holds, `cheeger --rep` prints exactly one JSON line and
 exits 0 (a report), 1 (an input error) or 3 (over the enumeration cap),
-and `tile-verify --cert` and `hyperfinite-check --witness` print one JSON
+`tile --f` prints one JSON line and exits 0 (a certificate) or 1, and
+`tile-verify --cert` and `hyperfinite-check --witness` print one JSON
 line and exit 0 (valid), 1 or 2 (invalid); no exception escapes main.
 """
 
@@ -92,6 +93,45 @@ def valid_certificate():
 
 def rows(width, entries, max_size=9):
     return st.lists(st.lists(entries, min_size=width, max_size=width), max_size=max_size)
+
+
+# F files on the degree-<8 basis of `tile --poly 32 --imax 8`, where
+# F = span{1} meets every precondition at i = 2, delta = 1/4, so the
+# coverage self-check (exit 4) runs.  The starting file lists an inverse in
+# span{1} for up to three basis rows.  Per F-file field, values close to a
+# valid one: rows of 1, x and 1 + x, which repeat into dependent bases,
+# codes just past GF(2), wrong widths; finv keys in and out of range.
+_UNIT = [1, 0, 0, 0, 0, 0, 0, 0]
+f_rows = mostly(st.sampled_from([_UNIT, [0, 1, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 0]]),
+                st.one_of(st.lists(st.integers(0, 2), min_size=8, max_size=8),
+                          st.lists(st.integers(0, 1), max_size=9)))
+near_valid_f = {
+    "basis": st.one_of(st.lists(f_rows, max_size=2).map(lambda more: [_UNIT, *more]),
+                       st.lists(f_rows, max_size=3)),
+    "finv": st.dictionaries(st.sampled_from(["0", "1", "2", "-1", "x"]), f_rows, max_size=3),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_tile_answers_any_f_file(tmp_path_factory, data):
+    f = {"basis": [_UNIT], "finv": {"0": _UNIT, "1": _UNIT, "2": _UNIT}}
+    for key in data.draw(st.lists(st.sampled_from(sorted(near_valid_f)), max_size=2, unique=True)):
+        how = data.draw(st.sampled_from(["near", "near", "any", "drop"]))
+        if how == "drop":
+            del f[key]
+        else:
+            f[key] = data.draw(near_valid_f[key] if how == "near" else json_values)
+    f = data.draw(mostly(st.just(f), json_values))
+    path = tmp_path_factory.getbasetemp() / "fuzz-f.json"
+    path.write_text(json.dumps(f))
+    out = io.StringIO()
+    code = cli.main(["tile", "--poly", "32", "--imax", "8", "--i", "2", "--budget", "16",
+                     "--f", str(path)], out)
+    text = out.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT), (code, text)
+    assert text.endswith("\n") and text.count("\n") == 1, text
+    assert isinstance(json.loads(text), dict)
 
 
 # Per certificate field, values close to a valid one: delta in and out of

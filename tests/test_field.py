@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from linrep.field import MAX_Q, FieldError, FieldSpec, default_modulus
@@ -91,3 +93,62 @@ def test_frobenius_in_characteristic_p():
     for a in range(9):
         for b in range(9):
             assert power(f.add(a, b), 3) == f.add(power(a, 3), power(b, 3))
+
+
+def _prime_powers(limit):
+    primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, p))]
+    return [(p, deg) for p in primes for deg in range(1, 9) if p**deg <= limit]
+
+
+# Non-default irreducible moduli: x^8 + x^4 + x^3 + x^2 + 1, x^2 + x + 2,
+# x^2 + x + 1 over GF(5) and x^4 + x^3 + 1.
+_OTHER_MODULI = [(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)), (3, 2, (2, 1, 1)), (5, 2, (1, 1, 1)),
+                 (2, 4, (1, 0, 0, 1, 1))]
+
+
+@pytest.mark.parametrize("p, deg, modulus",
+                         [(p, deg, None) for p, deg in _prime_powers(MAX_Q)] + _OTHER_MODULI,
+                         ids=lambda v: "default" if v is None else str(v))
+def test_tables_match_schoolbook_polynomial_arithmetic(p, deg, modulus):
+    f = FieldSpec(p, deg, modulus)
+    q, mod = f.q, f.modulus
+    assert modulus is None or modulus != default_modulus(p, deg)
+
+    def coeffs(c):
+        return [c // p**i % p for i in range(deg)]
+
+    def code(poly):
+        return sum(c % p * p**i for i, c in enumerate(poly))
+
+    def times(a, b):
+        prod = [0] * (2 * deg - 1)
+        for i, x in enumerate(coeffs(a)):
+            for j, y in enumerate(coeffs(b)):
+                prod[i + j] += x * y
+        # x^deg = -(mod[0] + mod[1] x + ... + mod[deg-1] x^(deg-1)), top power first.
+        for top in range(2 * deg - 2, deg - 1, -1):
+            for i in range(deg):
+                prod[top - deg + i] -= prod[top] * mod[i]
+        return code(prod[:deg])
+
+    t = f.tables
+    for name, shape, dtype in [("add", (q, q), "uint8"), ("sub", (q, q), "uint8"),
+                               ("mul", (q, q), "uint8"), ("neg", (q,), "uint8"),
+                               ("inv", (q,), "uint8"), ("digits", (q, deg), "int64"),
+                               ("xdigits", (q, deg, deg), "int64")]:
+        table = getattr(t, name)
+        assert (table.shape, table.dtype, table.flags.c_contiguous) == (shape, dtype, True), name
+    for c in range(q):
+        assert t.digits[c].tolist() == coeffs(c)
+        assert t.xdigits[c].tolist() == [coeffs(times(c, p**i)) for i in range(deg)]
+        assert t.neg[c] == code([-x for x in coeffs(c)])
+        assert times(c, int(t.inv[c])) == 1 if c else t.inv[c] == 0
+    # Every pair on the small fields, a seeded sample of pairs on the others.
+    rng = random.Random(q)
+    pairs = ([(a, b) for a in range(q) for b in range(q)] if q <= 32
+             else [(rng.randrange(q), rng.randrange(q)) for _ in range(600)])
+    for a, b in pairs:
+        ca, cb = coeffs(a), coeffs(b)
+        assert t.add[a, b] == code([x + y for x, y in zip(ca, cb)])
+        assert t.sub[a, b] == code([x - y for x, y in zip(ca, cb)])
+        assert t.mul[a, b] == times(a, b)

@@ -200,6 +200,18 @@ def test_missing_finv_blocks_inverse_precondition():
     assert not report.inverses_in_span
 
 
+@pytest.mark.parametrize("field, scale", [(GF2, 1), (FieldSpec(3), 2)])
+def test_dependent_f_basis_is_a_value_error(field, scale):
+    # dim F counts the rows, so [u, c u] asks for orbits of dimension 2 that
+    # F cannot reach; this once ran into the coverage self-check instead and
+    # raised RuntimeError "tiling theorem violated ... coverage 0/64".
+    m = poly_basis_map(PolyInstance(field, 64), 8)
+    u = np.eye(8, dtype=np.uint8)[0]
+    f = FSubspaceData([u, scale * u], {0: u, 1: u})
+    with pytest.raises(ValueError, match="^the F basis is linearly dependent$"):
+        greedy_tiling(m, f, Subspace.full(field, 64), 2, Fraction(1, 4))
+
+
 def test_orbit_of_unit_f_is_the_line():
     inst = PolyInstance(GF2, 8)
     m = poly_basis_map(inst, 8)
