@@ -3,9 +3,12 @@
 An element of GF(p^d) is stored as a single integer in [0, q): the
 coefficient vector of the element in the power basis, packed base p with
 the least-significant coefficient first.  All arithmetic is table-driven
-so that bulk matrix operations can run as numpy fancy indexing.  Every
-table comes from two digit planes, the coefficients of each element c
-and of each x^i * c: digit j of a * b is the sum over i of
+so that bulk matrix operations can run as numpy fancy indexing.  Each
+field family builds its q x q tables on (q, q) arrays, the way its
+kernels in matrix.py compute.  In characteristic 2 a + b is the XOR of
+the codes, and a * b the XOR, over the set bits i of b, of the code of
+x^i * a.  In GF(p) the tables are the residues of sums and products of
+the codes.  In odd extensions digit j of a * b is the sum over i of
 digit_i(b) * digit_j(x^i a) mod p, the identity matrix.matmul_data
 multiplies odd-extension matrices by.
 """
@@ -142,11 +145,13 @@ class FieldSpec:
 
 
 class FieldTables:
-    """Dense q-by-q operation tables for one FieldSpec, built from its digit planes.
+    """Dense q-by-q operation tables for one FieldSpec, built per field family.
 
     digits[c, i] is the i-th base-p coefficient of code c, and xdigits[c, i, j]
     the j-th coefficient of x^i * element(c); matrix.matmul_data multiplies
-    with the same two arrays.
+    odd-extension matrices with these two arrays, and the same identity
+    builds their mul table.  Characteristic 2 reads the codes of x^i * a off
+    xdigits; GF(p) needs neither array.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -164,15 +169,33 @@ class FieldTables:
         self.digits = digits
         self.xdigits = xdigits
 
-        self.add = ((digits[:, None] + digits) % p @ powers).astype(np.uint8)
-        self.neg = (-digits % p @ powers).astype(np.uint8)
+        if p == 2:
+            codes = np.arange(q, dtype=np.uint8)
+            # Addition is XOR and b = sum of bit_i(b) x^i, so a * b is the XOR,
+            # over the set bits i of b, of the code of x^i * a.
+            self.add = np.bitwise_xor.outer(codes, codes)
+            self.neg = codes
+            xcodes = (xdigits @ powers).astype(np.uint8)
+            self.mul = np.zeros((q, q), dtype=np.uint8)
+            for i in range(deg):
+                self.mul ^= np.multiply.outer(xcodes[:, i], codes >> i & 1)
+        elif deg == 1:
+            # Row a of add is the window from a of the residues of 0, 1, ..., 2p - 2;
+            # uint16 holds every product of two residues, (p - 1)^2 < 2^16.
+            codes = np.arange(q, dtype=np.uint16)
+            residues = (np.arange(2 * q - 1) % p).astype(np.uint8)
+            self.add = np.lib.stride_tricks.sliding_window_view(residues, q).copy()
+            self.neg = ((p - codes) % p).astype(np.uint8)
+            self.mul = (np.multiply.outer(codes, codes) % p).astype(np.uint8)
+        else:
+            self.add = ((digits[:, None] + digits) % p @ powers).astype(np.uint8)
+            self.neg = (-digits % p @ powers).astype(np.uint8)
+            # mul[a, b] digit j = sum_i digits[b, i] * xdigits[a, i, j] mod p.
+            self.mul = ((digits @ xdigits) % p @ powers).astype(np.uint8)
         # sub[a, b] = a - b; matrix.sub_data gathers from it by flat index.
         self.sub = self.add.take(self.neg, axis=1)
-        # mul[a, b] digit j = sum_i digits[b, i] * xdigits[a, i, j] mod p.
-        self.mul = ((digits @ xdigits) % p @ powers).astype(np.uint8)
-        self.inv = np.zeros(q, dtype=np.uint8)
-        rows, cols = np.nonzero(self.mul == 1)
-        self.inv[rows] = cols
+        # Row a of mul holds 1 at column a^-1; row 0 holds none, and argmax reads 0.
+        self.inv = (self.mul == 1).argmax(axis=1).astype(np.uint8)
 
 
 @lru_cache(maxsize=None)

@@ -112,8 +112,10 @@ class FSubspaceData:
     """The tile-shape subspace F: basis coordinate vectors, 1 included.
 
     `finv` optionally maps the index of each nonzero basis element to the
-    coordinates of its inverse; absence makes the inverse-containment
-    precondition unverifiable (reported as False).
+    coordinates of its inverse.  The inverse precondition holds when every
+    basis element is listed, it and its listed inverse lie in span{r_1..r_i},
+    and the multiplication table gives their product as 1 in both orders.
+    A missing `finv` entry or table product reports it False.
     """
 
     basis: list
@@ -257,6 +259,15 @@ class PreconditionReport:
         return asdict(self) | {"all_ok": self.all_ok}
 
 
+def _is_inverse(m: FiniteApproxMap, a, b) -> bool:
+    """a b = b a = 1 by the multiplication table; False where it lacks a product."""
+    unit = m.unit_coords()
+    try:
+        return all(np.array_equal(m.product_coords(x, y), unit) for x, y in ((a, b), (b, a)))
+    except MissingProductError:
+        return False
+
+
 def precondition_check(m: FiniteApproxMap, f: FSubspaceData, h: Subspace,
                        i: int, delta: Fraction) -> PreconditionReport:
     good = good_subspace(m, i)
@@ -269,8 +280,10 @@ def _preconditions(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
     delta = Fraction(delta)
     n = m.n
 
-    # F and the inverses of its listed nonzero basis elements inside span{r_1..r_i}.
+    # F and the inverses of its listed nonzero basis elements inside span{r_1..r_i},
+    # each a two-sided inverse by the multiplication table.
     inverses = all(idx in f.finv and not (np.any(coords[i:]) or np.any(f.finv[idx][i:]))
+                   and _is_inverse(m, coords, f.finv[idx])
                    for idx, coords in enumerate(f.basis))
     candidate_ok = Fraction(a_space.dim, n) >= 1 - delta / 4
     kernel_ok = all(np.any(coords) and Fraction(n - m.phi_of(coords).rank(), n) <= delta / 3

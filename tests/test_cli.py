@@ -122,6 +122,17 @@ def test_tile_verify_checks_the_asked_i_and_delta(cert_i2, extra, want):
     assert (code, json.loads(out)) == (want, {"valid": want == 0})
 
 
+def test_tile_with_a_non_inverse_finv_answers_a_certificate(tmp_path):
+    # finv lists 1 as the inverse of x: the inverse precondition fails, so
+    # the coverage bound is not asserted and tile still prints a certificate.
+    u, x = ([int(i == j) for j in range(8)] for i in range(2))
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"basis": [u, x], "finv": {"0": u, "1": u}}))
+    code, out = run_cli("tile", "--poly", "32", "--imax", "8", "--i", "2", "--delta", "1/4",
+                        "--f", str(f))
+    assert code == 0 and json.loads(out)["dim_f"] == 2
+
+
 def test_hyperfinite_search_and_check(tmp_path):
     rep = block_rep_file(tmp_path, [3, 4, 3], seed=1)
     code, out = run_cli("hyperfinite-search", "--rep", rep, "--epsilon", "1/10",

@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from linrep.field import MAX_Q, FieldError, FieldSpec, default_modulus
+from linrep.field import MAX_Q, FieldError, FieldSpec, FieldTables, default_modulus
 
 
 def test_rejects_composite_characteristic():
@@ -152,3 +153,17 @@ def test_tables_match_schoolbook_polynomial_arithmetic(p, deg, modulus):
         assert t.add[a, b] == code([x + y for x, y in zip(ca, cb)])
         assert t.sub[a, b] == code([x - y for x, y in zip(ca, cb)])
         assert t.mul[a, b] == times(a, b)
+
+
+def test_gf256_table_build_stays_on_q_by_q_arrays():
+    # Built directly, not through the cached FieldSpec.tables.  Reducing
+    # (q, q, deg) int64 digit tensors here peaks at about 8.3 MiB; the XOR
+    # rounds on (q, q) uint8 arrays stay under 1 MiB.
+    spec = FieldSpec(2, 8)
+    tracemalloc.start()
+    try:
+        FieldTables(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -200,6 +200,34 @@ def test_missing_finv_blocks_inverse_precondition():
     assert not report.inverses_in_span
 
 
+def test_listed_non_inverse_fails_the_inverse_precondition():
+    # x * 1 = x, so 1 is listed as the inverse of x but is none; both lie in
+    # span{1, x}, and every other precondition holds.
+    m = poly_basis_map(PolyInstance(GF2, 32), 8)
+    u, x = np.eye(8, dtype=np.uint8)[:2]
+    report = precondition_check(m, FSubspaceData([u, x], {0: u, 1: u}),
+                                Subspace.full(GF2, 32), 2, Fraction(1, 4))
+    assert report.to_json() == {"inverses_in_span": False, "candidate_dim_ok": True,
+                                "kernel_bound_ok": True, "f_size_ok": True, "h_dim_ok": True,
+                                "good_map_ok": True, "all_ok": False}
+
+
+@pytest.mark.parametrize("field", [GF2, FieldSpec(3), FieldSpec(2, 2)], ids=lambda f: str(f.q))
+@pytest.mark.parametrize("n", [32, 48, 64])
+def test_default_unit_f_meets_every_precondition(field, n):
+    m = poly_basis_map(PolyInstance(field, n), 8)
+    report = precondition_check(m, unit_f(8), Subspace.full(field, n), 2, Fraction(1, 4))
+    assert report.all_ok
+
+
+def test_inverse_check_reads_a_missing_product_as_false():
+    m = poly_basis_map(PolyInstance(GF2, 8), 4)
+    u, x = np.eye(4, dtype=np.uint8)[:2]
+    assert tiling._is_inverse(m, u, u) and not tiling._is_inverse(m, x, u)
+    lacking = FiniteApproxMap(GF2, m.phi, {k: v for k, v in m.mult.items() if k != (1, 1)})
+    assert not tiling._is_inverse(lacking, u, u)
+
+
 @pytest.mark.parametrize("field, scale", [(GF2, 1), (FieldSpec(3), 2)])
 def test_dependent_f_basis_is_a_value_error(field, scale):
     # dim F counts the rows, so [u, c u] asks for orbits of dimension 2 that
