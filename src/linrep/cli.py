@@ -50,12 +50,14 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def parse_range(text: str):
-    """'2..16' or a comma list '8,16,32' of positive sizes."""
+    """'2..16' or a comma list '8,16,32' of positive sizes; never empty."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         values = list(range(int(lo), int(hi) + 1))
     else:
         values = [int(x) for x in text.split(",")]
+    if not values:
+        raise InputError(f"range {text!r} is empty")
     if any(v < 1 for v in values):
         raise InputError(f"sizes in {text!r} must be at least 1")
     return values
@@ -100,13 +102,12 @@ def load_f_data(args, m: tiling.FiniteApproxMap) -> tiling.FSubspaceData:
         if not isinstance(finv, dict):
             raise InputError('"finv" must map basis indices to coordinates')
         basis = codes_from_json(m.field, obj["basis"], m.i_max)
-        tiling._require_independent(m.field, basis)
+        tiling.require_independent(m.field, basis)
         return tiling.FSubspaceData(
             list(basis),
             {int(k): codes_from_json(m.field, [v], m.i_max)[0] for k, v in finv.items()})
     # Default F = span{1}.
-    unit = np.zeros(m.i_max, dtype=np.uint8)
-    unit[0] = 1
+    unit = m.unit_coords()
     return tiling.FSubspaceData([unit], {0: unit})
 
 
@@ -220,33 +221,26 @@ def cmd_expander(args, out):
 
 
 def cmd_sofic_check(args, out):
-    if args.poly_levels:
+    if args.poly_levels is not None:
         field = parse_field(args.field)
         levels = parse_range(args.poly_levels)
         top = (min(levels) + 1) // 2    # the mult table needs 2 * basis_size - 1 <= min(levels)
         if not 1 <= args.basis_size <= top:
             raise InputError(f"--basis-size must lie in 1..{top} for these --poly-levels")
-        maps, s_bounds = [], []
         d = args.basis_size - 1   # top degree of the checked span
-        for m in levels:
-            inst = soficam.PolyInstance(field, m)
-            maps.append(soficam.poly_basis_map(inst, min(2 * args.basis_size, m)))
-            s_bounds.append(Fraction(2 * d, m))
-        data = soficam.SoficData(maps, s_bounds)
         reports = []
-        all_ok = True
-        for idx, m in enumerate(levels):
-            elements = []
-            for j in range(args.basis_size):
-                coords = np.zeros(maps[idx].i_max, dtype=np.uint8)
-                coords[j] = 1
-                elements.append((coords, Fraction(m - d, m)))
-            rep = soficam.sofic_check(data, idx + 1, elements,
-                                      basis_count=args.basis_size)
-            reports.append(rep)
-            all_ok = all_ok and rep.all_ok
+        for m in levels:
+            phi = soficam.poly_basis_map(soficam.PolyInstance(field, m),
+                                         min(2 * args.basis_size, m))
+            # Each monomial x^j, j <= d, keeps rank at least m - d after truncation.
+            floors = [(coords, Fraction(m - d, m))
+                      for coords in np.eye(phi.i_max, dtype=np.uint8)[:args.basis_size]]
+            reports.append(soficam.sofic_check(soficam.SoficData([phi], [Fraction(2 * d, m)]),
+                                               1, floors, basis_count=args.basis_size))
         emit({"levels": levels, "reports": [r.to_json() for r in reports]}, out)
-        return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+        return EXIT_OK if all(r.all_ok for r in reports) else EXIT_CHECK_FAILED
+    if args.sofic is None:
+        raise InputError("need --sofic FILE or --poly-levels LIST")
     obj = load_object(args.sofic)
     field = FieldSpec.from_json(obj["field"])
     maps = [tiling.FiniteApproxMap.from_json(field, entry)
@@ -438,6 +432,10 @@ def main(argv=None, out=None):
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
+        # argparse drops the value of `--opt=--`, leaving an empty list.
+        unset = [name for name, value in vars(args).items() if isinstance(value, list)]
+        if unset:
+            raise InputError(f"no value given for --{unset[0].replace('_', '-')}")
         return args.fn(args, out)
     except BudgetExceededError as exc:
         emit({"error": "budget_exceeded", "detail": str(exc)}, out)

@@ -186,7 +186,9 @@ class AlgebraMatrix:
 
 # -- parsing --
 
-class _Scanner:
+class Scanner:
+    """Cursor over the text of a parse; each token read skips whitespace first."""
+
     def __init__(self, text):
         self.text = text
         self.pos = 0
@@ -220,7 +222,7 @@ class _Scanner:
 
 def parse_element(text: str, field: FieldSpec, r: int) -> AlgebraElement:
     """Parse the group-algebra grammar; round-trips with str()."""
-    sc = _Scanner(text)
+    sc = Scanner(text)
     result = _parse_term(sc, field, r)
     while True:
         ch = sc.peek()

@@ -19,7 +19,7 @@ from .matrix import (fraction_from_json, fraction_to_json, json_typed, matmul_da
 from .repseq import Representation
 from .subspace import (BudgetExceededError, Subspace, enumerate_subspaces,
                        gaussian_binomial, subspaces_independent)
-from .tiling import FiniteApproxMap, TilingCertificate
+from .tiling import FiniteApproxMap, TilingCertificate, orbit_images
 
 ENUM_CAP = 1 << 24
 
@@ -160,12 +160,15 @@ def _chain(rep: Representation, vec, max_dim: int):
 def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
                    budget: int = 1000, seed: int = 0) -> HyperfiniteWitness | None:
     """Heuristic witness construction; None means budget exhausted, nothing more.
+    A negative budget raises ValueError.
 
     Pipeline: orbit-closure tiles seeded from coordinate and random vectors,
     then greedy acceptance of almost-invariant tiles that stay independent
     of what has been accepted already.
     """
     epsilon = open_unit_fraction(epsilon, "epsilon")
+    if budget < 0:
+        raise ValueError(f"budget {budget} must be at least 0")
     n = rep.n
     rng = np.random.Generator(np.random.Philox(seed))
     tiles = []
@@ -225,10 +228,6 @@ def witness_from_tiling(rep: Representation, approx: FiniteApproxMap,
     f_space = Subspace(approx.field, approx.i_max, f_basis)
     if not f_space.contains(Subspace(approx.field, approx.i_max, f1_basis)):
         raise ValueError("F_1 is not contained in F")
-    tiles = []
-    for x in cert.centers:
-        vecs = [approx.phi_of(np.asarray(coords, dtype=np.uint8)).apply(x)
-                for coords in f1_basis]
-        tiles.append(Subspace(approx.field, approx.n,
-                              np.array(vecs, dtype=np.uint8)))
+    tiles = [Subspace(approx.field, approx.n, images)
+             for images in orbit_images(approx, f1_basis, cert.centers)]
     return HyperfiniteWitness(epsilon, cert.dim_f, tiles)

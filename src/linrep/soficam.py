@@ -99,13 +99,9 @@ def poly_basis_map(instance: PolyInstance, i_max: int) -> FiniteApproxMap:
     field = instance.field
     # x^j sends x^c to x^(c+j), cut above the cap: the truncated shift.
     phi = [DenseMatrix(field, np.eye(instance.m, k=-j, dtype=np.uint8)) for j in range(i_max)]
-    mult = {}
-    for a in range(1, i_max + 1):
-        for b in range(1, i_max + 1):
-            if a + b - 1 <= i_max:
-                coords = np.zeros(i_max, dtype=np.uint8)
-                coords[a + b - 2] = 1
-                mult[(a, b)] = coords
+    monomials = np.eye(i_max, dtype=np.uint8)    # row c: coordinates of x^c
+    mult = {(a, b): monomials[a + b - 2]
+            for a in range(1, i_max + 1) for b in range(1, i_max + 2 - a)}
     return FiniteApproxMap(field, phi, mult)
 
 

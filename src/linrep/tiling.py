@@ -132,7 +132,7 @@ class FSubspaceData:
         return len(self.basis)
 
 
-def _require_independent(field: FieldSpec, basis) -> None:
+def require_independent(field: FieldSpec, basis) -> None:
     """ValueError unless the rows of `basis` are linearly independent: dim F
     counts the rows, so a dependent basis would ask for orbits of a
     dimension that F cannot reach."""
@@ -209,12 +209,13 @@ def candidate_space(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
     return Subspace.kernel_of(m.field, m.n, np.concatenate(blocks))
 
 
-def _images(m: FiniteApproxMap, f: FSubspaceData, xs) -> np.ndarray:
-    """images[j, k] = phi(f_k)(x_j) for every row x_j of `xs`, in one product
-    with the images of the F-basis stacked as a (dim F * n) x n array."""
+def orbit_images(m: FiniteApproxMap, f_rows, xs) -> np.ndarray:
+    """images[j, k] = phi(f_k)(x_j) for every row x_j of `xs` and every
+    coordinate row f_k of `f_rows`, in one product with the images of the
+    f_k stacked as a (len(f_rows) * n) x n array."""
     xs = np.asarray(xs, dtype=np.uint8).reshape(len(xs), m.n)
-    stacked = np.concatenate([m.phi_of(coords).data for coords in f.basis])
-    return matmul_data(m.field, xs, stacked.T).reshape(len(xs), f.dim, m.n)
+    stacked = np.concatenate([m.phi_of(coords).data for coords in f_rows])
+    return matmul_data(m.field, xs, stacked.T).reshape(len(xs), len(f_rows), m.n)
 
 
 def is_center(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int, x,
@@ -232,7 +233,7 @@ def _center_orbits(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, xs,
     conditions, else None; H and G test all images in one residual each."""
     if h.field != m.field or h.ambient != m.n:
         raise AmbientMismatchError("H must live in the map's ambient space")
-    images = _images(m, f, xs)
+    images = orbit_images(m, f.basis, xs)
     flat = images.reshape(-1, m.n)
     inside = ~np.any(h.residual(flat), axis=1) & ~np.any(good.residual(flat), axis=1)
     orbits = [Subspace(m.field, m.n, ims) for ims in images]
@@ -305,24 +306,26 @@ def greedy_tiling(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
     tiles before it.  The scan stops once the tiles leave less than dim F
     of H uncovered, since no later orbit can then be independent of them.
     If the precondition report is all-true, the theorem's coverage bound
-    (1 - delta) n is asserted.  A delta outside (0, 1) raises ValueError.
+    (1 - delta) n is asserted.  A delta outside (0, 1) or a negative budget
+    raises ValueError.
     """
     delta = open_unit_fraction(delta, "delta")
-    _require_independent(m.field, f.basis)
+    if sample_budget < 0:
+        raise ValueError(f"sample budget {sample_budget} must be at least 0")
+    require_independent(m.field, f.basis)
     good = good_subspace(m, i)
     a_space = candidate_space(m, f, h, i, good=good)
     report = _preconditions(m, f, h, i, delta, good, a_space)
 
     rng = np.random.Generator(np.random.Philox(seed))
     exhausted = a_space.dim > 0 and m.field.q ** a_space.dim > sample_budget + a_space.dim
-    draws = [rng.integers(0, m.field.q, size=a_space.dim, dtype=np.uint64)
-             for _ in range(sample_budget if a_space.dim else 0)]
-    coeffs = np.array(draws, dtype=np.uint8).reshape(len(draws), a_space.dim)
+    coeffs = rng.integers(0, m.field.q, size=(sample_budget if a_space.dim else 0, a_space.dim),
+                          dtype=np.uint64).astype(np.uint8)
     candidates = np.concatenate([a_space.basis, matmul_data(m.field, coeffs, a_space.basis)])
 
     centers, tiles = [], []
     accum = Subspace.zero(m.field, m.n)
-    for x, images in zip(candidates, _images(m, f, candidates)):
+    for x, images in zip(candidates, orbit_images(m, f.basis, candidates)):
         if accum.dim + f.dim > h.dim:
             break
         orbit = Subspace(m.field, m.n, images)

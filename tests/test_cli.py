@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -131,6 +132,33 @@ def test_tile_with_a_non_inverse_finv_answers_a_certificate(tmp_path):
     code, out = run_cli("tile", "--poly", "32", "--imax", "8", "--i", "2", "--delta", "1/4",
                         "--f", str(f))
     assert code == 0 and json.loads(out)["dim_f"] == 2
+
+
+# sha256 prefix of the stdout of `tile --poly 10 --imax 8 --i 2 --budget 32`
+# with F = span{1, x^2}, per field.
+_SAMPLED_CENTER_TILES = {"2": "0997fb3d029cd228", "3": "080f740844544b5c",
+                         "2^2": "8304d82fcf0de774"}
+
+
+@pytest.mark.parametrize("field", sorted(_SAMPLED_CENTER_TILES))
+def test_tile_accepts_a_sampled_center(tmp_path, field):
+    # A_{F,i} is the whole space, with echelon basis 1, x, ..., x^9.  The
+    # tiles of 1, x, x^4 and x^5 cover x^0..x^7, the orbits of x^2, x^3, x^6
+    # and x^7 meet them, and those of x^8 and x^9 are lines.  So the fifth
+    # tile, reaching x^8 and x^9, needs a sampled center.
+    u, x2 = ([int(i == j) for j in range(8)] for i in (0, 2))
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"basis": [u, x2]}))
+    argv = ["tile", "--poly", "10", "--imax", "8", "--i", "2", "--field", field, "--f", str(f)]
+    out = io.StringIO()
+    assert cli.main([*argv, "--budget", "32"], out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == _SAMPLED_CENTER_TILES[field]
+    cert = json.loads(out.getvalue())
+    assert cert["coverage"] == 10 and len(cert["centers"]) == 5
+    assert sum(c != 0 for c in cert["centers"][-1]) > 1
+    out = io.StringIO()
+    assert cli.main([*argv, "--budget", "0"], out) == 0
+    assert json.loads(out.getvalue())["centers"] == cert["centers"][:4]
 
 
 def test_hyperfinite_search_and_check(tmp_path):
@@ -291,6 +319,16 @@ _DETAILS = {
     "rep-field-p-float": 'expected "p" to be a JSON int',
     **{f"{cmd}-f-{name}": "the F basis is linearly dependent"
        for cmd in ("tile", "verify") for name in _F_DEPENDENT},
+    "arg-k-empty": "range '5..2' is empty",
+    "arg-poly-levels-empty": "range '9..4' is empty",
+    "arg-sizes-empty": "range '3..1' is empty",
+    "arg-trials-0": "trials 0 must be at least 1",
+    "arg-trials-negative": "trials -1 must be at least 1",
+    "arg-tile-budget-negative": "sample budget -5 must be at least 0",
+    "arg-search-budget-negative": "budget -1 must be at least 0",
+    "sofic-no-input": "need --sofic FILE or --poly-levels LIST",
+    "arg-k-dashes": "no value given for --k",
+    "arg-trials-dashes": "no value given for --trials",
 }
 
 
@@ -445,6 +483,28 @@ _DETAILS = {
                           ("modulus-int", {"p": 2, "deg": 2, "modulus": 5}),
                           ("p-str", {"p": "2"}), ("p-float", {"p": 2.5}),
                           ("modulus-entry-str", {"p": 2, "deg": 2, "modulus": [1, "1", 1]})]),
+    # Empty ranges, which once printed nothing, crashed in min() or read as
+    # an expression with no common domain.
+    pytest.param(["profile", "--k", "5..2", "--element", "g1 - 1"], {}, id="arg-k-empty"),
+    pytest.param(["sofic-check", "--poly-levels", "9..4"], {}, id="arg-poly-levels-empty"),
+    pytest.param(["ncrat-equiv", "--r-expr", "z1", "--s-expr", "z1", "--sizes", "3..1"], {},
+                 id="arg-sizes-empty"),
+    # Counts below their least meaningful value, which once ran without drawing.
+    pytest.param(["ncrat-equiv", "--r-expr", "z1", "--s-expr", "z1", "--trials", "0"], {},
+                 id="arg-trials-0"),
+    pytest.param(["ncrat-equiv", "--r-expr", "z1", "--s-expr", "z1", "--trials", "-1"], {},
+                 id="arg-trials-negative"),
+    pytest.param(["tile", "--poly", "8", "--budget", "-5"], {}, id="arg-tile-budget-negative"),
+    pytest.param(["hyperfinite-search", "--rep", "{r}", "--budget", "-1"],
+                 {"r": json.dumps(_REP)}, id="arg-search-budget-negative"),
+    # Neither input: once a TypeError traceback from open(None).
+    pytest.param(["sofic-check"], {}, id="sofic-no-input"),
+    pytest.param(["sofic-check", "--poly-levels="], {}, id="arg-poly-levels-blank"),
+    # argparse reads `--opt=--` as no value at all: once an AttributeError or
+    # TypeError traceback.
+    pytest.param(["profile", "--k=--", "--element", "g1 - 1"], {}, id="arg-k-dashes"),
+    pytest.param(["ncrat-equiv", "--r-expr", "z1", "--s-expr", "z1", "--trials=--"], {},
+                 id="arg-trials-dashes"),
 ])
 def test_malformed_input_is_a_json_input_error(tmp_path, request, argv, files):
     paths = {}

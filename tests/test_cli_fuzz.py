@@ -5,6 +5,9 @@ exits 0 (a report), 1 (an input error) or 3 (over the enumeration cap),
 `tile --f` prints one JSON line and exits 0 (a certificate) or 1, and
 `tile-verify --cert` and `hyperfinite-check --witness` print one JSON
 line and exit 0 (valid), 1 or 2 (invalid); no exception escapes main.
+The range arguments (--k, --sizes, --poly-levels) and the counts
+(--trials, --budget) answer any value the same way: a report with exit 0,
+2 or 3, or one JSON input error with exit 1.
 """
 
 import functools
@@ -12,6 +15,7 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from linrep import cli
@@ -221,3 +225,49 @@ def test_hyperfinite_check_answers_any_witness(tmp_path_factory, data):
     assert isinstance(json.loads(text), dict)
     if code == cli.EXIT_OK:
         assert 0 < Fraction(witness["epsilon"]["num"], witness["epsilon"]["den"]) < 1, witness
+
+
+# Range arguments: "lo..hi" and comma lists of small integers, reversed,
+# empty and non-positive ones included, and short texts over the characters
+# a range is written with.  Counts are integers around their least valid
+# value.  Values go in as --opt=VALUE, so that one starting with "-" is
+# read as a value and not as an option.
+small = st.integers(-3, 12)
+ranges = st.one_of(
+    st.tuples(small, small).map(lambda t: f"{t[0]}..{t[1]}"),
+    st.lists(small, max_size=3).map(lambda vs: ",".join(map(str, vs))),
+    st.text(alphabet="0123456789.,- ", max_size=2))
+_COUNT_ARGS = {
+    "profile-k": (["profile", "--element", "g1 - 1"], "--k", ranges),
+    "sofic-check-poly-levels": (["sofic-check"], "--poly-levels", ranges),
+    "ncrat-equiv-sizes": (["ncrat-equiv", "--r-expr", "z1*z2", "--s-expr", "z2*z1",
+                           "--trials", "2"], "--sizes", ranges),
+    "ncrat-equiv-trials": (["ncrat-equiv", "--r-expr", "z1*z2", "--s-expr", "z2*z1",
+                            "--sizes", "1..2"], "--trials", st.integers(-3, 4)),
+    "tile-budget": (["tile", "--poly", "16", "--i", "2"], "--budget", st.integers(-3, 40)),
+    "hyperfinite-search-budget": (["hyperfinite-search", "--K", "3"], "--budget",
+                                  st.integers(-3, 12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNT_ARGS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_range_and_count_arguments_answer_any_value(tmp_path_factory, name, data):
+    argv, option, values = _COUNT_ARGS[name]
+    if argv[0] == "hyperfinite-search":
+        rep, _ = valid_witness(tmp_path_factory.getbasetemp())
+        argv = [*argv, "--rep", rep]
+    value = data.draw(values)
+    out = io.StringIO()
+    code = cli.main([*argv, f"{option}={value}"], out)
+    text = out.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CHECK_FAILED, cli.EXIT_BUDGET), text
+    assert text.endswith("\n"), (value, text)
+    if argv[0] == "profile" and code == cli.EXIT_OK:
+        # One CSV row k,n_k,rank,num,den per size.
+        assert all(len(row.split(",")) == 5 for row in text.splitlines()), text
+        return
+    assert text.count("\n") == 1, text
+    obj = json.loads(text)
+    assert isinstance(obj, dict) and (code != cli.EXIT_INPUT or obj["error"] == "input"), obj

@@ -238,6 +238,13 @@ def test_witness_search_raises_when_its_witness_fails_the_check(monkeypatch):
         witness_search(rep, Fraction(1, 10), 2, budget=100, seed=0)
 
 
+def test_witness_search_budget_below_zero_is_rejected():
+    rep = block_rep(GF2, [2, 2], seed=12)
+    with pytest.raises(ValueError, match="^budget -1 must be at least 0$"):
+        witness_search(rep, Fraction(1, 10), 2, budget=-1)
+    assert witness_search(rep, Fraction(1, 10), 2, budget=0) is None
+
+
 def test_witness_search_returns_none_when_hopeless():
     # An expander-ish generic rep has no small almost-invariant tiles.
     g = rng(11)
@@ -280,6 +287,21 @@ def test_witness_from_tiling_pipeline():
     with pytest.raises(ValueError, match="strictly between 0 and 1"):
         witness_from_tiling(rep, m, cert, [eye[j] for j in range(4)],
                             [eye[j] for j in range(3)], Fraction(6, 5))
+
+
+def test_witness_from_tiling_takes_f1_without_the_unit():
+    # V_x = phi(F_1)(x) is read off one stacked product; F_1 = span{x, x^2}
+    # gives the same tiles as applying phi(x) and phi(x^2) to each center.
+    m = poly_basis_map(PolyInstance(GF2, 16), 16)
+    eye = np.eye(16, dtype=np.uint8)
+    f = FSubspaceData([eye[j] for j in range(4)], {0: eye[0]})
+    cert = greedy_tiling(m, f, Subspace.full(GF2, 16), 4, Fraction(1, 4), seed=0)
+    rep = Representation(GF2, [repair_to_invertible(m.phi[1])])
+    w = witness_from_tiling(rep, m, cert, [eye[j] for j in range(4)], [eye[1], eye[2]],
+                            Fraction(1, 2))
+    assert cert.centers and len(w.subspaces) == len(cert.centers)
+    for x, tile in zip(cert.centers, w.subspaces):
+        assert tile == Subspace(GF2, 16, np.array([m.phi[j].apply(x) for j in (1, 2)]))
 
 
 def test_witness_json_round_trip():

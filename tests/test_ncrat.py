@@ -128,6 +128,14 @@ def test_extension_degree_below_one_is_rejected(ext_deg):
         equiv_probabilistic(z1, z1, [2], 5, ext_deg=ext_deg)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_fewer_than_one_trial_is_rejected(trials):
+    # No point would be drawn, so the verdict would read no_common_domain.
+    z1 = parse_ratexpr("z1")
+    with pytest.raises(ValueError, match=f"^trials {trials} must be at least 1$"):
+        equiv_probabilistic(z1, z1, [2], trials)
+
+
 def test_inverse_perturbation_rank_identity():
     # rank(A^-1 - B^-1) = rank(A - B) for invertible A, B: a sampled law
     # that doubles as an oracle for inverse correctness.

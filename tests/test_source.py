@@ -48,6 +48,31 @@ def test_only_matrix_and_field_touch_the_field_tables():
     assert found == []
 
 
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    # An underscore name belongs to its own module: no `from .mod import _name`,
+    # and no `mod._name` on a module imported with `from . import mod`.  What
+    # another module needs gets a public name.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                if node.module is None:
+                    siblings.update(alias.asname or alias.name for alias in node.names)
+                found += [f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+                          for alias in node.names if _private(alias.name)]
+        found += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name) and node.value.id in siblings]
+    assert found == []
+
+
 # Public names that nothing in the package calls yet, kept on purpose: the
 # bridge from a tiling to a hyperfiniteness witness (ROADMAP item 1), the
 # scalar reference oracles the kernel tests compare against, and the

@@ -244,8 +244,35 @@ def test_orbit_of_unit_f_is_the_line():
     inst = PolyInstance(GF2, 8)
     m = poly_basis_map(inst, 8)
     x = np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=np.uint8)
-    orbit = Subspace(GF2, 8, tiling._images(m, unit_f(8), [x])[0])
+    orbit = Subspace(GF2, 8, tiling.orbit_images(m, unit_f(8).basis, [x])[0])
     assert orbit.dim == 1 and orbit.contains_vector(x)
+
+
+@pytest.mark.parametrize("field", [GF2, FieldSpec(3), FieldSpec(2, 2), FieldSpec(3, 2)],
+                         ids=["2", "3", "2^2", "3^2"])
+def test_orbit_images_match_per_element_products(field):
+    # One stacked product against phi(f_k).apply(x_j) for each pair; the
+    # rows need not contain the unit, and the map need not be multiplicative.
+    m = corrupted_map(poly_basis_map(PolyInstance(field, 8), 6))
+    g = np.random.Generator(np.random.Philox(field.q))
+    f_rows = g.integers(0, field.q, size=(3, 6), dtype=np.uint64).astype(np.uint8)
+    f_rows[0, 0] = 0
+    xs = g.integers(0, field.q, size=(5, 8), dtype=np.uint64).astype(np.uint8)
+    images = tiling.orbit_images(m, f_rows, xs)
+    assert images.shape == (5, 3, 8)
+    for j, x in enumerate(xs):
+        for k, coords in enumerate(f_rows):
+            assert np.array_equal(images[j, k], m.phi_of(coords).apply(x))
+
+
+def test_negative_sample_budget_is_rejected():
+    m = poly_basis_map(PolyInstance(GF2, 8), 8)
+    h = Subspace.full(GF2, 8)
+    with pytest.raises(ValueError, match="^sample budget -5 must be at least 0$"):
+        greedy_tiling(m, unit_f(8), h, 2, Fraction(1, 4), sample_budget=-5)
+    # Budget 0 tiles with the echelon basis of A_{F,i} alone.
+    cert = greedy_tiling(m, unit_f(8), h, 2, Fraction(1, 4), sample_budget=0)
+    assert cert.coverage == 8
 
 
 # (q, dim F, i) -> (dim G, dim A, coverage, sha256 prefix of the JSON of G, A,
