@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -50,7 +51,7 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def parse_range(text: str):
-    """'2..16' or a comma list '8,16,32' of positive sizes; never empty."""
+    """'2..16' or a comma list '8,16,32' of distinct positive sizes; never empty."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         values = list(range(int(lo), int(hi) + 1))
@@ -60,6 +61,9 @@ def parse_range(text: str):
         raise InputError(f"range {text!r} is empty")
     if any(v < 1 for v in values):
         raise InputError(f"sizes in {text!r} must be at least 1")
+    repeated = [v for v, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise InputError(f"size {repeated[0]} is repeated in {text!r}")
     return values
 
 

@@ -4,7 +4,10 @@ A witness decomposes GF(q)^n into independent, almost-invariant tiles of
 bounded dimension covering most of the space; the expansion constant is
 the minimal growth ratio dim(W + sum theta(gamma_i) W)/dim W over small
 subspaces, computed exactly by enumeration or bounded from above by
-sampling.
+sampling.  The search spins each seed vector's chain span(v) < grow(span(v))
+< ... in a SpanAccumulator and keeps the growths of the accepted tiles in
+another; witness_check re-derives every condition on canonical Subspaces,
+sharing no accumulation code with the search.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import (fraction_from_json, fraction_to_json, json_typed, matmul_data,
-                     open_unit_fraction)
+from .matrix import (SpanAccumulator, fraction_from_json, fraction_to_json, json_typed,
+                     matmul_data, open_unit_fraction)
 from .repseq import Representation
 from .subspace import (BudgetExceededError, Subspace, enumerate_subspaces,
                        gaussian_binomial, subspaces_independent)
@@ -85,7 +88,10 @@ def witness_check(rep: Representation, w: HyperfiniteWitness) -> bool:
 
 
 def cheeger_exact(rep: Representation, cap: int = ENUM_CAP) -> ExpansionReport:
-    """Exact minimal growth ratio over all W with 1 <= dim W <= n/2."""
+    """Exact minimal growth ratio over all W with 1 <= dim W <= n/2.
+    A negative cap raises ValueError."""
+    if cap < 0:
+        raise ValueError(f"cap {cap} must be at least 0")
     n = rep.n
     if n < 2:
         raise ValueError(f"expansion needs n >= 2: at n = {n} no W has 1 <= dim W <= n/2")
@@ -144,35 +150,45 @@ def expander_check(rep: Representation, alpha: Fraction, cap: int = ENUM_CAP) ->
 
 
 def _chain(rep: Representation, vec, max_dim: int):
-    """span(vec) < grow(span(vec)) < ... while dim <= max_dim, each member
-    paired with its growth; True when the last member is invariant."""
-    s = Subspace(rep.field, rep.n, np.asarray(vec, dtype=np.uint8)[None, :])
-    chain = []
-    while 0 < s.dim <= max_dim:
-        grown = grow(rep, s)
-        chain.append((s, grown))
-        if grown.dim == s.dim:
-            return chain, True
-        s = grown
-    return chain, False
+    """The spin of vec: s_0 = span(vec) and s_(j+1) = grow(s_j), while
+    0 < dim s_j <= max_dim.  Since g s_(j-1) lies in s_j, s_(j+1) is s_j
+    plus the images of the rows that s_j added, so each step multiplies
+    only those.  Returns the rows in the order they were added, the first
+    dims[j] of them spanning s_j, and the dims.  Every s_j but the last is
+    a member of the chain, paired with its growth s_(j+1); the last member
+    is invariant when the last two dims are equal."""
+    acc = SpanAccumulator(rep.field, rep.n)
+    new = acc.extend(np.asarray(vec, dtype=np.uint8)[None, :])
+    added, dims = [new], [acc.dim]
+    while 0 < dims[-1] <= max_dim:
+        new = acc.extend(np.concatenate([matmul_data(rep.field, new, g.data.T)
+                                         for g in rep.generators]))
+        added.append(new)
+        dims.append(acc.dim)
+        if not len(new):
+            break
+    return np.concatenate(added), dims
 
 
 def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
                    budget: int = 1000, seed: int = 0) -> HyperfiniteWitness | None:
     """Heuristic witness construction; None means budget exhausted, nothing more.
-    A negative budget raises ValueError.
+    A negative budget or a K below 1 raises ValueError.
 
     Pipeline: orbit-closure tiles seeded from coordinate and random vectors,
-    then greedy acceptance of almost-invariant tiles that stay independent
-    of what has been accepted already.
+    then greedy acceptance of almost-invariant tiles whose growths stay
+    independent of the growths accepted already, all held in one
+    SpanAccumulator; a tile becomes a canonical Subspace once accepted.
     """
     epsilon = open_unit_fraction(epsilon, "epsilon")
     if budget < 0:
         raise ValueError(f"budget {budget} must be at least 0")
+    if k_bound < 1:
+        raise ValueError(f"K = {k_bound} must be at least 1")
     n = rep.n
     rng = np.random.Generator(np.random.Philox(seed))
     tiles = []
-    grown_accum = Subspace.zero(rep.field, n)
+    grown_accum = SpanAccumulator(rep.field, n)
     covered = 0
 
     seeds = list(np.eye(n, dtype=np.uint8))
@@ -183,18 +199,19 @@ def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
             vec = seeds.pop(0)
         else:
             vec = rng.integers(0, rep.field.q, size=n, dtype=np.uint64).astype(np.uint8)
-        if grown_accum.contains_vector(vec):
+        if grown_accum.contains(vec):
             continue
-        chain, closed = _chain(rep, vec, k_bound)
+        rows, dims = _chain(rep, vec, k_bound)
+        members = list(zip(dims, dims[1:]))     # (dim s_j, dim grow(s_j))
         # The orbit closure first, then almost-invariant members, smallest up.
-        for v, wv in (chain[-1:] + chain[:-1] if closed else chain):
-            if Fraction(wv.dim) >= (1 + epsilon) * v.dim:
+        if members and members[-1][0] == members[-1][1]:
+            members = members[-1:] + members[:-1]
+        for dim, grown in members:
+            if Fraction(grown) >= (1 + epsilon) * dim:
                 continue
-            joined = grown_accum.sum(wv)
-            if joined.dim == grown_accum.dim + wv.dim:
-                tiles.append(v)
-                grown_accum = joined
-                covered += v.dim
+            if grown_accum.try_add(rows[:grown]):
+                tiles.append(Subspace(rep.field, n, rows[:dim]))
+                covered += dim
                 break
 
     if Fraction(covered) >= (1 - epsilon) * n:

@@ -268,6 +268,22 @@ def echelon_kernel(field: FieldSpec, R: np.ndarray, pivots) -> np.ndarray:
     return basis
 
 
+def _bit_rows(data: np.ndarray) -> list:
+    """Each row of a 0/1 array with n columns as one Python int, column j at
+    bit w - 1 - j, w = 8 * ceil(n / 8): a leading bit is a first nonzero column."""
+    nb = -(-data.shape[1] // 8)
+    buf = np.packbits(data, axis=1).tobytes()
+    return [int.from_bytes(buf[i * nb:(i + 1) * nb], "big") for i in range(len(data))]
+
+
+def _bit_array(bits, n: int) -> np.ndarray:
+    """Inverse of _bit_rows: the ints as the rows of a 0/1 array with n columns."""
+    nb = -(-n // 8)
+    buf = b"".join(b.to_bytes(nb, "big") for b in bits)
+    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(len(bits), nb), axis=1,
+                         count=n)
+
+
 def rref_array(field: FieldSpec, data: np.ndarray):
     """Reduced row echelon form of a raw code array, with its pivot columns.
 
@@ -293,10 +309,8 @@ def rref_array(field: FieldSpec, data: np.ndarray):
     row = 0
     if field.q == 2:
         # Same pivot search, swap and clear as the table loop below.
-        nb = -(-n // 8)
-        w = 8 * nb
-        buf = np.packbits(data, axis=1).tobytes()
-        bits = [int.from_bytes(buf[i * nb:(i + 1) * nb], "big") for i in range(m)]
+        w = 8 * -(-n // 8)
+        bits = _bit_rows(data)
         for col in range(n):
             if row >= m:
                 break
@@ -312,9 +326,7 @@ def rref_array(field: FieldSpec, data: np.ndarray):
             bits[row] = pivot
             pivots.append(col)
             row += 1
-        buf = b"".join(b.to_bytes(nb, "big") for b in bits)
-        return np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(m, nb), axis=1,
-                             count=n), pivots
+        return _bit_array(bits, n), pivots
     t = field.tables
     q = field.q
     R = data.copy()
@@ -348,6 +360,114 @@ def rref_array(field: FieldSpec, data: np.ndarray):
         row += 1
         col += 1
     return R, pivots
+
+
+class SpanAccumulator:
+    """A span in GF(q)^n that grows a batch of rows at a time: the
+    incremental echelon basis ("spinning") of Parker's MeatAxe (1984).
+
+    A batch is reduced against the basis kept so far; the span is never
+    eliminated again as a whole.  Over GF(2) each basis row is a bit row
+    (see rref_array) kept under its leading bit, and a row is XORed with
+    the basis row under its leading bit until that bit is new.  Every
+    other field keeps a fully reduced basis in one n x n array, each row 1
+    on its own pivot column and 0 on the others, with the pivot list: a
+    batch is reduced by one matmul_data product and one sub_data, only its
+    residual is eliminated, and one more product clears the old rows at
+    the new pivots.  The basis is not canonical; a caller that needs the
+    canonical form builds a Subspace from the rows that extend returned.
+    """
+
+    __slots__ = ("field", "n", "dim", "_bits", "_basis", "_pivots")
+
+    def __init__(self, field: FieldSpec, n: int):
+        self.field = field
+        self.n = n
+        self.dim = 0
+        if field.q == 2:
+            self._bits = {}
+        else:
+            self._basis = np.zeros((n, n), dtype=np.uint8)
+            self._pivots = np.zeros(n, dtype=np.intp)
+
+    def _rows(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.uint8)
+        if rows.ndim != 2 or rows.shape[1] != self.n:
+            raise ValueError(f"expected rows of length {self.n}")
+        return rows
+
+    def _new_bits(self, rows) -> dict:
+        """Over GF(2): each row reduced against the basis and the rows before
+        it, keyed by its new leading bit; a row that reduces to 0 is dropped."""
+        basis, new = self._bits, {}
+        for r in _bit_rows(rows):
+            while r:
+                top = r.bit_length()
+                b = basis.get(top) or new.get(top)
+                if b is None:
+                    new[top] = r
+                    break
+                r ^= b
+        return new
+
+    def _residual(self, rows) -> np.ndarray:
+        """rows - rows[:, pivots] . basis: zero exactly on the rows inside."""
+        if not self.dim:
+            return rows
+        pivots = self._pivots[:self.dim]
+        return sub_data(self.field, rows,
+                        matmul_data(self.field, rows[:, pivots], self._basis[:self.dim]))
+
+    def _new_rows(self, rows):
+        """Off GF(2): the nonzero rows of the residual's rref and their pivots."""
+        R, pivots = rref_array(self.field, self._residual(rows))
+        return R[:len(pivots)], pivots
+
+    def _append(self, R, pivots) -> None:
+        """Clear the basis at the new pivots, then add R's rows below it."""
+        old, k = self.dim, len(pivots)
+        if old and k:
+            basis = self._basis[:old]
+            basis[:] = sub_data(self.field, basis, matmul_data(self.field, basis[:, pivots], R))
+        self._basis[old:old + k] = R
+        self._pivots[old:old + k] = pivots
+        self.dim = old + k
+
+    def contains(self, vec) -> bool:
+        row = self._rows(np.asarray(vec, dtype=np.uint8)[None, :])
+        if self.field.q == 2:
+            return not self._new_bits(row)
+        return not np.any(self._residual(row))
+
+    def extend(self, rows) -> np.ndarray:
+        """Add the rows to the span; returns the reduced rows that joined the
+        basis, in order, as many as the dimension grew by."""
+        rows = self._rows(rows)
+        if self.field.q == 2:
+            new = self._new_bits(rows)
+            self._bits.update(new)
+            self.dim = len(self._bits)
+            return _bit_array(new.values(), self.n)
+        R, pivots = self._new_rows(rows)
+        self._append(R, pivots)
+        return R
+
+    def try_add(self, rows) -> bool:
+        """Add the rows when they are independent of each other and of the
+        span, and return True; otherwise leave the span as it was."""
+        rows = self._rows(rows)
+        if self.field.q == 2:
+            new = self._new_bits(rows)
+            if len(new) < len(rows):
+                return False
+            self._bits.update(new)
+            self.dim = len(self._bits)
+            return True
+        R, pivots = self._new_rows(rows)
+        if len(pivots) < len(rows):
+            return False
+        self._append(R, pivots)
+        return True
 
 
 def random_matrix(field, rng, rows, cols=None) -> DenseMatrix:

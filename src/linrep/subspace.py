@@ -5,9 +5,11 @@ arrays, so equality and hashing are structural and O(1)-ish.
 
 Each basis row is 1 on its own pivot column and 0 on the other pivots, so
 the residual rows - rows[:, pivots] . basis is zero exactly on the rows
-inside the subspace; membership and sums reduce against it.  Annihilators
-are read off the basis without elimination; kernels come from
-Subspace.kernel_of(field, n, rows) = {x : rows . x = 0}.
+inside the subspace; membership reduces against it.  Annihilators are
+read off the basis without elimination; kernels come from
+Subspace.kernel_of(field, n, rows) = {x : rows . x = 0}.  A span that
+grows a batch at a time is a matrix.SpanAccumulator, which keeps no
+canonical form; a Subspace is built from it only where one is needed.
 """
 
 from __future__ import annotations
@@ -106,13 +108,6 @@ class Subspace:
         return sub_data(self.field, rows, proj)
 
     # -- lattice operations --
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        res = self.residual(other.basis)
-        if not np.any(res):
-            return self
-        return Subspace(self.field, self.ambient, np.concatenate([self.basis, res], axis=0))
 
     def annihilator(self) -> np.ndarray:
         """Rows a with a . x = 0 for every x here, spanning all such functionals;

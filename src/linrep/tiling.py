@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .field import FieldSpec
-from .matrix import (DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json,
-                     json_typed, matmul_data, open_unit_fraction)
+from .matrix import (DenseMatrix, SpanAccumulator, codes_from_json, fraction_from_json,
+                     fraction_to_json, json_typed, matmul_data, open_unit_fraction)
 from .subspace import AmbientMismatchError, Subspace, subspaces_independent
 
 
@@ -324,19 +324,15 @@ def greedy_tiling(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
     candidates = np.concatenate([a_space.basis, matmul_data(m.field, coeffs, a_space.basis)])
 
     centers, tiles = [], []
-    accum = Subspace.zero(m.field, m.n)
+    accum = SpanAccumulator(m.field, m.n)
     for x, images in zip(candidates, orbit_images(m, f.basis, candidates)):
         if accum.dim + f.dim > h.dim:
             break
-        orbit = Subspace(m.field, m.n, images)
-        if orbit.dim != f.dim:
-            continue
-        joined = accum.sum(orbit)
-        if joined.dim != accum.dim + orbit.dim:
-            continue
-        centers.append(x.copy())
-        tiles.append(orbit)
-        accum = joined
+        # try_add takes the dim F images only when they are independent of
+        # each other and of the tiles before: an orbit of dimension dim F.
+        if accum.try_add(images):
+            centers.append(x.copy())
+            tiles.append(Subspace(m.field, m.n, images))
 
     coverage = sum(t.dim for t in tiles)
     cert = TilingCertificate(i=i, delta=delta, dim_f=f.dim, centers=centers,

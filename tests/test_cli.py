@@ -23,7 +23,7 @@ def run_cli(*args):
     return proc.returncode, proc.stdout
 
 
-def block_rep_file(tmp_path, sizes, seed=0):
+def block_rep_file(tmp_path, sizes, seed=0, field=GF2):
     g = np.random.Generator(np.random.Philox(seed))
     n = sum(sizes)
     gens = []
@@ -31,10 +31,10 @@ def block_rep_file(tmp_path, sizes, seed=0):
         data = np.zeros((n, n), dtype=np.uint8)
         off = 0
         for s in sizes:
-            data[off:off + s, off:off + s] = random_invertible(GF2, g, s).data
+            data[off:off + s, off:off + s] = random_invertible(field, g, s).data
             off += s
-        gens.append(DenseMatrix(GF2, data))
-    rep = Representation(GF2, gens)
+        gens.append(DenseMatrix(field, data))
+    rep = Representation(field, gens)
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(rep.to_json()))
     return str(path)
@@ -121,6 +121,41 @@ def cert_i2(tmp_path_factory):
 def test_tile_verify_checks_the_asked_i_and_delta(cert_i2, extra, want):
     code, out = run_cli("tile-verify", "--poly", "8", "--cert", cert_i2, *extra)
     assert (code, json.loads(out)) == (want, {"valid": want == 0})
+
+
+# sha256 prefixes of the stdout of runs shaped like the benchmark's certify
+# jobs, recorded with the tiler and the search that summed Subspaces: `tile
+# --poly 32 --i 4 --delta 1/4 --budget 32` with F = span{1, x}, as in the
+# benchmark, and F = span{1, x, x^3}, which takes two sampled centers; and
+# `hyperfinite-search --epsilon 1/10 --K <largest block> --budget n + 16` on
+# block-diagonal representations with random invertible blocks.
+_CERTIFY_TILES = {("2", (0, 1)): "91ed04c259075247", ("2", (0, 1, 3)): "701c68965ecdbba4",
+                  ("3", (0, 1)): "91ed04c259075247", ("3", (0, 1, 3)): "9c278ab1525e5211",
+                  ("2^2", (0, 1)): "91ed04c259075247", ("2^2", (0, 1, 3)): "d3780ee95f0fdb80"}
+_CERTIFY_SEARCHES = {"2": ((3, 4, 5, 6) * 5, "9e50ff65d5c9b983"),
+                     "3": ((3, 4, 5) * 6, "8135a5b70413f504"),
+                     "2^2": ((5, 3) * 9, "ed2cc09f9275700e")}
+
+
+@pytest.mark.parametrize("field, powers", sorted(_CERTIFY_TILES))
+def test_certify_shaped_tile_output_is_pinned(tmp_path, field, powers):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"basis": [[int(j == i) for j in range(32)] for i in powers]}))
+    out = io.StringIO()
+    assert cli.main(["tile", "--poly", "32", "--field", field, "--i", "4", "--delta", "1/4",
+                     "--seed", "5", "--budget", "32", "--f", str(f)], out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == _CERTIFY_TILES[field, powers]
+
+
+@pytest.mark.parametrize("field", sorted(_CERTIFY_SEARCHES))
+def test_certify_shaped_search_output_is_pinned(tmp_path, field):
+    sizes, digest = _CERTIFY_SEARCHES[field]
+    rep = block_rep_file(tmp_path, sizes, seed=3, field=cli.parse_field(field))
+    out = io.StringIO()
+    code = cli.main(["hyperfinite-search", "--rep", rep, "--epsilon", "1/10",
+                     "--K", str(max(sizes)), "--budget", str(sum(sizes) + 16), "--seed", "7"], out)
+    assert code == 0 and json.loads(out.getvalue())["found"]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == digest
 
 
 def test_tile_with_a_non_inverse_finv_answers_a_certificate(tmp_path):
@@ -326,6 +361,13 @@ _DETAILS = {
     "arg-trials-negative": "trials -1 must be at least 1",
     "arg-tile-budget-negative": "sample budget -5 must be at least 0",
     "arg-search-budget-negative": "budget -1 must be at least 0",
+    "arg-K-0": "K = 0 must be at least 1",
+    "arg-K-negative": "K = -1 must be at least 1",
+    "arg-cheeger-cap-negative": "cap -1 must be at least 0",
+    "arg-expander-cap-negative": "cap -1 must be at least 0",
+    "arg-k-repeated": "size 3 is repeated in '3,3'",
+    "arg-poly-levels-repeated": "size 8 is repeated in '8,12,8'",
+    "arg-sizes-repeated": "size 2 is repeated in '2,1,2'",
     "sofic-no-input": "need --sofic FILE or --poly-levels LIST",
     "arg-k-dashes": "no value given for --k",
     "arg-trials-dashes": "no value given for --trials",
@@ -497,6 +539,21 @@ _DETAILS = {
     pytest.param(["tile", "--poly", "8", "--budget", "-5"], {}, id="arg-tile-budget-negative"),
     pytest.param(["hyperfinite-search", "--rep", "{r}", "--budget", "-1"],
                  {"r": json.dumps(_REP)}, id="arg-search-budget-negative"),
+    # A K below 1 admits no tile: once a scan of the whole budget and exit 3.
+    pytest.param(["hyperfinite-search", "--rep", "{r}", "--K", "0"], {"r": json.dumps(_REP)},
+                 id="arg-K-0"),
+    pytest.param(["hyperfinite-search", "--rep", "{r}", "--K=-1"], {"r": json.dumps(_REP)},
+                 id="arg-K-negative"),
+    # A negative enumeration cap: once exit 3, "exceeds cap -1".
+    pytest.param(["cheeger", "--rep", "{r}", "--cap=-1"], {"r": json.dumps(_REP)},
+                 id="arg-cheeger-cap-negative"),
+    pytest.param(["expander", "--rep", "{r}", "--alpha", "1/2", "--cap=-1"],
+                 {"r": json.dumps(_REP)}, id="arg-expander-cap-negative"),
+    # A repeated size: once a repeated profile row or sofic level.
+    pytest.param(["profile", "--k", "3,3", "--element", "g1 - 1"], {}, id="arg-k-repeated"),
+    pytest.param(["sofic-check", "--poly-levels", "8,12,8"], {}, id="arg-poly-levels-repeated"),
+    pytest.param(["ncrat-equiv", "--r-expr", "z1", "--s-expr", "z1", "--sizes", "2,1,2"], {},
+                 id="arg-sizes-repeated"),
     # Neither input: once a TypeError traceback from open(None).
     pytest.param(["sofic-check"], {}, id="sofic-no-input"),
     pytest.param(["sofic-check", "--poly-levels="], {}, id="arg-poly-levels-blank"),

@@ -6,8 +6,9 @@ exits 0 (a report), 1 (an input error) or 3 (over the enumeration cap),
 `tile-verify --cert` and `hyperfinite-check --witness` print one JSON
 line and exit 0 (valid), 1 or 2 (invalid); no exception escapes main.
 The range arguments (--k, --sizes, --poly-levels) and the counts
-(--trials, --budget) answer any value the same way: a report with exit 0,
-2 or 3, or one JSON input error with exit 1.
+(--trials, --budget, --K, --cap) answer any value the same way: a report
+with exit 0, 2 or 3, or one JSON input error with exit 1, which an empty
+or repeated range and a value below the least valid one always give.
 """
 
 import functools
@@ -228,25 +229,36 @@ def test_hyperfinite_check_answers_any_witness(tmp_path_factory, data):
 
 
 # Range arguments: "lo..hi" and comma lists of small integers, reversed,
-# empty and non-positive ones included, and short texts over the characters
-# a range is written with.  Counts are integers around their least valid
-# value.  Values go in as --opt=VALUE, so that one starting with "-" is
-# read as a value and not as an option.
+# empty, repeated and non-positive ones included, and short texts over the
+# characters a range is written with.  Counts are integers around their
+# least valid value.  Each draw is (text, values), values being the sizes
+# the text lists or None for free text.  Values go in as --opt=VALUE, so
+# that one starting with "-" is read as a value and not as an option.
 small = st.integers(-3, 12)
 ranges = st.one_of(
-    st.tuples(small, small).map(lambda t: f"{t[0]}..{t[1]}"),
-    st.lists(small, max_size=3).map(lambda vs: ",".join(map(str, vs))),
-    st.text(alphabet="0123456789.,- ", max_size=2))
+    st.tuples(small, small).map(lambda t: (f"{t[0]}..{t[1]}", list(range(t[0], t[1] + 1)))),
+    st.lists(small, max_size=3).map(lambda vs: (",".join(map(str, vs)), vs)),
+    st.text(alphabet="0123456789.,- ", max_size=2).map(lambda text: (text, None)))
+
+
+def counts(lo, hi):
+    return st.integers(lo, hi).map(lambda v: (str(v), [v]))
+
+
+# name -> (argv, option, values, least valid value)
 _COUNT_ARGS = {
-    "profile-k": (["profile", "--element", "g1 - 1"], "--k", ranges),
-    "sofic-check-poly-levels": (["sofic-check"], "--poly-levels", ranges),
+    "profile-k": (["profile", "--element", "g1 - 1"], "--k", ranges, 1),
+    "sofic-check-poly-levels": (["sofic-check"], "--poly-levels", ranges, 1),
     "ncrat-equiv-sizes": (["ncrat-equiv", "--r-expr", "z1*z2", "--s-expr", "z2*z1",
-                           "--trials", "2"], "--sizes", ranges),
+                           "--trials", "2"], "--sizes", ranges, 1),
     "ncrat-equiv-trials": (["ncrat-equiv", "--r-expr", "z1*z2", "--s-expr", "z2*z1",
-                            "--sizes", "1..2"], "--trials", st.integers(-3, 4)),
-    "tile-budget": (["tile", "--poly", "16", "--i", "2"], "--budget", st.integers(-3, 40)),
+                            "--sizes", "1..2"], "--trials", counts(-3, 4), 1),
+    "tile-budget": (["tile", "--poly", "16", "--i", "2"], "--budget", counts(-3, 40), 0),
     "hyperfinite-search-budget": (["hyperfinite-search", "--K", "3"], "--budget",
-                                  st.integers(-3, 12)),
+                                  counts(-3, 12), 0),
+    "hyperfinite-search-K": (["hyperfinite-search", "--budget", "12"], "--K", counts(-3, 6), 1),
+    "cheeger-cap": (["cheeger"], "--cap", counts(-3, 40), 0),
+    "expander-cap": (["expander", "--alpha", "1/2"], "--cap", counts(-3, 40), 0),
 }
 
 
@@ -254,19 +266,24 @@ _COUNT_ARGS = {
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_range_and_count_arguments_answer_any_value(tmp_path_factory, name, data):
-    argv, option, values = _COUNT_ARGS[name]
-    if argv[0] == "hyperfinite-search":
+    argv, option, values, least = _COUNT_ARGS[name]
+    if argv[0] in ("hyperfinite-search", "cheeger", "expander"):
         rep, _ = valid_witness(tmp_path_factory.getbasetemp())
         argv = [*argv, "--rep", rep]
-    value = data.draw(values)
+    value, sizes = data.draw(values)
     out = io.StringIO()
     code = cli.main([*argv, f"{option}={value}"], out)
     text = out.getvalue()
     assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CHECK_FAILED, cli.EXIT_BUDGET), text
     assert text.endswith("\n"), (value, text)
+    # Empty, below the least valid value, or repeated: an input error.
+    if sizes is not None and (not sizes or min(sizes) < least or len(set(sizes)) < len(sizes)):
+        assert code == cli.EXIT_INPUT, (value, text)
     if argv[0] == "profile" and code == cli.EXIT_OK:
-        # One CSV row k,n_k,rank,num,den per size.
-        assert all(len(row.split(",")) == 5 for row in text.splitlines()), text
+        # One CSV row k,n_k,rank,num,den per distinct size.
+        rows = text.splitlines()
+        assert all(len(row.split(",")) == 5 for row in rows), text
+        assert sizes is None or len(rows) == len(set(sizes)), (value, text)
         return
     assert text.count("\n") == 1, text
     obj = json.loads(text)

@@ -191,16 +191,25 @@ def test_expander_check_thresholds():
     assert not expander_check(rep, c)  # strict margin fails: needs >= 1 + alpha
 
 
+def _closed(dims):
+    """A chain with dims as _chain returns them ends in an invariant member."""
+    return len(dims) > 1 and dims[-1] == dims[-2]
+
+
 def test_orbit_closure_finds_block():
     # witness_search takes an invariant tile from the chain span(v) <
     # grow(span(v)) < ... when it closes within the dimension bound.
     rep = block_rep(GF2, [3, 4], seed=9)
     eye = np.eye(7, dtype=np.uint8)
-    chain, closed = hyperfin._chain(rep, eye[0], 3)
-    s = chain[-1][0]
-    assert closed and s.dim <= 3
+    rows, dims = hyperfin._chain(rep, eye[0], 3)
+    s = Subspace(GF2, 7, rows[:dims[-2]])
+    assert _closed(dims) and s.dim == dims[-2] <= 3
     assert grow(rep, s) == s
-    assert hyperfin._chain(rep, eye[0], 0) == ([], False)
+    # Each prefix of the rows spans its member, grown from the one before.
+    for d, grown in zip(dims, dims[1:]):
+        assert grow(rep, Subspace(GF2, 7, rows[:d])) == Subspace(GF2, 7, rows[:grown])
+    rows, dims = hyperfin._chain(rep, eye[0], 0)
+    assert dims == [1] and not _closed(dims)     # no member: span(v) is above the bound
 
 
 def test_witness_search_on_block_fixture():
@@ -225,7 +234,7 @@ def test_witness_search_almost_invariant_fallback_is_pinned(q):
     # No seed vector has an invariant closure of dimension <= 3 here, so
     # every tile comes from the almost-invariant fallback (span(v), grow(span(v)), ...).
     rep = family_generate(FamilyDescriptor.random_invertible(0, 8, 1), 8, FieldSpec(q))
-    assert not any(hyperfin._chain(rep, v, 3)[1] for v in np.eye(8, dtype=np.uint8))
+    assert not any(_closed(hyperfin._chain(rep, v, 3)[1]) for v in np.eye(8, dtype=np.uint8))
     w = witness_search(rep, Fraction(1, 2), 3, budget=60)
     assert w is not None
     assert w.to_json() == {"epsilon": {"num": 1, "den": 2}, "K": 3, "tiles": _FALLBACK_TILES[q]}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linrep.field import GF2, FieldSpec
-from linrep.matrix import matmul_data, rref_array
+from linrep.matrix import SpanAccumulator, matmul_data, rref_array
 from linrep.subspace import (AmbientMismatchError, BudgetExceededError,
                              Subspace, enumerate_subspaces, gaussian_binomial,
                              projection_onto, subspaces_independent)
@@ -18,6 +18,14 @@ def rng(seed=0):
 def random_subspace(field, g, n, rows):
     return Subspace(field, n, g.integers(0, field.q, size=(rows, n),
                                          dtype=np.uint64).astype(np.uint8))
+
+
+def span_sum(*spaces):
+    """U + W + ... through one SpanAccumulator: its dim and a canonical Subspace
+    of the rows that extend returned."""
+    acc = SpanAccumulator(spaces[0].field, spaces[0].ambient)
+    added = np.concatenate([acc.extend(s.basis) for s in spaces])
+    return acc.dim, Subspace(spaces[0].field, spaces[0].ambient, added)
 
 
 def test_canonical_equality_ignores_basis_choice():
@@ -37,7 +45,7 @@ def test_intersection_matches_brute_force():
         for u, w in pairs:
             # Dimension formula: dim(U + W) = dim U + dim W - dim(U meet W).
             brute = [v for v in u.vectors() if w.contains_vector(v)]
-            assert field.q ** (u.dim + w.dim - u.sum(w).dim) == len(brute)
+            assert field.q ** (u.dim + w.dim - span_sum(u, w)[0]) == len(brute)
 
 
 def test_kernel_of_drops_zero_rows():
@@ -61,7 +69,8 @@ def test_containment_and_lattice_bounds():
     for _ in range(20):
         u = random_subspace(GF2, g, 5, 2)
         w = random_subspace(GF2, g, 5, 3)
-        assert u.sum(w).contains(u) and u.sum(w).contains(w)
+        joined = span_sum(u, w)[1]
+        assert joined.contains(u) and joined.contains(w)
 
 
 def test_complement_is_complementary():
@@ -78,9 +87,17 @@ def test_ambient_mismatch_raises():
     u = Subspace.full(GF2, 3)
     w = Subspace.full(GF2, 4)
     with pytest.raises(AmbientMismatchError):
-        u.sum(w)
+        u.contains(w)
     with pytest.raises(AmbientMismatchError):
-        Subspace.full(GF2, 3).sum(Subspace.full(F3, 3))
+        Subspace.full(GF2, 3).contains(Subspace.full(F3, 3))
+    acc = SpanAccumulator(GF2, 3)
+    for bad in (w.basis, np.zeros(3, np.uint8)):
+        with pytest.raises(ValueError, match="^expected rows of length 3$"):
+            acc.extend(bad)
+        with pytest.raises(ValueError, match="^expected rows of length 3$"):
+            acc.try_add(bad)
+    with pytest.raises(ValueError, match="^expected rows of length 3$"):
+        acc.contains(np.zeros(4, np.uint8))
 
 
 @st.composite
@@ -123,7 +140,8 @@ def test_residual_membership_and_sum_match_re_elimination(pair):
 
     assert u.contains_vector(v) == (rank(u.basis, v[None, :]) == u.dim)
     assert u.contains(w) == (rank(u.basis, w.basis) == u.dim)
-    assert u.sum(w) == Subspace(field, n, np.concatenate([u.basis, w.basis], axis=0))
+    joined = Subspace(field, n, np.concatenate([u.basis, w.basis], axis=0))
+    assert span_sum(u, w) == (joined.dim, joined)
     res = u.residual(np.concatenate([w.basis, v[None, :]], axis=0))
     assert not np.any(res[:, list(u.pivots)])
     for bad in (np.zeros((1, n + 1), np.uint8), np.zeros(2 * n, np.uint8)):
@@ -131,6 +149,48 @@ def test_residual_membership_and_sum_match_re_elimination(pair):
             u.residual(bad)
     with pytest.raises(AmbientMismatchError):
         u.contains_vector(np.zeros(2 * n, np.uint8))
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+@pytest.mark.parametrize("field", [GF2, F3, FieldSpec(251), FieldSpec(2, 2), FieldSpec(3, 2)],
+                         ids=["2", "3", "251", "2^2", "3^2"])
+def test_span_accumulator_matches_re_elimination(field, n):
+    # Seeded batches: fresh random rows, rows inside the span, fresh rows
+    # with a combination of themselves or of the span appended, a zero row
+    # and no row.  Each step extends or tries to add; a Subspace of every
+    # row accepted so far is the reference.  The batch rows are probed
+    # after the step, so a rejected try_add that kept any of them shows.
+    g = rng(field.q * 100 + n)
+    acc = SpanAccumulator(field, n)
+    rows = np.zeros((0, n), np.uint8)
+
+    def draw(k, width=n):
+        return g.integers(0, field.q, size=(k, width), dtype=np.uint64).astype(np.uint8)
+
+    def combos(k, of):
+        return matmul_data(field, draw(k, len(of)), of) if len(of) else np.zeros((k, n), np.uint8)
+
+    for _ in range(60):
+        fresh = draw(int(g.integers(1, 4)))
+        batch = [fresh, combos(2, rows), np.concatenate([fresh, combos(1, fresh)]),
+                 np.concatenate([fresh, combos(1, rows)]), np.zeros((1, n), np.uint8),
+                 fresh[:0]][int(g.integers(0, 6))]
+        before = Subspace(field, n, rows)
+        joined = Subspace(field, n, np.concatenate([rows, batch]))
+        if g.integers(0, 2):
+            added = acc.extend(batch)
+            assert len(added) == joined.dim - before.dim
+            assert Subspace(field, n, np.concatenate([rows, added])) == joined
+            rows = np.concatenate([rows, batch])
+        elif acc.try_add(batch):
+            assert joined.dim == before.dim + len(batch)
+            rows = np.concatenate([rows, batch])
+        else:
+            assert joined.dim < before.dim + len(batch)
+        span = Subspace(field, n, rows)
+        assert acc.dim == span.dim
+        probes = np.concatenate([batch, draw(2), combos(2, rows)])
+        assert [acc.contains(v) for v in probes] == [span.contains_vector(v) for v in probes]
 
 
 @pytest.mark.parametrize("field,n", [(GF2, 4), (F3, 3)])

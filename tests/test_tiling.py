@@ -7,7 +7,7 @@ import pytest
 
 from linrep import tiling
 from linrep.field import GF2, FieldSpec
-from linrep.matrix import DenseMatrix, matmul_data
+from linrep.matrix import DenseMatrix, SpanAccumulator, matmul_data
 from linrep.repseq import repair_to_invertible
 from linrep.soficam import PolyInstance, poly_basis_map
 from linrep.subspace import AmbientMismatchError, Subspace, subspaces_independent
@@ -372,13 +372,13 @@ def test_greedy_tiling_stops_when_full(monkeypatch, fdim):
     f = FSubspaceData(list(eye[:fdim]), {0: eye[0]})
     h = Subspace.full(GF2, 16)
     full_sums = []
-    summed = Subspace.sum
+    summed = SpanAccumulator.try_add
 
-    def counted(self, other):
+    def counted(self, rows):
         if self.dim + fdim > h.dim:
             full_sums.append(self.dim)
-        return summed(self, other)
-    monkeypatch.setattr(Subspace, "sum", counted)
+        return summed(self, rows)
+    monkeypatch.setattr(SpanAccumulator, "try_add", counted)
     cert = greedy_tiling(m, f, h, 4, Fraction(1, 4), seed=0, sample_budget=64)
     assert cert.coverage > 16 - fdim and full_sums == []
 
