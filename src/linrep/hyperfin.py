@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .matrix import (SpanAccumulator, fraction_from_json, fraction_to_json, json_typed,
-                     matmul_data, open_unit_fraction)
+                     matmul_data, open_unit_fraction, random_codes)
 from .repseq import Representation
 from .subspace import (BudgetExceededError, Subspace, enumerate_subspaces,
                        gaussian_binomial, subspaces_independent)
@@ -126,7 +126,7 @@ def cheeger_random(rep: Representation, trials: int, seed: int = 0) -> Expansion
     best_w = None
     for _ in range(trials):
         d = int(rng.integers(1, n // 2 + 1))
-        rows = rng.integers(0, rep.field.q, size=(d, n), dtype=np.uint64).astype(np.uint8)
+        rows = random_codes(rep.field, rng, (d, n))
         w = Subspace(rep.field, n, rows)
         if w.dim == 0:
             continue
@@ -198,7 +198,7 @@ def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
         if seeds:
             vec = seeds.pop(0)
         else:
-            vec = rng.integers(0, rep.field.q, size=n, dtype=np.uint64).astype(np.uint8)
+            vec = random_codes(rep.field, rng, n)
         if grown_accum.contains(vec):
             continue
         rows, dims = _chain(rep, vec, k_bound)

@@ -7,12 +7,12 @@ product, a difference is sub_data.  Each field family has its own
 kernels: characteristic 2 subtracts codes by XOR, GF(p) subtracts the
 residues in uint8 with a borrow of p, and odd extensions GF(p^d)
 subtract through one flat q x q table and multiply base-p digit planes
-in int64 (see sub_data and matmul_data).  Elimination over GF(2) itself
-runs on bit rows: each row packed into one Python int, cleared by int
-XOR; every other field clears a pivot column by one sub_data call on the
-live columns, from the pivot column on.  Arrays stay uint8 at the API;
-packing happens inside rref_array.  A DenseMatrix owns its read-only
-array and keeps its inverse once computed, so random_invertible's
+in int64 (see sub_data and matmul_data).  Elimination over GF(2) runs on
+bit rows, each row one Python int, in one loop for rref_array and
+SpanAccumulator alike (_reduce_bits); every other field clears a pivot
+column by one sub_data call on the live columns, from the pivot column on.
+Arrays stay uint8 at the API.  A DenseMatrix owns its read-only array
+and keeps its inverse once computed, so random_invertible's
 invertibility test is also the inverse a Representation later asks for.
 """
 
@@ -110,13 +110,8 @@ class DenseMatrix:
 
     # -- elimination --
 
-    def rref(self):
-        """Reduced row echelon form.  Returns (matrix array, pivot column list)."""
-        R, pivots = rref_array(self.field, self.data)
-        return DenseMatrix(self.field, R), pivots
-
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(rref_array(self.field, self.data)[1])
 
     def inverse(self):
         """A^-1, the right half of rref([A | I]).  A is invertible iff the pivots
@@ -284,16 +279,35 @@ def _bit_array(bits, n: int) -> np.ndarray:
                          count=n)
 
 
+def _reduce_bits(rows: np.ndarray, basis: dict) -> dict:
+    """The one GF(2) elimination loop: each row of a 0/1 array, as a bit row,
+    is XORed with the basis row or earlier new row under its leading bit
+    until that bit is new.  Returns the new rows keyed by leading bit
+    (bit_length), dropping rows that reduce to 0; the basis is unchanged."""
+    new = {}
+    for r in _bit_rows(rows):
+        while r:
+            top = r.bit_length()
+            b = basis.get(top) or new.get(top)
+            if b is None:
+                new[top] = r
+                break
+            r ^= b
+    return new
+
+
 def rref_array(field: FieldSpec, data: np.ndarray):
     """Reduced row echelon form of a raw code array, with its pivot columns.
 
-    Elimination stops once every row holds a pivot.  Clearing a pivot
-    column subtracts f * pivot row from every other row whose entry in
-    it is f.  Over GF(2) each row is a bit row, one Python int with
-    column j at bit w-1-j, and the pivot row is XORed into every row that
-    holds the pivot bit.  Every other field runs the table loop: the
-    multiples f * row come from one of two gathers from t.mul, and one
-    sub_data call subtracts them.  With k rows to clear, k >= q gathers
+    Over GF(2) each row is a bit row, one Python int with column j at bit
+    w-1-j.  The rows _reduce_bits keeps, one per leading bit, are sorted
+    first pivot column first; each pivot bit is cleared from the rows
+    above it, last pivot first, and zero rows pad the result to m rows.
+    Every other field runs the table loop, which stops once every row
+    holds a pivot.  It clears a pivot column by subtracting f * pivot row
+    from every other row whose entry in it is f: the multiples f * row
+    come from one of two gathers from t.mul, and one sub_data call
+    subtracts them.  With k rows to clear, k >= q gathers
     the q multiples of the pivot row once, t.mul[:, row], and picks k of
     them; fewer rows gather their own factors' rows t.mul[f] and then
     the pivot row's columns, so a sparse column costs k x w, not q x w.
@@ -305,28 +319,17 @@ def rref_array(field: FieldSpec, data: np.ndarray):
     """
     data = np.asarray(data, dtype=np.uint8)
     m, n = data.shape
+    if field.q == 2:
+        w = 8 * -(-n // 8)
+        new = _reduce_bits(data, {})
+        tops = sorted(new, reverse=True)    # first pivot column first
+        bits = [new[top] for top in tops]
+        for i in range(len(bits) - 1, 0, -1):
+            bit, pivot = 1 << (tops[i] - 1), bits[i]
+            bits[:i] = [b ^ pivot if b & bit else b for b in bits[:i]]
+        return _bit_array(bits + [0] * (m - len(bits)), n), [w - top for top in tops]
     pivots = []
     row = 0
-    if field.q == 2:
-        # Same pivot search, swap and clear as the table loop below.
-        w = 8 * -(-n // 8)
-        bits = _bit_rows(data)
-        for col in range(n):
-            if row >= m:
-                break
-            bit = 1 << (w - 1 - col)
-            for pr in range(row, m):
-                if bits[pr] & bit:
-                    break
-            else:
-                continue
-            pivot = bits[pr]
-            bits[pr] = bits[row]
-            bits = [b ^ pivot if b & bit else b for b in bits]
-            bits[row] = pivot
-            pivots.append(col)
-            row += 1
-        return _bit_array(bits, n), pivots
     t = field.tables
     q = field.q
     R = data.copy()
@@ -368,8 +371,8 @@ class SpanAccumulator:
 
     A batch is reduced against the basis kept so far; the span is never
     eliminated again as a whole.  Over GF(2) each basis row is a bit row
-    (see rref_array) kept under its leading bit, and a row is XORed with
-    the basis row under its leading bit until that bit is new.  Every
+    (see rref_array) kept under its leading bit, and a batch is reduced
+    by _reduce_bits, the loop rref_array eliminates with.  Every
     other field keeps a fully reduced basis in one n x n array, each row 1
     on its own pivot column and 0 on the others, with the pivot list: a
     batch is reduced by one matmul_data product and one sub_data, only its
@@ -395,20 +398,6 @@ class SpanAccumulator:
         if rows.ndim != 2 or rows.shape[1] != self.n:
             raise ValueError(f"expected rows of length {self.n}")
         return rows
-
-    def _new_bits(self, rows) -> dict:
-        """Over GF(2): each row reduced against the basis and the rows before
-        it, keyed by its new leading bit; a row that reduces to 0 is dropped."""
-        basis, new = self._bits, {}
-        for r in _bit_rows(rows):
-            while r:
-                top = r.bit_length()
-                b = basis.get(top) or new.get(top)
-                if b is None:
-                    new[top] = r
-                    break
-                r ^= b
-        return new
 
     def _residual(self, rows) -> np.ndarray:
         """rows - rows[:, pivots] . basis: zero exactly on the rows inside."""
@@ -436,7 +425,7 @@ class SpanAccumulator:
     def contains(self, vec) -> bool:
         row = self._rows(np.asarray(vec, dtype=np.uint8)[None, :])
         if self.field.q == 2:
-            return not self._new_bits(row)
+            return not _reduce_bits(row, self._bits)
         return not np.any(self._residual(row))
 
     def extend(self, rows) -> np.ndarray:
@@ -444,7 +433,7 @@ class SpanAccumulator:
         basis, in order, as many as the dimension grew by."""
         rows = self._rows(rows)
         if self.field.q == 2:
-            new = self._new_bits(rows)
+            new = _reduce_bits(rows, self._bits)
             self._bits.update(new)
             self.dim = len(self._bits)
             return _bit_array(new.values(), self.n)
@@ -457,7 +446,7 @@ class SpanAccumulator:
         span, and return True; otherwise leave the span as it was."""
         rows = self._rows(rows)
         if self.field.q == 2:
-            new = self._new_bits(rows)
+            new = _reduce_bits(rows, self._bits)
             if len(new) < len(rows):
                 return False
             self._bits.update(new)
@@ -470,9 +459,15 @@ class SpanAccumulator:
         return True
 
 
+def random_codes(field, rng, shape) -> np.ndarray:
+    """Uniform codes of GF(q) in a uint8 array of this shape.  The one draw
+    format, uint64 integers in [0, q) from rng, fixes the stream behind
+    every seeded output."""
+    return rng.integers(0, field.q, size=shape, dtype=np.uint64).astype(np.uint8)
+
+
 def random_matrix(field, rng, rows, cols=None) -> DenseMatrix:
-    cols = rows if cols is None else cols
-    return DenseMatrix(field, rng.integers(0, field.q, size=(rows, cols), dtype=np.uint64).astype(np.uint8))
+    return DenseMatrix(field, random_codes(field, rng, (rows, rows if cols is None else cols)))
 
 
 def random_invertible(field, rng, n) -> DenseMatrix:

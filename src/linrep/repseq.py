@@ -121,6 +121,8 @@ class RankProfile:
     entries: list = dc_field(default_factory=list)
 
     def add(self, k: int, n_k: int, rank: int):
+        if n_k < 1 or rank < 0:
+            raise ValueError(f"entry k = {k} needs n_k >= 1 and rank >= 0, not {n_k} and {rank}")
         self.entries.append((k, n_k, rank))
 
     def values(self):
@@ -229,13 +231,15 @@ def _perm_matrix(field, perm):
 
 def family_generate(spec: FamilyDescriptor, k: int, field: FieldSpec) -> Representation:
     """Instantiate the k-th member of a built-in representation family."""
+    r = spec.params[-1] if spec.params else 1   # every family's last parameter
+    if r < 1:
+        raise ValueError("need at least one generator")
     if spec.kind == "cyclic_regular":
         # Z/k acting on itself: the shift sends e_i to e_(i+1 mod k).
-        (r,) = spec.params or (1,)
         shift = _perm_matrix(field, (np.arange(k) + 1) % k)
         return Representation(field, [shift] + [DenseMatrix.identity(field, k)] * (r - 1))
     if spec.kind == "random_invertible":
-        seed, n, r = spec.params
+        seed, n = spec.params[:2]
         rng = np.random.Generator(np.random.Philox(seed))
         return Representation(field, [random_invertible(field, rng, n) for _ in range(r)])
     raise ValueError(f"unknown family {spec.kind!r}")

@@ -59,8 +59,7 @@ class PolyInstance:
         """span{1, x, ..., x^(d-1)} inside the ambient V_m."""
         if not 0 <= d <= self.m:
             raise ValueError("degree out of range")
-        rows = np.eye(self.m, dtype=np.uint8)[:d]
-        return Subspace(self.field, self.m, rows, _canonical=True)
+        return Subspace(self.field, self.m, np.eye(self.m, dtype=np.uint8)[:d])
 
 
 class InfeasibleParametersError(ValueError):

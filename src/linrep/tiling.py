@@ -19,7 +19,8 @@ import numpy as np
 
 from .field import FieldSpec
 from .matrix import (DenseMatrix, SpanAccumulator, codes_from_json, fraction_from_json,
-                     fraction_to_json, json_typed, matmul_data, open_unit_fraction)
+                     fraction_to_json, json_typed, matmul_data, open_unit_fraction,
+                     random_codes)
 from .subspace import AmbientMismatchError, Subspace, subspaces_independent
 
 
@@ -319,8 +320,7 @@ def greedy_tiling(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
 
     rng = np.random.Generator(np.random.Philox(seed))
     exhausted = a_space.dim > 0 and m.field.q ** a_space.dim > sample_budget + a_space.dim
-    coeffs = rng.integers(0, m.field.q, size=(sample_budget if a_space.dim else 0, a_space.dim),
-                          dtype=np.uint64).astype(np.uint8)
+    coeffs = random_codes(m.field, rng, (sample_budget if a_space.dim else 0, a_space.dim))
     candidates = np.concatenate([a_space.basis, matmul_data(m.field, coeffs, a_space.basis)])
 
     centers, tiles = [], []

@@ -396,6 +396,10 @@ _DETAILS = {
                  id="arg-window-0"),
     pytest.param(["atiyah", "--profile", "{p}", "--window", "-1"], {"p": _PROFILE},
                  id="arg-window-negative"),
+    pytest.param(["atiyah", "--profile", "{p}", "--window", "1"], {"p": "3,0,1\n"},
+                 id="atiyah-nk-0"),
+    pytest.param(["atiyah", "--profile", "{p}", "--window", "1"], {"p": "3,-3,1\n"},
+                 id="atiyah-nk-negative"),
     pytest.param(["tile", "--map", "{m}"],
                  {"m": json.dumps(dict(_MAP, mult=[[1, 1, [1, 300]]]))}, id="mult-coord-300"),
     pytest.param(["tile", "--map", "{m}"], {"m": json.dumps(dict(_MAP, mult=[5]))},

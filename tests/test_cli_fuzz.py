@@ -248,6 +248,7 @@ def counts(lo, hi):
 # name -> (argv, option, values, least valid value)
 _COUNT_ARGS = {
     "profile-k": (["profile", "--element", "g1 - 1"], "--k", ranges, 1),
+    "profile-r": (["profile", "--k", "2..3", "--element", "1"], "--r", counts(-3, 3), 1),
     "sofic-check-poly-levels": (["sofic-check"], "--poly-levels", ranges, 1),
     "ncrat-equiv-sizes": (["ncrat-equiv", "--r-expr", "z1*z2", "--s-expr", "z2*z1",
                            "--trials", "2"], "--sizes", ranges, 1),
@@ -280,10 +281,13 @@ def test_range_and_count_arguments_answer_any_value(tmp_path_factory, name, data
     if sizes is not None and (not sizes or min(sizes) < least or len(set(sizes)) < len(sizes)):
         assert code == cli.EXIT_INPUT, (value, text)
     if argv[0] == "profile" and code == cli.EXIT_OK:
-        # One CSV row k,n_k,rank,num,den per distinct size.
+        # One CSV row k,n_k,rank,num,den per distinct k, in increasing k
+        # (the k are 2..3 when the option drawn is --r).
         rows = text.splitlines()
         assert all(len(row.split(",")) == 5 for row in rows), text
-        assert sizes is None or len(rows) == len(set(sizes)), (value, text)
+        ks = sizes if option == "--k" else [2, 3]
+        assert ks is None or [int(row.split(",")[0]) for row in rows] == sorted(set(ks)), \
+            (value, text)
         return
     assert text.count("\n") == 1, text
     obj = json.loads(text)

@@ -31,14 +31,15 @@ def test_rref_is_reduced_and_idempotent():
     g = rng(1)
     for field in (GF2, F3, F4):
         for _ in range(25):
-            m = random_matrix(field, g, 5, 7)
-            R, piv = m.rref()
+            data = random_matrix(field, g, 5, 7).data
+            R, piv = rref_array(field, data)
+            assert R.dtype == np.uint8 and R.shape == data.shape and R.max() < field.q
             # Pivot columns are standard basis vectors of the row space.
             for i, pc in enumerate(piv):
-                col = R.data[:, pc]
+                col = R[:, pc]
                 assert col[i] == 1 and np.count_nonzero(col) == 1
-            R2, piv2 = R.rref()
-            assert R2 == R and piv2 == piv
+            R2, piv2 = rref_array(field, R)
+            assert np.array_equal(R2, R) and piv2 == piv
 
 
 def scalar_matmul(field, a, b):
@@ -130,7 +131,10 @@ def _rref_cases(field, g):
 
 def _gf2_wide_cases(g):
     """GF(2) packs each row into bytes: widths on both sides of a byte and
-    of 64 bits, up to 70 rows, and singular [A | I] systems."""
+    of 64 bits, up to 70 rows, singular [A | I] systems, and tall arrays
+    (up to 3n rows) whose rows arrive in reverse leading-column order, each
+    followed by an XOR of earlier rows, so the rows that reduction by
+    leading bit keeps must be sorted, back-cleared and padded with zeros."""
     def low_rank(m, n):
         r = int(g.integers(0, min(m, n) + 1))
         return matmul_data(GF2, random_matrix(GF2, g, m, r).data, random_matrix(GF2, g, r, n).data)
@@ -145,6 +149,16 @@ def _gf2_wide_cases(g):
         singular = matmul_data(GF2, random_matrix(GF2, g, n, r).data,
                                random_matrix(GF2, g, r, n).data)
         cases.append(np.concatenate([singular, np.eye(n, dtype=np.uint8)], axis=1))
+    for n in (2, 5, 9, 24, 65):
+        cases += [random_matrix(GF2, g, 3 * n, n).data, low_rank(3 * n, n)]
+        unit = np.triu(random_matrix(GF2, g, n, n).data, 1) | np.eye(n, dtype=np.uint8)
+        rows = []
+        for row in unit[::-1]:      # leading columns n-1, ..., 0
+            rows.append(row)
+            subset = random_matrix(GF2, g, 1, len(rows)).data[0] == 1
+            rows.append(np.bitwise_xor.reduce(np.array(rows)[subset], axis=0))
+        both = np.array(rows)
+        cases += [unit[::-1], both, both[:, ::2], np.concatenate([both, both[::-2]])]
     return cases
 
 

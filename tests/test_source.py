@@ -54,11 +54,19 @@ def _private(name):
 
 def test_no_module_reaches_into_another_modules_private_names():
     # An underscore name belongs to its own module: no `from .mod import _name`,
-    # and no `mod._name` on a module imported with `from . import mod`.  What
-    # another module needs gets a public name.
+    # no `mod._name` on a module imported with `from . import mod`, and no
+    # `_name=` keyword argument unless a function of the calling module takes
+    # that parameter.  What another module needs gets a public name.
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
+        params = {arg.arg for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                  for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
+        found += [f"{path.name}:{node.lineno} {kw.arg}="
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  for kw in node.keywords
+                  if kw.arg is not None and _private(kw.arg) and kw.arg not in params]
         siblings = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
