@@ -19,7 +19,7 @@ import numpy as np
 
 from . import hyperfin, ncrat, repseq, soficam, tiling
 from .field import MAX_Q, FieldSpec
-from .freealg import AlgebraMatrix, ParseError, parse_element
+from .freealg import AlgebraMatrix, parse_element
 from .matrix import (DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json,
                      json_typed)
 from .subspace import BudgetExceededError, Subspace
@@ -228,9 +228,11 @@ def cmd_sofic_check(args, out):
     if args.poly_levels is not None:
         field = parse_field(args.field)
         levels = parse_range(args.poly_levels)
-        top = (min(levels) + 1) // 2    # the mult table needs 2 * basis_size - 1 <= min(levels)
-        if not 1 <= args.basis_size <= top:
-            raise InputError(f"--basis-size must lie in 1..{top} for these --poly-levels")
+        # The mult table needs 2 * basis_size - 1 <= min(levels); at one basis
+        # element the bound 2d/m below is 0, which fails every exact map.
+        top = (min(levels) + 1) // 2
+        if not 2 <= args.basis_size <= top:
+            raise InputError(f"--basis-size must lie in 2..{top} for these --poly-levels")
         d = args.basis_size - 1   # top degree of the checked span
         reports = []
         for m in levels:
@@ -447,13 +449,10 @@ def main(argv=None, out=None):
     except RuntimeError as exc:
         emit({"error": "internal", "detail": str(exc)}, out)
         return EXIT_INTERNAL
-    except tiling.MissingProductError as exc:     # a KeyError; str() would quote it
-        emit({"error": "input", "detail": exc.args[0]}, out)
-        return EXIT_INPUT
     except KeyError as exc:
         emit({"error": "input", "detail": f"missing key: {exc.args[0]}"}, out)
         return EXIT_INPUT
-    except (InputError, ParseError, ValueError) as exc:
+    except ValueError as exc:
         emit({"error": "input", "detail": str(exc)}, out)
         return EXIT_INPUT
 

@@ -62,8 +62,6 @@ class ExpansionReport:
 
 def grow(rep: Representation, w: Subspace) -> Subspace:
     """W + sum_i theta(gamma_i) W."""
-    if w.dim == 0:
-        return w
     images = [matmul_data(rep.field, g.data, w.basis.T).T for g in rep.generators]
     return Subspace(rep.field, rep.n, np.concatenate([w.basis] + images, axis=0))
 
@@ -243,7 +241,7 @@ def witness_from_tiling(rep: Representation, approx: FiniteApproxMap,
     """
     epsilon = open_unit_fraction(epsilon, "epsilon")
     f_space = Subspace(approx.field, approx.i_max, f_basis)
-    if not f_space.contains(Subspace(approx.field, approx.i_max, f1_basis)):
+    if np.any(f_space.residual(f1_basis)):
         raise ValueError("F_1 is not contained in F")
     tiles = [Subspace(approx.field, approx.n, images)
              for images in orbit_images(approx, f1_basis, cert.centers)]

@@ -168,10 +168,12 @@ def atiyah_check(profile: RankProfile, tail_window: int, tol: Fraction) -> Atiya
 def repair_to_invertible(m: DenseMatrix) -> DenseMatrix:
     """Closest invertible matrix in rank distance.
 
-    Adds a correction that is zero on a complement of the kernel and maps
-    the kernel isomorphically onto a complement of the column space, so
-    rank(M' - M) equals the rank defect exactly (the minimum possible,
-    since rank distance is at least the defect).
+    Adds a correction X that maps the kernel isomorphically onto a
+    complement of the column space and is zero on the coordinate
+    complement of the kernel, so rank(M' - M) equals the rank defect
+    exactly (the minimum possible, since rank distance is at least the
+    defect).  The canonical kernel basis is the identity on its pivot
+    columns, so X is the complement basis placed in those columns.
     """
     if m.rows != m.cols:
         raise ValueError("need a square matrix")
@@ -180,15 +182,10 @@ def repair_to_invertible(m: DenseMatrix) -> DenseMatrix:
     ker = Subspace.kernel_of(field, n, m.data)
     if ker.dim == 0:
         return m
-    col_space = Subspace(field, n, m.data.T)
-    col_comp = col_space.complement()
-    ker_comp = ker.complement()
-    # X: kernel basis vector i -> col_comp basis vector i, zero on ker_comp.
-    basis = np.concatenate([ker.basis, ker_comp.basis], axis=0)
-    binv = DenseMatrix(field, basis.T).inverse()
-    targets = np.concatenate([col_comp.basis, np.zeros((ker_comp.dim, n), dtype=np.uint8)], axis=0)
-    X = DenseMatrix(field, targets.T) @ binv
-    repaired = m + X
+    col_comp = Subspace(field, n, m.data.T).complement()
+    X = np.zeros((n, n), dtype=np.uint8)
+    X[:, list(ker.pivots)] = col_comp.basis.T
+    repaired = m + DenseMatrix(field, X)
     if not repaired.is_invertible():
         raise RuntimeError("rank-distance repair produced a singular matrix")
     return repaired

@@ -19,8 +19,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .field import FieldSpec
-from .matrix import (DenseMatrix, codes_from_json, echelon_kernel, matmul_data, rref_array,
-                     sub_data)
+from .matrix import (DenseMatrix, SingularMatrixError, codes_from_json, echelon_kernel,
+                     matmul_data, rref_array, sub_data)
 
 
 class AmbientMismatchError(ValueError):
@@ -36,13 +36,9 @@ class Subspace:
 
     __slots__ = ("field", "ambient", "basis", "pivots")
 
-    def __init__(self, field: FieldSpec, ambient: int, rows=None, *, _canonical=False):
+    def __init__(self, field: FieldSpec, ambient: int, rows=(), *, _canonical=False):
         self.field = field
         self.ambient = ambient
-        if rows is None or len(rows) == 0:
-            self.basis = np.zeros((0, ambient), dtype=np.uint8)
-            self.pivots = ()
-            return
         arr = np.asarray(rows, dtype=np.uint8).reshape(len(rows), ambient)
         if _canonical:
             R, piv = arr, (arr != 0).argmax(axis=1).tolist()    # each row's first nonzero
@@ -64,12 +60,15 @@ class Subspace:
 
     @classmethod
     def kernel_of(cls, field, n, rows):
-        """{x in GF(q)^n : rows . x = 0}; no nonzero row gives the full space."""
+        """{x in GF(q)^n : rows . x = 0}, from one elimination of the rows with
+        their columns reversed.  echelon_kernel of that gives each free column
+        a row that is 1 there and nonzero elsewhere only on pivot columns to
+        its right, once columns and rows are flipped back: already the
+        canonical basis."""
         rows = np.asarray(rows, dtype=np.uint8).reshape(-1, n)
-        rows = rows[np.any(rows, axis=1)]
-        if not len(rows):
-            return cls.full(field, n)
-        return cls(field, n, DenseMatrix(field, rows).kernel())
+        rows = rows[np.any(rows, axis=1)]    # keeps all-zero defect stacks cheap
+        ker = echelon_kernel(field, *rref_array(field, rows[:, ::-1]))
+        return cls(field, n, ker[::-1, ::-1], _canonical=True)
 
     def to_json(self):
         """The canonical basis as a list of rows of integer codes."""
@@ -156,21 +155,14 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(field: FieldSpec, n: int, d: int, cap: int | None = None):
+def enumerate_subspaces(field: FieldSpec, n: int, d: int):
     """All d-dimensional subspaces of GF(q)^n, each exactly once.
 
     Order: pivot patterns lexicographically, then free entries
-    lexicographically.  Raises BudgetExceededError up front when the
-    Gaussian binomial count exceeds `cap`.
+    lexicographically.
     """
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
-    count = gaussian_binomial(n, d, field.q)
-    if cap is not None and count > cap:
-        raise BudgetExceededError(f"{count} subspaces exceeds cap {cap}")
-    if d == 0:
-        yield Subspace.zero(field, n)
-        return
     q = field.q
     for pivots in combinations(range(n), d):
         free_slots = [(i, j) for i in range(d) for j in range(pivots[i] + 1, n)
@@ -185,14 +177,15 @@ def enumerate_subspaces(field: FieldSpec, n: int, d: int, cap: int | None = None
 
 
 def projection_onto(v: Subspace, w: Subspace) -> DenseMatrix:
-    """Idempotent matrix with image `v` and kernel `w` (complementary pair)."""
+    """Idempotent matrix with image `v` and kernel `w` (complementary pair).
+
+    B = [V; W]^T is invertible exactly when v and w are complementary, so
+    its one elimination is also the check: P = [V|0] B^{-1}."""
     v._check_ambient(w)
-    n = v.ambient
-    if v.dim + w.dim != n or not subspaces_independent([v, w]):
-        raise ValueError("subspaces are not complementary")
-    # Columns of B are the combined basis; P maps the v-part to itself
-    # and the w-part to zero: P = [V|0] B^{-1}.
-    b_cols = np.concatenate([v.basis, w.basis], axis=0).T
-    B = DenseMatrix(v.field, b_cols)
+    B = DenseMatrix(v.field, np.concatenate([v.basis, w.basis], axis=0).T)
+    try:
+        binv = B.inverse()
+    except SingularMatrixError:
+        raise ValueError("subspaces are not complementary") from None
     target = np.concatenate([v.basis, np.zeros_like(w.basis)], axis=0).T
-    return DenseMatrix(v.field, target) @ B.inverse()
+    return DenseMatrix(v.field, target) @ binv

@@ -24,7 +24,7 @@ from .matrix import (DenseMatrix, SpanAccumulator, codes_from_json, fraction_fro
 from .subspace import AmbientMismatchError, Subspace, subspaces_independent
 
 
-class MissingProductError(KeyError):
+class MissingProductError(ValueError):
     """The partial multiplication table lacks a needed basis product."""
 
 
@@ -91,6 +91,8 @@ class FiniteApproxMap:
     @staticmethod
     def from_json(field, obj):
         """Decode {"phi": [matrix, ...], "mult": [[a, b, coords], ...]}."""
+        if not isinstance(obj, dict):
+            raise ValueError('a map must be an object {"phi": [...], "mult": [...]}')
         phi = [DenseMatrix.from_json(field, m) for m in json_typed(obj["phi"], list, '"phi"')]
         i_max = len(phi)
         mult = {}

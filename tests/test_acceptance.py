@@ -5,6 +5,7 @@ line is visible in normal pytest output, then asserts it.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import linrep
 from linrep.field import GF2, FieldSpec
 from linrep.freealg import AlgebraElement, AlgebraMatrix, ParseError, Word, parse_element
 from linrep.hyperfin import (HyperfiniteWitness, cheeger_exact, cheeger_random,
@@ -341,8 +343,11 @@ def test_acceptance_09_parser_round_trips(verdict):
 
 
 def _run_cli(args):
+    # The CLI runs the linrep this suite imported, installed or not.
+    src = os.path.dirname(os.path.dirname(linrep.__file__))
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     proc = subprocess.run([sys.executable, "-m", "linrep.cli", *args],
-                          capture_output=True)
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=path))
     return proc.returncode, proc.stdout
 
 
@@ -350,21 +355,23 @@ def test_acceptance_10_determinism(verdict, tmp_path):
     rep = block_rep(GF2, [3, 4, 3], seed=10)
     rep_path = tmp_path / "rep.json"
     rep_path.write_text(json.dumps(rep.to_json()))
+    # Each command with the exit code it must give: three identical
+    # failures to start are not determinism.
     commands = [
-        ["profile", "--family", "random", "--k", "2..6", "--element", "g1 - 1",
-         "--field", "2", "--r", "2", "--seed", "11"],
-        ["tile", "--poly", "16", "--field", "2", "--i", "4", "--delta", "1/4",
-         "--seed", "11"],
-        ["hyperfinite-search", "--rep", str(rep_path), "--epsilon", "1/10",
-         "--K", "4", "--budget", "300", "--seed", "11"],
-        ["cheeger", "--rep", str(rep_path), "--trials", "300", "--seed", "11"],
-        ["ncrat-equiv", "--r-expr", "z1*z2", "--s-expr", "z2*z1",
-         "--sizes", "2..3", "--trials", "20", "--seed", "11"],
+        (0, ["profile", "--family", "random", "--k", "2..6", "--element", "g1 - 1",
+             "--field", "2", "--r", "2", "--seed", "11"]),
+        (0, ["tile", "--poly", "16", "--field", "2", "--i", "4", "--delta", "1/4",
+             "--seed", "11"]),
+        (0, ["hyperfinite-search", "--rep", str(rep_path), "--epsilon", "1/10",
+             "--K", "4", "--budget", "300", "--seed", "11"]),
+        (0, ["cheeger", "--rep", str(rep_path), "--trials", "300", "--seed", "11"]),
+        (2, ["ncrat-equiv", "--r-expr", "z1*z2", "--s-expr", "z2*z1",
+             "--sizes", "2..3", "--trials", "20", "--seed", "11"]),
     ]
     ok = True
-    for cmd in commands:
+    for expected, cmd in commands:
         runs = [_run_cli(cmd) for _ in range(3)]
         codes = {code for code, _ in runs}
         outputs = {out for _, out in runs}
-        ok &= len(codes) == 1 and len(outputs) == 1
+        ok &= codes == {expected} and len(outputs) == 1
     verdict("10 determinism", ok)

@@ -1,21 +1,30 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import linrep
 from linrep import cli, tiling
 from linrep.field import GF2
 from linrep.matrix import DenseMatrix, random_invertible
 from linrep.repseq import Representation
 
 
+def _env():
+    """PYTHONPATH led by the directory of the linrep these tests imported."""
+    src = os.path.dirname(os.path.dirname(linrep.__file__))
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def cli_proc(*args):
     return subprocess.run([sys.executable, "-m", "linrep.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_env())
 
 
 def run_cli(*args):
@@ -345,7 +354,8 @@ _F_DEPENDENT = {
 _TILE_DEPENDENT = ["--poly", "64", "--imax", "8", "--i", "2", "--delta", "1/4", "--f", "{f}"]
 # Cases whose detail text is pinned: it names the missing key or the real bound.
 _DETAILS = {
-    "sofic-basis-size-3-levels-4": "--basis-size must lie in 1..2 for these --poly-levels",
+    "sofic-basis-size-3-levels-4": "--basis-size must lie in 2..2 for these --poly-levels",
+    "arg-basis-size-1": "--basis-size must lie in 2..4 for these --poly-levels",
     "rep-missing-field": "missing key: field",
     "witness-missing-K": "missing key: K",
     "sofic-mult-missing": "mult table has no entry for (2, 1)",
@@ -436,6 +446,9 @@ _DETAILS = {
                  id="arg-basis-size-9"),
     pytest.param(["sofic-check", "--poly-levels", "4", "--basis-size", "3"], {},
                  id="sofic-basis-size-3-levels-4"),
+    # At one basis element the bound 2d/m is 0, so every exact map fails.
+    pytest.param(["sofic-check", "--poly-levels", "8", "--basis-size", "1"], {},
+                 id="arg-basis-size-1"),
     pytest.param(["cheeger", "--rep", "{r}"], {"r": json.dumps({"generators": [[[1]]]})},
                  id="rep-missing-field"),
     pytest.param(["hyperfinite-check", "--rep", "{r}", "--witness", "{w}"],
@@ -453,6 +466,11 @@ _DETAILS = {
                  id="map-field-list"),
     pytest.param(["sofic-check", "--sofic", "{s}"], {"s": json.dumps(dict(_SOFIC, maps=3))},
                  id="sofic-maps-int"),
+    pytest.param(["sofic-check", "--sofic", "{s}"],
+                 {"s": json.dumps({"field": {"p": 3}, "maps": [[1]], "s": _SOFIC["s"]})},
+                 id="sofic-map-list"),
+    pytest.param(["sofic-check", "--sofic", "{s}"], {"s": json.dumps(dict(_SOFIC, maps=[True]))},
+                 id="sofic-map-bool"),
     pytest.param(["sofic-check", "--sofic", "{s}"], {"s": json.dumps(dict(_SOFIC, s=3))},
                  id="sofic-s-int"),
     pytest.param(["sofic-check", "--sofic", "{s}"], {"s": json.dumps(dict(_SOFIC, elements=4))},
@@ -611,7 +629,8 @@ codes = [cli.main(["rank", "--matrix", {str(m)!r}, "--field", f], io.StringIO())
          for f in ("2", "3", "2^2")]
 print(json.dumps([codes, made.count("linrep")]))
 """
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_env())
     # Subparsers are ArgumentParsers too; "linrep" is the top-level one.
     assert json.loads(proc.stdout or "null") == [[0, 0, 0], 1], proc.stderr
 

@@ -4,7 +4,9 @@ Whatever the file holds, `cheeger --rep` prints exactly one JSON line and
 exits 0 (a report), 1 (an input error) or 3 (over the enumeration cap),
 `tile --f` prints one JSON line and exits 0 (a certificate) or 1, and
 `tile-verify --cert` and `hyperfinite-check --witness` print one JSON
-line and exit 0 (valid), 1 or 2 (invalid); no exception escapes main.
+line and exit 0 (valid), 1 or 2 (invalid), and `tile --map`,
+`sofic-check --sofic` and `ncrat-eval --matrices` print one JSON line and
+exit 0 to 3; no exception escapes main.
 The range arguments (--k, --sizes, --poly-levels) and the counts
 (--trials, --budget, --K, --cap) answer any value the same way: a report
 with exit 0, 2 or 3, or one JSON input error with exit 1, which an empty
@@ -292,3 +294,104 @@ def test_range_and_count_arguments_answer_any_value(tmp_path_factory, name, data
     assert text.count("\n") == 1, text
     obj = json.loads(text)
     assert isinstance(obj, dict) and (code != cli.EXIT_INPUT or obj["error"] == "input"), obj
+
+
+def answers_once(argv):
+    """Run argv through main: one JSON object line and exit 0 to 3."""
+    out = io.StringIO()
+    code = cli.main(argv, out)
+    text = out.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CHECK_FAILED, cli.EXIT_BUDGET), \
+        (code, text)
+    assert text.endswith("\n") and text.count("\n") == 1, text
+    assert isinstance(json.loads(text), dict)
+
+
+@st.composite
+def mutated(draw, obj, near):
+    """obj with up to all but one of the fields in `near` replaced or
+    dropped: most often by a near-valid value (the strategy in `near`), else
+    by any JSON value; one draw in four is any JSON value instead of obj."""
+    obj = dict(obj)
+    for key in draw(st.lists(st.sampled_from(sorted(near)), max_size=len(near) - 1,
+                             unique=True)):
+        how = draw(st.sampled_from(["near", "near", "any", "drop"]))
+        if how == "drop":
+            del obj[key]
+        else:
+            obj[key] = draw(near[key] if how == "near" else json_values)
+    return draw(mostly(st.just(obj), json_values))
+
+
+# A map on GF(2)^3: phi(1) = I and phi(x) the cyclic shift, with the products
+# 1 * 1, 1 * x and x * 1 in its table.  Near-valid values: mostly these two
+# images and table entries, else matrices of size 0 to 3 with codes just past
+# GF(2), and entries with indices around 1..2 and coordinates of any length.
+_SHIFT = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+_EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+_MULT = [[1, 1, [1, 0]], [1, 2, [0, 1]], [2, 1, [0, 1]], [2, 2, [1, 1]]]
+_FUZZ_MAP = {"field": {"p": 2}, "phi": [_EYE3, _SHIFT], "mult": _MULT[:3]}
+any_image = st.integers(0, 3).flatmap(lambda k: squares(k, st.integers(0, 2)))
+near_valid_map = {
+    "field": fields,
+    "phi": mostly(st.tuples(mostly(st.just(_EYE3), any_image),
+                            mostly(st.just(_SHIFT), any_image)).map(list),
+                  st.lists(mostly(st.sampled_from([_EYE3, _SHIFT]), any_image), max_size=3)),
+    "mult": st.lists(mostly(st.sampled_from(_MULT), st.one_of(
+        st.tuples(st.integers(0, 3), st.integers(0, 3),
+                  st.lists(st.integers(0, 2), max_size=3)).map(list),
+        json_values)), max_size=3).flatmap(
+            lambda more: mostly(st.just([_MULT[0], *more]), st.just(more))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(approx=mutated(_FUZZ_MAP, near_valid_map))
+def test_tile_answers_any_map_file(tmp_path_factory, approx):
+    path = tmp_path_factory.getbasetemp() / "fuzz-map.json"
+    path.write_text(json.dumps(approx))
+    answers_once(["tile", "--map", str(path), "--budget", "8"])
+
+
+# Sofic data with the map above at its one level, a bound s and an element
+# x with a rank floor.  Near-valid values: lists of maps, mutated the same
+# way, or of values that are not objects; bounds and floors with zero and
+# negative parts; coordinates of any length.
+fractions = mostly(st.sampled_from([{"num": 1, "den": 2}, {"num": 2, "den": 3}]),
+                   st.fixed_dictionaries({"num": st.integers(-1, 3), "den": st.integers(-1, 3)}))
+near_valid_sofic = {
+    "field": fields,
+    "maps": st.lists(mutated(_FUZZ_MAP, near_valid_map), min_size=1, max_size=2),
+    "s": st.lists(fractions, min_size=1, max_size=2),
+    "elements": st.lists(st.tuples(mostly(st.sampled_from([[1, 0], [0, 1], [1, 1]]),
+                                          st.lists(st.integers(0, 2), max_size=3)),
+                                   fractions).map(list), max_size=2),
+}
+_FUZZ_SOFIC = {"field": {"p": 2}, "maps": [_FUZZ_MAP], "s": [{"num": 1, "den": 2}],
+               "elements": [[[0, 1], {"num": 1, "den": 2}]]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sofic=mutated(_FUZZ_SOFIC, near_valid_sofic), level=mostly(st.just(1), st.integers(0, 2)))
+def test_sofic_check_answers_any_sofic_file(tmp_path_factory, sofic, level):
+    path = tmp_path_factory.getbasetemp() / "fuzz-sofic.json"
+    path.write_text(json.dumps(sofic))
+    answers_once(["sofic-check", "--sofic", str(path), f"--level={level}"])
+
+
+# Matrix lists for z1 * inv(z2) over GF(2^2): mostly two square matrices of
+# one size, else lists of any squares (codes past the field, sizes that
+# differ, too few) and arbitrary JSON.
+eval_matrices = mostly(
+    st.integers(1, 3).flatmap(lambda k: st.lists(squares(k, st.integers(0, 3)),
+                                                  min_size=2, max_size=2)),
+    st.one_of(st.lists(any_squares, max_size=3), json_values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mats=eval_matrices)
+def test_ncrat_eval_answers_any_matrix_file(tmp_path_factory, mats):
+    path = tmp_path_factory.getbasetemp() / "fuzz-matrices.json"
+    path.write_text(json.dumps(mats))
+    answers_once(["ncrat-eval", "--expr", "z1 * inv(z2)", "--field", "2^2",
+                  "--matrices", str(path)])

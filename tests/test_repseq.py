@@ -288,6 +288,26 @@ def test_repair_raises_when_the_repair_is_singular(monkeypatch):
         repair_to_invertible(DenseMatrix(GF2, [[1, 1], [1, 1]]))
 
 
+def test_repair_reads_the_kernel_basis_without_an_inverse(monkeypatch):
+    # The canonical kernel basis is the identity on its pivot columns, so
+    # the correction needs no basis inverse.
+    def no_inverse(self):
+        raise AssertionError("repair_to_invertible inverted a matrix")
+
+    monkeypatch.setattr(DenseMatrix, "inverse", no_inverse)
+    g = rng(7)
+    for field in FIELDS:
+        for n in (1, 3, 6):
+            m = random_matrix(field, g, n)
+            data = m.data.copy()
+            data[: n // 2 + 1] = 0
+            data[:, -1] = 0
+            for singular in (DenseMatrix(field, data), DenseMatrix(field, np.zeros((n, n)))):
+                r = repair_to_invertible(singular)
+                assert r.is_invertible()
+                assert (r - singular).rank() == n - singular.rank()
+
+
 def test_repair_minimality_exhaustive_2x2_gf2():
     # Brute-force the rank metric: for every singular M, no invertible N is
     # closer than the repair.

@@ -28,10 +28,11 @@ def test_cli_decodes_code_arrays_only_through_codes_from_json():
 
 
 def test_kernels_reach_subspaces_only_through_kernel_of():
-    # Subspace.kernel_of is the only caller of DenseMatrix.kernel; annihilators
-    # are read off the echelon basis by matrix.echelon_kernel.
+    # No module calls DenseMatrix.kernel: Subspace.kernel_of reads the canonical
+    # kernel basis off one elimination of the reversed columns, and annihilators
+    # are read off the echelon basis, both by matrix.echelon_kernel.
     found = [f"{path.name}:{node.lineno}"
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "subspace.py"
+             for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "kernel"]

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linrep import matrix, subspace
 from linrep.field import GF2, FieldSpec
-from linrep.matrix import SpanAccumulator, matmul_data, rref_array
-from linrep.subspace import (AmbientMismatchError, BudgetExceededError,
-                             Subspace, enumerate_subspaces, gaussian_binomial,
-                             projection_onto, subspaces_independent)
+from linrep.matrix import DenseMatrix, SpanAccumulator, matmul_data, rref_array
+from linrep.subspace import (AmbientMismatchError, Subspace, enumerate_subspaces,
+                             gaussian_binomial, projection_onto, subspaces_independent)
 
 F3 = FieldSpec(3)
 
@@ -62,6 +62,40 @@ def test_kernel_of_drops_zero_rows():
         assert all(ker.contains_vector(v) for v in brute)
         annihilated = matmul_data(field, ker.annihilator(), ker.basis.T)
         assert not np.any(annihilated) and len(ker.annihilator()) == 5 - ker.dim
+
+
+def _count_rref(monkeypatch):
+    """Count rref_array calls made through subspace.py and matrix.py."""
+    calls = []
+
+    def counted(field, data):
+        calls.append(data.shape)
+        return rref_array(field, data)
+
+    for module in (matrix, subspace):
+        monkeypatch.setattr(module, "rref_array", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [GF2, F3, FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(251)])
+def test_kernel_of_is_one_elimination_and_canonical(field, monkeypatch):
+    g = rng(8)
+    stacks = [np.zeros((3, 6)), np.eye(6), np.eye(6)[:, ::-1], np.eye(6)[[0, 2, 5]]]
+    for k in (1, 3, 5, 6, 8):
+        rows = g.integers(0, field.q, size=(k, 6), dtype=np.uint64).astype(np.uint8)
+        rows[:, 1] = 0
+        stacks += [rows, np.concatenate([rows, rows[:2]])]           # rank-deficient
+        stacks.append(g.integers(0, field.q, size=(k, 6), dtype=np.uint64).astype(np.uint8))
+    for rows in stacks:
+        rows = np.asarray(rows, dtype=np.uint8)
+        # The reference: a second elimination of the null space rows.
+        expected = Subspace(field, 6, DenseMatrix(field, rows).kernel())
+        calls = _count_rref(monkeypatch)
+        ker = Subspace.kernel_of(field, 6, rows)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert ker == expected and ker.pivots == expected.pivots
+        assert not np.any(matmul_data(field, rows, ker.basis.T))
 
 
 def test_containment_and_lattice_bounds():
@@ -212,11 +246,6 @@ def test_enumeration_is_exact_and_duplicate_free(field, n):
         assert s in set(enumerate_subspaces(field, n, s.dim))
 
 
-def test_enumeration_budget():
-    with pytest.raises(BudgetExceededError):
-        list(enumerate_subspaces(GF2, 10, 5, cap=10))
-
-
 def test_gaussian_binomial_known_values():
     assert gaussian_binomial(4, 2, 2) == 35
     assert gaussian_binomial(3, 1, 3) == 13
@@ -236,3 +265,20 @@ def test_projection_idempotent_image_kernel():
                 assert np.array_equal(p.apply(row), row)
             for row in c.basis:
                 assert not np.any(p.apply(row))
+
+
+def test_projection_is_one_elimination_and_rejects_non_complements(monkeypatch):
+    g = rng(9)
+    for field in (GF2, F3, FieldSpec(2, 2)):
+        u = random_subspace(field, g, 5, 2)
+        c = u.complement()
+        calls = _count_rref(monkeypatch)
+        projection_onto(u, c)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        line = Subspace(field, 5, u.basis[:1])
+        meets_u = Subspace(field, 5, np.concatenate([u.basis[:1], c.basis[:2]]))  # dim 3
+        for v, w in ((u, meets_u), (meets_u, u), (u, u), (u, line), (line, c),
+                     (Subspace.full(field, 5), c), (u, Subspace.zero(field, 5))):
+            with pytest.raises(ValueError, match="not complementary"):
+                projection_onto(v, w)
