@@ -16,7 +16,7 @@ multiplies odd-extension matrices by.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -196,6 +196,13 @@ class FieldTables:
         self.sub = self.add.take(self.neg, axis=1)
         # Row a of mul holds 1 at column a^-1; row 0 holds none, and argmax reads 0.
         self.inv = (self.mul == 1).argmax(axis=1).astype(np.uint8)
+
+    @cached_property
+    def lists(self) -> tuple:
+        """(mul, sub, inv) as nested Python lists, built on first use: the
+        tables matrix.rref_array eliminates tiny arrays on, where one list
+        index costs less than one numpy call."""
+        return self.mul.tolist(), self.sub.tolist(), self.inv.tolist()
 
 
 @lru_cache(maxsize=None)

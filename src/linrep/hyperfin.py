@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import (SpanAccumulator, fraction_from_json, fraction_to_json, json_typed,
-                     matmul_data, open_unit_fraction, random_codes)
+from .matrix import (DenseMatrix, SpanAccumulator, fraction_from_json, fraction_to_json,
+                     json_typed, matmul_data, open_unit_fraction, random_codes)
 from .repseq import Representation
 from .subspace import (BudgetExceededError, Subspace, enumerate_subspaces,
                        gaussian_binomial, subspaces_independent)
@@ -111,29 +111,37 @@ def cheeger_exact(rep: Representation, cap: int = ENUM_CAP) -> ExpansionReport:
 def cheeger_random(rep: Representation, trials: int, seed: int = 0) -> ExpansionReport:
     """Sampled upper bound on the same minimum; exact=False.
 
-    Each trial draws at most n/2 random rows and ranks their span W and its
-    growth, one elimination each; ties break by canonical basis, for determinism.
+    Each trial draws at most n/2 random rows; dim W and dim grow(W) are the
+    ranks of the rows and of the rows stacked on their images under every
+    generator, taken in one product.  Ties break by canonical basis, for
+    determinism, so the canonical W is built only for a sample whose ratio
+    is at most the best so far.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = rep.n
     if n < 2:
         raise ValueError(f"expansion needs n >= 2: at n = {n} no W has 1 <= dim W <= n/2")
+    field = rep.field
+    transposes = np.concatenate([g.data for g in rep.generators]).T    # [g_1^T | g_2^T | ...]
     rng = np.random.Generator(np.random.Philox(seed))
     best = None
     best_w = None
     for _ in range(trials):
         d = int(rng.integers(1, n // 2 + 1))
-        rows = random_codes(rep.field, rng, (d, n))
-        w = Subspace(rep.field, n, rows)
-        if w.dim == 0:
+        rows = random_codes(field, rng, (d, n))
+        dim = DenseMatrix(field, rows).rank()
+        if dim == 0:
             continue
-        ratio = Fraction(grow(rep, w).dim, w.dim)
-        if best is None or (ratio, _canon_key(w)) < (best, _canon_key(best_w)):
-            best, best_w = ratio, w
+        images = matmul_data(field, rows, transposes).reshape(-1, n)
+        ratio = Fraction(DenseMatrix(field, np.concatenate([rows, images])).rank(), dim)
+        if best is None or ratio <= best:
+            w = Subspace(field, n, rows)
+            if best is None or (ratio, _canon_key(w)) < (best, _canon_key(best_w)):
+                best, best_w = ratio, w
     if best is None:
         # All samples degenerated to zero; fall back to a coordinate line.
-        w = Subspace(rep.field, n, np.eye(n, dtype=np.uint8)[:1])
+        w = Subspace(field, n, np.eye(n, dtype=np.uint8)[:1])
         best, best_w = Fraction(grow(rep, w).dim, w.dim), w
     return ExpansionReport(best, best_w, False, trials)
 

@@ -8,12 +8,17 @@ kernels: characteristic 2 subtracts codes by XOR, GF(p) subtracts the
 residues in uint8 with a borrow of p, and odd extensions GF(p^d)
 subtract through one flat q x q table and multiply base-p digit planes
 in int64 (see sub_data and matmul_data).  Elimination over GF(2) runs on
-bit rows, each row one Python int, in one loop for rref_array and
-SpanAccumulator alike (_reduce_bits); every other field clears a pivot
-column by one sub_data call on the live columns, from the pivot column on.
-Arrays stay uint8 at the API.  A DenseMatrix owns its read-only array
-and keeps its inverse once computed, so random_invertible's
-invertibility test is also the inverse a Representation later asks for.
+bit rows, each row one Python int, in one loop for rref_array,
+SpanAccumulator and the rank alike (_reduce_bits), at every size.  Every
+other field picks its elimination kernel by shape alone: an array of at
+most _LIST_CELLS cells runs Gauss-Jordan on Python lists of the field
+tables (_rref_lists), where one list index costs less than one numpy
+call; a larger one runs the table loop (_rref_table), which clears a
+pivot column by one sub_data call on the live columns, from the pivot
+column on.  Arrays stay uint8 at the API.  A DenseMatrix owns its
+read-only array and keeps its inverse once computed, so
+random_invertible's invertibility test is also the inverse a
+Representation later asks for.
 """
 
 from __future__ import annotations
@@ -28,6 +33,14 @@ from .field import FieldSpec, json_typed    # json_typed is re-exported to the l
 # Index entries per gather block of the characteristic-2 product (8 bytes
 # each), which keeps its temporaries near 256 KiB on any shape.
 _GATHER_TERMS = 1 << 15
+
+# Off GF(2), rref_array eliminates an array of at most this many cells on
+# Python lists of the field tables (_rref_lists), a larger one by numpy
+# gathers (_rref_table).  Replaying every elimination of one cycle of the
+# benchmark's check and certify jobs through both kernels, the lists won
+# up to 128 cells, tied from 129 to 256, and lost from 257 to 512 on
+# certify's short wide residuals (4 x 96, 5 x 96).
+_LIST_CELLS = 256
 
 
 class SingularMatrixError(ValueError):
@@ -111,6 +124,10 @@ class DenseMatrix:
     # -- elimination --
 
     def rank(self) -> int:
+        """The number of pivots; over GF(2), of the rows _reduce_bits keeps,
+        with no back-clear."""
+        if self.field.q == 2:
+            return len(_reduce_bits(self.data, {}))
         return len(rref_array(self.field, self.data)[1])
 
     def inverse(self):
@@ -133,6 +150,9 @@ class DenseMatrix:
         return self._inverse
 
     def is_invertible(self) -> bool:
+        """True from a kept inverse with no elimination, else from the rank."""
+        if self._inverse is not None:
+            return True
         return self.rows == self.cols and self.rank() == self.rows
 
     def kernel(self):
@@ -299,23 +319,14 @@ def _reduce_bits(rows: np.ndarray, basis: dict) -> dict:
 def rref_array(field: FieldSpec, data: np.ndarray):
     """Reduced row echelon form of a raw code array, with its pivot columns.
 
-    Over GF(2) each row is a bit row, one Python int with column j at bit
-    w-1-j.  The rows _reduce_bits keeps, one per leading bit, are sorted
-    first pivot column first; each pivot bit is cleared from the rows
-    above it, last pivot first, and zero rows pad the result to m rows.
-    Every other field runs the table loop, which stops once every row
-    holds a pivot.  It clears a pivot column by subtracting f * pivot row
-    from every other row whose entry in it is f: the multiples f * row
-    come from one of two gathers from t.mul, and one sub_data call
-    subtracts them.  With k rows to clear, k >= q gathers
-    the q multiples of the pivot row once, t.mul[:, row], and picks k of
-    them; fewer rows gather their own factors' rows t.mul[f] and then
-    the pivot row's columns, so a sparse column costs k x w, not q x w.
-    The table loop moves past columns with no pivot in one scan, so a
-    wide array of low rank costs one step per pivot, and it swaps,
-    scales and clears only the live columns R[:, col:]: the rows from
-    `row` down are zero left of col, so the pivot row adds nothing
-    there.  Every family returns a fresh uint8 array.
+    The kernel is chosen by field and shape alone.  Over GF(2) each row is
+    a bit row, one Python int with column j at bit w-1-j.  The rows
+    _reduce_bits keeps, one per leading bit, are sorted first pivot column
+    first; each pivot bit is cleared from the rows above it, last pivot
+    first, and zero rows pad the result to m rows.  Over every other field
+    an array of at most _LIST_CELLS cells runs _rref_lists and a larger one
+    _rref_table.  The reduced echelon form is unique, so every kernel
+    returns the same array, always a fresh uint8 one.
     """
     data = np.asarray(data, dtype=np.uint8)
     m, n = data.shape
@@ -328,6 +339,59 @@ def rref_array(field: FieldSpec, data: np.ndarray):
             bit, pivot = 1 << (tops[i] - 1), bits[i]
             bits[:i] = [b ^ pivot if b & bit else b for b in bits[:i]]
         return _bit_array(bits + [0] * (m - len(bits)), n), [w - top for top in tops]
+    if m * n <= _LIST_CELLS:
+        return _rref_lists(field, data)
+    return _rref_table(field, data)
+
+
+def _rref_lists(field: FieldSpec, data: np.ndarray):
+    """rref_array off GF(2) on nested Python lists of the mul, sub and inv
+    tables, one row at a time as _reduce_bits does: the row is reduced by
+    the kept rows, each 1 on its own pivot column and 0 on the others; its
+    first nonzero is scaled to 1 and cleared from the kept rows, and the
+    row is kept.  Once n rows are kept every later row reduces to 0."""
+    mul, sub, inv = field.tables.lists
+    m, n = data.shape
+    kept = {}     # pivot column -> row
+    for row in data.tolist():
+        for col, prow in kept.items():
+            f = row[col]
+            if f:
+                mf = mul[f]
+                row = [sub[a][mf[b]] for a, b in zip(row, prow)]
+        lead = next((j for j, a in enumerate(row) if a), None)
+        if lead is None:
+            continue
+        if row[lead] != 1:
+            scale = mul[inv[row[lead]]]
+            row = [scale[a] for a in row]
+        for col, prow in kept.items():
+            f = prow[lead]
+            if f:
+                mf = mul[f]
+                kept[col] = [sub[a][mf[b]] for a, b in zip(prow, row)]
+        kept[lead] = row
+        if len(kept) == n:
+            break
+    pivots = sorted(kept)
+    rows = [kept[col] for col in pivots] + [[0] * n] * (m - len(pivots))
+    return np.array(rows, dtype=np.uint8).reshape(m, n), pivots
+
+
+def _rref_table(field: FieldSpec, data: np.ndarray):
+    """rref_array off GF(2) on numpy gathers from the field tables.  It
+    stops once every row holds a pivot, and clears a pivot column by
+    subtracting f * pivot row from every other row whose entry in it is f:
+    the multiples f * row come from one of two gathers from t.mul, and one
+    sub_data call subtracts them.  With k rows to clear, k >= q gathers
+    the q multiples of the pivot row once, t.mul[:, row], and picks k of
+    them; fewer rows gather their own factors' rows t.mul[f] and then
+    the pivot row's columns, so a sparse column costs k x w, not q x w.
+    It moves past columns with no pivot in one scan, so a wide array of
+    low rank costs one step per pivot, and it swaps, scales and clears
+    only the live columns R[:, col:]: the rows from `row` down are zero
+    left of col, so the pivot row adds nothing there."""
+    m, n = data.shape
     pivots = []
     row = 0
     t = field.tables

@@ -6,7 +6,9 @@ Fractions rank/n_k.  A word is evaluated along its prefixes with only the
 products it needs: its first letter is the generator (or inverse) itself,
 and a permutation generator, the identity included, acts as a column
 gather and is inverted by its transpose, so the cyclic family runs no
-matrix product and no elimination per letter.
+matrix product and no elimination per letter.  A dense generator is
+checked invertible by its rank and inverted only at the first word that
+uses its inverse.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import numpy as np
 
 from .field import FieldSpec
 from .freealg import AlgebraMatrix, Word
-from .matrix import (DenseMatrix, SingularMatrixError, fraction_to_json, json_typed,
-                     matmul_data, random_invertible)
+from .matrix import DenseMatrix, fraction_to_json, json_typed, matmul_data, random_invertible
 from .subspace import Subspace
 
 
@@ -40,17 +41,15 @@ class Representation:
                 raise ValueError("generators must be square matrices over the same field")
         # _letters[(i, e)] = (g_i^e, order): m @ g_i^e is m[:, order] when
         # g_i is a permutation matrix, inverted by its transpose; order is
-        # None for a dense g_i, which is inverted (and so checked
-        # invertible) by elimination.
+        # None for a dense g_i, which is checked invertible here and
+        # inverted by of_word at its first g_i^-1 letter.
         self._letters = {}
         for i, g in enumerate(self.generators, start=1):
             inv_perm = _inverse_permutation(g.data)
             if inv_perm is None:
-                try:
-                    inv = g.inverse()
-                except SingularMatrixError as exc:
-                    raise ValueError("all generator images must be invertible") from exc
-                self._letters[i, 1], self._letters[i, -1] = (g, None), (inv, None)
+                if not g.is_invertible():
+                    raise ValueError("all generator images must be invertible")
+                self._letters[i, 1] = (g, None)
             else:
                 inv = DenseMatrix(field, np.ascontiguousarray(g.data.T))
                 self._letters[i, 1], self._letters[i, -1] = (g, np.argsort(inv_perm)), (inv, inv_perm)
@@ -66,7 +65,10 @@ class Representation:
             if prefix in self._word_cache:
                 m = self._word_cache[prefix]
                 continue
-            step, order = self._letters[key[idx]]
+            letter = key[idx]
+            if letter not in self._letters:     # the first g^-1 of a dense g
+                self._letters[letter] = (self.generators[letter[0] - 1].inverse(), None)
+            step, order = self._letters[letter]
             if idx == 0:
                 m = step
             elif order is None:

@@ -51,10 +51,6 @@ class Subspace:
         self.pivots = tuple(piv)
 
     @classmethod
-    def zero(cls, field, ambient):
-        return cls(field, ambient)
-
-    @classmethod
     def full(cls, field, ambient):
         return cls(field, ambient, np.eye(ambient, dtype=np.uint8), _canonical=True)
 

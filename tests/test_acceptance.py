@@ -161,7 +161,7 @@ def _mutate_witness(w, rng):
         tiles.append(tiles[pick])
         return HyperfiniteWitness(w.epsilon, w.k_bound, tiles)
     if op == "zero":
-        tiles[pick] = Subspace.zero(tiles[0].field, tiles[0].ambient)
+        tiles[pick] = Subspace(tiles[0].field, tiles[0].ambient)
         return HyperfiniteWitness(w.epsilon, w.k_bound, tiles)
     if op == "drop":
         return HyperfiniteWitness(w.epsilon, w.k_bound, [tiles[pick]])

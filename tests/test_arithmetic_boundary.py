@@ -74,7 +74,7 @@ def test_code_array_sums_match_scalar_oracle(field):
         assert np.array_equal(got[i * nk:(i + 1) * nk, j * nk:(j + 1) * nk], want)
 
     dim = 2 if field.q <= 9 else 1
-    for s in (Subspace.zero(field, 5), Subspace(field, 5, codes(field, g, (dim, 5)))):
+    for s in (Subspace(field, 5), Subspace(field, 5, codes(field, g, (dim, 5)))):
         got = list(s.vectors())
         assert len(got) == field.q ** s.dim and not np.any(got[0])
         for v, c in zip(got, product(range(field.q), repeat=s.dim)):
@@ -95,7 +95,7 @@ def test_code_array_sums_match_scalar_oracle(field):
 def test_annihilator_reads_the_echelon_basis(field, monkeypatch):
     g = rng(field.q + 1)
     n = 6
-    spaces = [Subspace.zero(field, n), Subspace.full(field, n)]
+    spaces = [Subspace(field, n), Subspace.full(field, n)]
     spaces += [Subspace(field, n, codes(field, g, (rows, n))) for rows in (1, 2, 3, 5)]
     spaces.append(Subspace(field, n, np.eye(n, dtype=np.uint8)[[1, 4]]))
     kernels = [DenseMatrix(field, s.basis).kernel() for s in spaces]

@@ -328,6 +328,25 @@ def test_repair_subcommand(tmp_path):
     assert repaired.is_invertible()
 
 
+# Pinned stdout of `profile --family random --r 2 --seed 5 --k 2,3,4,5,6,17`
+# for an element with both inverse letters: each k draws its own family
+# member, so any change to the draws, the inverses or the ranks shows here.
+_RANDOM_PROFILES = {
+    "2": "2,2,2,1,1\n3,3,2,2,3\n4,4,3,3,4\n5,5,4,4,5\n6,6,5,5,6\n17,17,16,16,17\n",
+    "3": "2,2,2,1,1\n3,3,1,1,3\n4,4,3,3,4\n5,5,5,1,1\n6,6,6,1,1\n17,17,16,16,17\n",
+    "2^2": "2,2,2,1,1\n3,3,3,1,1\n4,4,4,1,1\n5,5,5,1,1\n6,6,6,1,1\n17,17,17,1,1\n",
+}
+
+
+@pytest.mark.parametrize("field", sorted(_RANDOM_PROFILES))
+def test_random_family_profile_is_pinned(field):
+    code, out = run_cli("profile", "--family", "random", "--r", "2", "--seed", "5",
+                        "--k", "2,3,4,5,6,17", "--field", field,
+                        "--element", "g1^-1*g2 - g2^-1*g1 + g1*g2^-1")
+    assert code == 0
+    assert out == _RANDOM_PROFILES[field]
+
+
 def test_parse_error_is_input_error():
     code, out = run_cli("profile", "--family", "cyclic", "--k", "2..4",
                         "--element", "g1 **", "--field", "2")

@@ -79,7 +79,7 @@ def test_witness_check_rejects_each_violated_condition():
     w = HyperfiniteWitness(Fraction(1, 10), 3, blocks[:1])
     assert not witness_check(rep, w)
     # Zero-dimensional tile.
-    w = HyperfiniteWitness(Fraction(1, 10), 3, blocks + [Subspace.zero(GF2, 8)])
+    w = HyperfiniteWitness(Fraction(1, 10), 3, blocks + [Subspace(GF2, 8)])
     assert not witness_check(rep, w)
     # Growth violation: a non-invariant line under a generic rep blows past
     # (1 + eps) with eps tiny.

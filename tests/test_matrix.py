@@ -222,12 +222,67 @@ def test_rref_takes_both_multiples_gathers(monkeypatch, field):
     monkeypatch.setattr(_GatherLog, "keys", [])
     monkeypatch.setattr(field.tables, "mul", field.tables.mul.view(_GatherLog))
     for data in (low, sparse, few):
-        R, piv = rref_array(field, data)
+        R, piv = matrix._rref_table(field, data)
         want, want_piv = gauss_jordan_oracle(field, data)
         assert piv == want_piv and np.array_equal(R, want)
     table = sum(isinstance(k, tuple) and k[0] == slice(None) for k in _GatherLog.keys)
     per_row = [k.size for k in _GatherLog.keys if isinstance(k, np.ndarray) and k.ndim == 1]
     assert table >= 1 and per_row and max(per_row) < q
+
+
+LIST_FIELDS = [F3, F4, F9, F251, F256]
+
+
+def _small_shapes():
+    """Every shape up to 16 x 16, empty ones included, then shapes on both
+    sides of the list kernel's cutoff up to twice it."""
+    cells = matrix._LIST_CELLS
+    shapes = [(m, n) for m in range(17) for n in range(17)]
+    for c in (cells // 2, cells - 1, cells, cells + 1, 2 * cells):
+        shapes += [(c // k, k) for k in (1, 2, 3, 5, 8, 16)] + [(k, c // k) for k in (1, 2, 4, 7)]
+    return shapes + [(0, 2 * cells), (2 * cells, 0)]
+
+
+def _rank_deficient(field, g, m, n):
+    """A random m x n array of random rank, with a zero row and a zero column."""
+    r = int(g.integers(0, min(m, n) + 1))
+    a = matmul_data(field, random_matrix(field, g, m, r).data, random_matrix(field, g, r, n).data)
+    if m and n:
+        a[int(g.integers(0, m))] = 0
+        a[:, int(g.integers(0, n))] = 0
+    return a
+
+
+@pytest.mark.parametrize("field", LIST_FIELDS)
+def test_list_kernel_matches_the_table_loop_and_the_oracle(field):
+    g = rng(12)
+    for m, n in _small_shapes():
+        for data in (random_matrix(field, g, m, n).data, _rank_deficient(field, g, m, n)):
+            R, piv = matrix._rref_lists(field, data)
+            want, want_piv = matrix._rref_table(field, data)
+            assert R.dtype == np.uint8 and R.shape == (m, n)
+            assert piv == want_piv and np.array_equal(R, want)
+        # The scalar oracle, on the rank-deficient array only: it is slow.
+        want, want_piv = gauss_jordan_oracle(field, data)
+        assert piv == want_piv and np.array_equal(R, want)
+
+
+def test_rref_takes_the_list_kernel_exactly_off_gf2_at_few_cells(monkeypatch):
+    taken = []
+    for name in ("_rref_lists", "_rref_table"):
+        kernel = getattr(matrix, name)
+        monkeypatch.setattr(matrix, name,
+                            lambda field, data, name=name, kernel=kernel:
+                            taken.append(name) or kernel(field, data))
+    cells = matrix._LIST_CELLS
+    shapes = [(0, 3 * cells), (3 * cells, 0), (1, cells), (cells, 1), (4, cells // 4),
+              (1, cells + 1), (cells + 1, 1), (4, cells // 4 + 1), (cells, cells)]
+    for field in [GF2] + LIST_FIELDS:
+        for m, n in shapes:
+            taken.clear()
+            rref_array(field, random_matrix(field, rng(13), m, n).data)
+            want = [] if field.q == 2 else ["_rref_lists" if m * n <= cells else "_rref_table"]
+            assert taken == want, (field, m, n)
 
 
 def test_inverse_round_trip():

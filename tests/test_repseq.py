@@ -97,10 +97,12 @@ def test_permutation_detection_edge_cases():
 
 
 def _count_kernel_calls(monkeypatch):
-    """Record (a.shape, b.shape) per matmul_data and data.shape per rref_array:
-    an inverse is an n x 2n elimination of [A | I], a rank an n x n one."""
-    calls = {"matmul": [], "rref": []}
-    matmul_data, rref_array = matrix.matmul_data, matrix.rref_array
+    """Record (a.shape, b.shape) per matmul_data, data.shape per rref_array
+    and rows.shape per GF(2) bit reduction: an inverse is an n x 2n
+    elimination of [A | I], a rank an n x n one, which over GF(2) is one
+    _reduce_bits call."""
+    calls = {"matmul": [], "rref": [], "bits": []}
+    matmul_data, rref_array, reduce_bits = matrix.matmul_data, matrix.rref_array, matrix._reduce_bits
 
     def counted_matmul(field, a, b):
         calls["matmul"].append((a.shape, b.shape))
@@ -110,9 +112,14 @@ def _count_kernel_calls(monkeypatch):
         calls["rref"].append(data.shape)
         return rref_array(field, data)
 
+    def counted_bits(rows, basis):
+        calls["bits"].append(rows.shape)
+        return reduce_bits(rows, basis)
+
     for module in (matrix, repseq):
         monkeypatch.setattr(module, "matmul_data", counted_matmul)
     monkeypatch.setattr(matrix, "rref_array", counted_rref)
+    monkeypatch.setattr(matrix, "_reduce_bits", counted_bits)
     return calls
 
 
@@ -130,22 +137,28 @@ def test_words_run_only_the_products_they_need(monkeypatch):
     # Generators from random_invertible keep the inverse their draw found.
     Representation(F3, dense.generators)
     assert calls["rref"] == []
-    # Other dense generators are inverted once each at construction.
-    Representation(F3, [DenseMatrix(F3, g.data) for g in dense.generators])
-    assert calls["rref"] == [(6, 12), (6, 12)]
+    # Other dense generators are checked by one rank each at construction,
+    # and each is inverted once, at the first word that uses its inverse.
+    fresh = Representation(F3, [DenseMatrix(F3, g.data) for g in dense.generators])
+    assert calls["rref"] == [(6, 6), (6, 6)]
+    fresh.of_word(Word.generator(1) * Word.generator(2))
+    assert calls["rref"] == [(6, 6), (6, 6)]
+    fresh.of_word(Word.generator(2) * Word.generator(1, -1))
+    fresh.of_word(Word.generator(1, -1) * Word.generator(2))
+    assert calls["rref"] == [(6, 6), (6, 6), (6, 12)]
     # The cyclic family is permutations: building a member runs no
     # elimination and its words run no product, so each k costs one rank
-    # and one coefficient-row product.
+    # (over GF(2) one bit reduction) and one coefficient-row product.
     for field in FIELDS:
-        calls["matmul"].clear()
-        calls["rref"].clear()
+        for kind in calls.values():
+            kind.clear()
         elem = parse_element("g1*g1*g2 - g2^-1*g1^-1", field, 2)
         a = AlgebraMatrix.scalar(field, 2, 1, elem)
         ks = range(2, 9)
         ranks = [apply_matrix(family_generate(FamilyDescriptor.cyclic_regular(2), k, field),
                               a).rank() for k in ks]
         assert ranks == [k - gcd(3, k) for k in ks]
-        assert calls["rref"] == [(k, k) for k in ks]
+        assert calls["rref"] + calls["bits"] == [(k, k) for k in ks]
         assert [sa[0] for sa, _ in calls["matmul"]] == [1] * len(ks)
 
 

@@ -39,7 +39,7 @@ def test_intersection_matches_brute_force():
     for field in (GF2, F3, FieldSpec(2, 2), FieldSpec(3, 2)):
         pairs = [(random_subspace(field, g, 4, 2), random_subspace(field, g, 4, 2))
                  for _ in range(25)]
-        zero, full = Subspace.zero(field, 4), Subspace.full(field, 4)
+        zero, full = Subspace(field, 4), Subspace.full(field, 4)
         pairs += [(zero, full), (full, zero), (full, full), (zero, zero),
                   (pairs[0][0], full), (zero, pairs[0][1])]
         for u, w in pairs:
@@ -53,7 +53,7 @@ def test_kernel_of_drops_zero_rows():
     for field in (GF2, F3, FieldSpec(2, 2), FieldSpec(3, 2)):
         assert Subspace.kernel_of(field, 5, np.zeros((0, 5))) == Subspace.full(field, 5)
         assert Subspace.kernel_of(field, 5, np.zeros((3, 5))) == Subspace.full(field, 5)
-        assert Subspace.kernel_of(field, 5, np.eye(5)) == Subspace.zero(field, 5)
+        assert Subspace.kernel_of(field, 5, np.eye(5)) == Subspace(field, 5)
         rows = g.integers(0, field.q, size=(2, 5), dtype=np.uint64).astype(np.uint8)
         ker = Subspace.kernel_of(field, 5, np.concatenate([rows, np.zeros((2, 5), np.uint8)]))
         brute = [v for v in Subspace.full(field, 5).vectors()
@@ -151,7 +151,7 @@ def space_pairs(draw):
     def space(kinds, u=None):
         kind = draw(st.sampled_from(kinds))
         if kind == "zero":
-            return Subspace.zero(field, n)
+            return Subspace(field, n)
         if kind == "full":
             return Subspace.full(field, n)
         k = draw(st.integers(1, n + 1))
@@ -279,6 +279,6 @@ def test_projection_is_one_elimination_and_rejects_non_complements(monkeypatch):
         line = Subspace(field, 5, u.basis[:1])
         meets_u = Subspace(field, 5, np.concatenate([u.basis[:1], c.basis[:2]]))  # dim 3
         for v, w in ((u, meets_u), (meets_u, u), (u, u), (u, line), (line, c),
-                     (Subspace.full(field, 5), c), (u, Subspace.zero(field, 5))):
+                     (Subspace.full(field, 5), c), (u, Subspace(field, 5))):
             with pytest.raises(ValueError, match="not complementary"):
                 projection_onto(v, w)
