@@ -4,12 +4,19 @@ Exit codes: 0 success, 1 input error, 2 check failed, 3 budget exceeded /
 inconclusive, 4 internal error (a self-check failed).  All randomness is
 counter-based (Philox) and fully determined by --seed, so reports are
 byte-identical across runs.
+
+Start-up runs only the modules that rank, profile, atiyah and repair use:
+field, freealg, matrix, repseq and subspace.  tiling, soficam, hyperfin and
+ncrat are bound here as lazy modules: they sit in sys.modules, where later
+imports and perfbench's tracer find them, and their code runs when a
+command first reads a name from one of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import sys
 from collections import Counter
@@ -17,12 +24,32 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import hyperfin, ncrat, repseq, soficam, tiling
+from . import repseq
 from .field import MAX_Q, FieldSpec
 from .freealg import AlgebraMatrix, parse_element
 from .matrix import (DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json,
                      json_typed)
-from .subspace import BudgetExceededError, Subspace
+from .subspace import ENUM_CAP, BudgetExceededError, Subspace
+
+
+def _lazy_submodule(name: str):
+    """linrep.<name>, entered in sys.modules and on the package as an import
+    would enter it, but executed on its first attribute access (importlib's
+    LazyLoader).  A module imported already is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+hyperfin, ncrat, soficam, tiling = map(_lazy_submodule,
+                                       ("hyperfin", "ncrat", "soficam", "tiling"))
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -385,12 +412,12 @@ def build_parser():
     sp.add_argument("--rep", required=True)
     sp.add_argument("--trials", type=int, default=0, help="0 = exact enumeration")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=hyperfin.ENUM_CAP)
+    sp.add_argument("--cap", type=int, default=ENUM_CAP)
 
     sp = add("expander", cmd_expander, help="dimension-expander check")
     sp.add_argument("--rep", required=True)
     sp.add_argument("--alpha", required=True)
-    sp.add_argument("--cap", type=int, default=hyperfin.ENUM_CAP)
+    sp.add_argument("--cap", type=int, default=ENUM_CAP)
 
     sp = add("sofic-check", cmd_sofic_check, help="sofic-representation conditions")
     sp.add_argument("--sofic", help="SoficData JSON file")

@@ -122,8 +122,10 @@ class FieldSpec:
 
     # -- element-level arithmetic (tables built lazily, cached per spec) --
 
-    @property
+    @cached_property
     def tables(self) -> "FieldTables":
+        # Kept on the instance after the first read; the shared builder
+        # gives equal specs one FieldTables.
         return _tables(self)
 
     def add(self, a: int, b: int) -> int:

@@ -20,11 +20,9 @@ import numpy as np
 from .matrix import (DenseMatrix, SpanAccumulator, fraction_from_json, fraction_to_json,
                      json_typed, matmul_data, open_unit_fraction, random_codes)
 from .repseq import Representation
-from .subspace import (BudgetExceededError, Subspace, enumerate_subspaces,
+from .subspace import (ENUM_CAP, BudgetExceededError, Subspace, enumerate_subspaces,
                        gaussian_binomial, subspaces_independent)
 from .tiling import FiniteApproxMap, TilingCertificate, orbit_images
-
-ENUM_CAP = 1 << 24
 
 
 @dataclass

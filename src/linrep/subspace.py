@@ -31,6 +31,12 @@ class BudgetExceededError(RuntimeError):
     pass
 
 
+# How many subspaces an exact enumeration may visit before it raises
+# BudgetExceededError: the default cap of hyperfin's exact checks and of
+# the CLI's --cap.
+ENUM_CAP = 1 << 24
+
+
 class Subspace:
     """A subspace of GF(q)^ambient, held as a reduced-echelon row basis."""
 

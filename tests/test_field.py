@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from linrep import field as field_module
 from linrep.field import MAX_Q, FieldError, FieldSpec, FieldTables, default_modulus
 
 
@@ -167,3 +168,20 @@ def test_gf256_table_build_stays_on_q_by_q_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_tables_are_shared_by_equal_specs_and_kept_on_each_spec(monkeypatch):
+    # Equal specs share the builder's one FieldTables; a spec keeps it after
+    # its first read, so later reads do not go back to the builder.
+    a, b = FieldSpec(3, 2), FieldSpec(3, 2)
+    assert a is not b and a.tables is b.tables
+    build, built = field_module._tables, []
+
+    def counting_build(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(field_module, "_tables", counting_build)
+    spec = FieldSpec(5)
+    first = spec.tables
+    assert spec.tables is first and built == [spec]
