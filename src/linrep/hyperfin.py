@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import (DenseMatrix, SpanAccumulator, fraction_from_json, fraction_to_json,
-                     json_typed, matmul_data, open_unit_fraction, random_codes)
+from .matrix import (SpanAccumulator, fraction_from_json, fraction_to_json, json_typed,
+                     matmul_data, open_unit_fraction, random_codes, rank_data)
 from .repseq import Representation
 from .subspace import (ENUM_CAP, BudgetExceededError, Subspace, enumerate_subspaces,
                        gaussian_binomial, subspaces_independent)
@@ -128,11 +128,11 @@ def cheeger_random(rep: Representation, trials: int, seed: int = 0) -> Expansion
     for _ in range(trials):
         d = int(rng.integers(1, n // 2 + 1))
         rows = random_codes(field, rng, (d, n))
-        dim = DenseMatrix(field, rows).rank()
+        dim = rank_data(field, rows)
         if dim == 0:
             continue
         images = matmul_data(field, rows, transposes).reshape(-1, n)
-        ratio = Fraction(DenseMatrix(field, np.concatenate([rows, images])).rank(), dim)
+        ratio = Fraction(rank_data(field, np.concatenate([rows, images])), dim)
         if best is None or ratio <= best:
             w = Subspace(field, n, rows)
             if best is None or (ratio, _canon_key(w)) < (best, _canon_key(best_w)):

@@ -2,23 +2,27 @@
 
 Entries are integer codes (see linrep.field) held in a numpy uint8 array.
 Everything is exact and uses no floats.  No other module does code-array
-arithmetic: a sum c_1 X_1 + ... + c_k X_k elsewhere is one matmul_data
-product, a difference is sub_data.  Each field family has its own
-kernels: characteristic 2 subtracts codes by XOR, GF(p) subtracts the
-residues in uint8 with a borrow of p, and odd extensions GF(p^d)
-subtract through one flat q x q table and multiply base-p digit planes
-in int64 (see sub_data and matmul_data).  Elimination over GF(2) runs on
-bit rows, each row one Python int, in one loop for rref_array,
-SpanAccumulator and the rank alike (_reduce_bits), at every size.  Every
-other field picks its elimination kernel by shape alone: an array of at
-most _LIST_CELLS cells runs Gauss-Jordan on Python lists of the field
-tables (_rref_lists), where one list index costs less than one numpy
-call; a larger one runs the table loop (_rref_table), which clears a
-pivot column by one sub_data call on the live columns, from the pivot
-column on.  Arrays stay uint8 at the API.  A DenseMatrix owns its
-read-only array and keeps its inverse once computed, so
-random_invertible's invertibility test is also the inverse a
-Representation later asks for.
+arithmetic: each operation is one function on raw uint8 arrays here
+(add_data, sub_data, scale_data, matmul_data, inverse_data, rank_data,
+rref_array), and the DenseMatrix methods wrap them, so a caller that
+builds many intermediate values, as rational-expression evaluation does,
+computes on arrays and wraps only what it returns.  A sum
+c_1 X_1 + ... + c_k X_k elsewhere is one matmul_data product.  Each field
+family has its own kernels: characteristic 2 adds and subtracts codes by
+XOR, GF(p) subtracts the residues in uint8 with a borrow of p, and odd
+extensions GF(p^d) subtract through one flat q x q table and multiply
+base-p digit planes in int64 (see sub_data and matmul_data).
+Elimination over GF(2) runs on bit rows, each row one Python int, in one
+loop for rref_array, SpanAccumulator and the rank alike (_reduce_bits),
+at every size.  Every other field picks its elimination kernel by shape
+alone: an array of at most _LIST_CELLS cells runs Gauss-Jordan on Python
+lists of the field tables (_rref_lists), where one list index costs less
+than one numpy call; a larger one runs the table loop (_rref_table),
+which clears a pivot column by one sub_data call on the live columns,
+from the pivot column on.  Arrays stay uint8 at the API, and no function
+here writes to an array it is given.  A DenseMatrix owns its read-only
+array and keeps its inverse once computed, so random_invertible's
+invertibility test is also the inverse a Representation later asks for.
 """
 
 from __future__ import annotations
@@ -100,8 +104,7 @@ class DenseMatrix:
 
     def __add__(self, other):
         self._check_same(other)
-        t = self.field.tables
-        return DenseMatrix(self.field, t.add[self.data, other.data])
+        return DenseMatrix(self.field, add_data(self.field, self.data, other.data))
 
     def __sub__(self, other):
         self._check_same(other)
@@ -114,7 +117,7 @@ class DenseMatrix:
         return DenseMatrix(self.field, matmul_data(self.field, self.data, other.data))
 
     def scale(self, c: int):
-        return DenseMatrix(self.field, self.field.tables.mul[self.data, c])
+        return DenseMatrix(self.field, scale_data(self.field, self.data, c))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-vector product; vec is a 1-D code array of length cols."""
@@ -124,29 +127,14 @@ class DenseMatrix:
     # -- elimination --
 
     def rank(self) -> int:
-        """The number of pivots; over GF(2), of the rows _reduce_bits keeps,
-        with no back-clear."""
-        if self.field.q == 2:
-            return len(_reduce_bits(self.data, {}))
-        return len(rref_array(self.field, self.data)[1])
+        return rank_data(self.field, self.data)
 
     def inverse(self):
-        """A^-1, the right half of rref([A | I]).  A is invertible iff the pivots
-        are the first n columns, and elimination then stops after those n.
-
-        The matrix keeps its inverse: later calls return it with no
-        elimination.  A singular matrix keeps nothing and raises
-        SingularMatrixError on every call.
-        """
+        """A^-1 (see inverse_data).  The matrix keeps its inverse: later calls
+        return it with no elimination.  A singular matrix keeps nothing and
+        raises SingularMatrixError on every call."""
         if self._inverse is None:
-            if self.rows != self.cols:
-                raise SingularMatrixError("not square")
-            n = self.rows
-            aug = np.concatenate([self.data, np.eye(n, dtype=np.uint8)], axis=1)
-            R, pivots = rref_array(self.field, aug)
-            if pivots != list(range(n)):
-                raise SingularMatrixError("matrix is singular")
-            self._inverse = DenseMatrix(self.field, R[:, n:])
+            self._inverse = DenseMatrix(self.field, inverse_data(self.field, self.data))
         return self._inverse
 
     def is_invertible(self) -> bool:
@@ -258,6 +246,15 @@ def matmul_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (digits % p @ p ** np.arange(d)).astype(np.uint8)
 
 
+def add_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise sum a + b of two uint8 code arrays of one shape: XOR in
+    characteristic 2, otherwise one gather from the flat q x q table t.add
+    at a * q + b."""
+    if field.p == 2:
+        return a ^ b
+    return field.tables.add.take(a.astype(np.intp) * field.q + b)
+
+
 def sub_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise difference a - b of two uint8 code arrays of one shape,
     one exact kernel per field family.
@@ -272,6 +269,32 @@ def sub_data(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if field.deg == 1:
         return a - b + np.multiply(a < b, field.p, dtype=np.uint8)
     return field.tables.sub.take(a.astype(np.intp) * field.q + b)
+
+
+def scale_data(field: FieldSpec, a: np.ndarray, c: int) -> np.ndarray:
+    """c * a for a code c: one gather from row c of the mul table."""
+    return field.tables.mul[c].take(a)
+
+
+def inverse_data(field: FieldSpec, a: np.ndarray) -> np.ndarray:
+    """A^-1, the right half of rref([A | I]).  A is invertible iff the pivots
+    are the first n columns, and elimination then stops after those n.
+    Raises SingularMatrixError for a singular or a non-square A."""
+    n, cols = a.shape
+    if n != cols:
+        raise SingularMatrixError("not square")
+    R, pivots = rref_array(field, np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1))
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return R[:, n:]
+
+
+def rank_data(field: FieldSpec, a: np.ndarray) -> int:
+    """The number of pivots; over GF(2), of the rows _reduce_bits keeps,
+    with no back-clear."""
+    if field.q == 2:
+        return len(_reduce_bits(a, {}))
+    return len(rref_array(field, a)[1])
 
 
 def echelon_kernel(field: FieldSpec, R: np.ndarray, pivots) -> np.ndarray:

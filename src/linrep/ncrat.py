@@ -6,8 +6,16 @@ Grammar:
     term   := factor ('*' factor)*
     factor := 'z' digit+ | const | 'inv' '(' expr ')' | '(' expr ')'
 
-Subtraction desugars to addition of a (-1)-scaled product, keeping the AST
-to constants, variables, sums, products, and inverses.
+Subtraction desugars to addition of a product led by a -1 marker, keeping
+the AST to constants, variables, sums, products, and inverses.  A constant
+c stands for c times the identity, c a code of the field the matrices are
+over (see linrep.field), and the marker for that field's -1: over
+GF(3^5) the constant 5 is 2 + x, not 5 mod 3.
+
+Evaluation recurses over the raw code arrays of the point (the array
+primitives of linrep.matrix) and wraps only its result in a DenseMatrix;
+equivalence sampling draws its points as arrays and builds matrices only
+for a counterexample.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ import numpy as np
 
 from .field import MAX_Q, FieldSpec
 from .freealg import ParseError, Scanner
-from .matrix import DenseMatrix, SingularMatrixError, random_matrix
+from .matrix import (DenseMatrix, SingularMatrixError, add_data, inverse_data,
+                     matmul_data, random_codes, scale_data)
 
 
 @dataclass(frozen=True)
@@ -91,43 +100,64 @@ def evaluate(expr, matrices: list) -> EvalResult:
             raise ValueError("matrices must share field and size")
     if max_variable(expr) > len(matrices):
         raise ValueError("expression uses more variables than matrices supplied")
-    return _eval(expr, matrices, field, n, ())
+    try:
+        value = _eval(expr, [m.data for m in matrices], field, n, ())
+    except _Singular as exc:
+        return EvalResult(failure_path=exc.path)
+    return EvalResult(DenseMatrix(field, value))
+
+
+class _Singular(Exception):
+    """An Inv whose argument is singular at the point; path is its AST path."""
+
+    def __init__(self, path: tuple):
+        super().__init__(path)
+        self.path = path
 
 
 def _eval(expr, mats, field, n, path):
-    if isinstance(expr, _MinusOne):
-        return EvalResult(DenseMatrix.identity(field, n).scale(field.neg(1)))
-    if isinstance(expr, Const):
-        if not 0 <= expr.code < field.q:
-            raise ValueError(f"constant code {expr.code} out of range for GF({field.q})")
-        return EvalResult(DenseMatrix.identity(field, n).scale(expr.code))
+    """The code array of expr at the point whose variables are the arrays
+    mats.  Parts are evaluated left to right and depth first, so the first
+    Inv with a singular argument raises _Singular.  A product led by the -1
+    marker is the negated product of its other factors; their indices
+    still count the marker's slot."""
     if isinstance(expr, Var):
-        return EvalResult(mats[expr.index - 1])
+        return mats[expr.index - 1]
+    if isinstance(expr, Prod):
+        parts = expr.parts
+        negate = isinstance(parts[0], _MinusOne)
+        acc = None
+        for idx in range(negate, len(parts)):
+            value = _eval(parts[idx], mats, field, n, path + (idx,))
+            acc = value if acc is None else matmul_data(field, acc, value)
+        if negate and field.p != 2:     # -1 = 1 in characteristic 2
+            return scale_data(field, acc, field.neg(1))
+        return acc
     if isinstance(expr, Sum):
         acc = None
         for idx, part in enumerate(expr.parts):
-            sub = _eval(part, mats, field, n, path + (idx,))
-            if not sub.ok:
-                return sub
-            acc = sub.value if acc is None else acc + sub.value
-        return EvalResult(acc)
-    if isinstance(expr, Prod):
-        acc = None
-        for idx, part in enumerate(expr.parts):
-            sub = _eval(part, mats, field, n, path + (idx,))
-            if not sub.ok:
-                return sub
-            acc = sub.value if acc is None else acc @ sub.value
-        return EvalResult(acc)
+            value = _eval(part, mats, field, n, path + (idx,))
+            acc = value if acc is None else add_data(field, acc, value)
+        return acc
     if isinstance(expr, Inv):
-        sub = _eval(expr.arg, mats, field, n, path + (0,))
-        if not sub.ok:
-            return sub
+        value = _eval(expr.arg, mats, field, n, path + (0,))
         try:
-            return EvalResult(sub.value.inverse())
+            return inverse_data(field, value)
         except SingularMatrixError:
-            return EvalResult(failure_path=path)
+            raise _Singular(path) from None
+    if isinstance(expr, Const):
+        if not 0 <= expr.code < field.q:
+            raise ValueError(f"constant code {expr.code} out of range for GF({field.q})")
+        return scale_data(field, np.eye(n, dtype=np.uint8), expr.code)
     raise TypeError(f"not a rational expression node: {expr!r}")
+
+
+def _defined_value(expr, mats, field, n):
+    """The code array of expr at the point, or None where it is undefined."""
+    try:
+        return _eval(expr, mats, field, n, ())
+    except _Singular:
+        return None
 
 
 # -- equivalence sampling --
@@ -172,14 +202,16 @@ def equiv_probabilistic(r_expr, s_expr, sizes, trials: int, ext_deg: int | None 
     common = 0
     for n in sizes:
         for _ in range(trials):
-            mats = [random_matrix(field, rng, n) for _ in range(r)]
-            res_r = evaluate(r_expr, mats)
-            res_s = evaluate(s_expr, mats)
-            if not (res_r.ok and res_s.ok):
+            mats = [random_codes(field, rng, (n, n)) for _ in range(r)]
+            value_r = _defined_value(r_expr, mats, field, n)
+            value_s = _defined_value(s_expr, mats, field, n)
+            if value_r is None or value_s is None:
                 continue
             common += 1
-            if res_r.value != res_s.value:
-                return EquivVerdict("counterexample", common, mats, (res_r.value, res_s.value))
+            if not np.array_equal(value_r, value_s):
+                return EquivVerdict("counterexample", common,
+                                    [DenseMatrix(field, m) for m in mats],
+                                    (DenseMatrix(field, value_r), DenseMatrix(field, value_s)))
     if common == 0:
         return EquivVerdict("no_common_domain", 0)
     return EquivVerdict("consistent", common)

@@ -317,6 +317,32 @@ def test_ncrat_equiv_ext_deg_defaults_from_field():
     assert json.loads(out)["kind"] == "consistent"
 
 
+@pytest.mark.parametrize("r_expr, s_expr, code, text", [
+    # Hua's identity; default sizes 1..4, 50 trials each.
+    ("inv(z1) + inv(inv(z2) - z1)", "inv(z1 - z1*z2*z1)", 0,
+     '{"common_domain_points":196,"kind":"consistent"}\n'),
+    # A commutator over GF(3^5): '-' is that field's negation.
+    ("z1*z2 - z2*z1", "0", 2,
+     '{"common_domain_points":51,"kind":"counterexample",'
+     '"point":[[[230,132],[200,9]],[[9,140],[131,172]]],'
+     '"values":[[[137,33],[10,190]],[[0,0],[0,0]]]}\n'),
+])
+def test_ncrat_equiv_over_gf3_is_pinned(r_expr, s_expr, code, text):
+    out = io.StringIO()
+    assert cli.main(["ncrat-equiv", "--field", "3", "--r-expr", r_expr, "--s-expr", s_expr],
+                    out) == code
+    assert out.getvalue() == text
+
+
+def test_ncrat_eval_failure_path_counts_the_negation_slot(tmp_path):
+    mats = tmp_path / "mats.json"
+    mats.write_text("[[[1,0],[0,1]], [[0,0],[0,0]]]")
+    out = io.StringIO()
+    assert cli.main(["ncrat-eval", "--field", "3", "--expr", "z2 - z1*inv(z1 - z1)",
+                     "--matrices", str(mats)], out) == 2
+    assert out.getvalue() == '{"failure_path":[1,2],"ok":false}\n'
+
+
 def test_repair_subcommand(tmp_path):
     m = tmp_path / "m.json"
     m.write_text("[[1,1,0],[0,1,1],[1,0,1]]")

@@ -3,8 +3,9 @@ import pytest
 
 from linrep import matrix
 from linrep.field import GF2, FieldSpec
-from linrep.matrix import (DenseMatrix, SingularMatrixError, matmul_data,
-                           random_invertible, random_matrix, rref_array)
+from linrep.matrix import (DenseMatrix, SingularMatrixError, add_data, inverse_data,
+                           matmul_data, random_invertible, random_matrix, rank_data,
+                           rref_array, scale_data)
 from linrep.repseq import Representation
 
 F3 = FieldSpec(3)
@@ -198,6 +199,33 @@ def test_sub_data_matches_field_sub_on_every_pair(field):
     assert got.dtype == np.uint8 and np.array_equal(got, want.reshape(q, q))
 
 
+PRIMITIVE_FIELDS = [GF2, F3, F4, F9, F256]
+
+
+def _read_only(a):
+    """A read-only copy: a primitive that writes to its argument raises."""
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("field", PRIMITIVE_FIELDS)
+def test_add_and_scale_data_match_the_field_on_every_pair(field):
+    q = field.q
+    a, b = (_read_only(x.astype(np.uint8).reshape(q, q)) for x in np.divmod(np.arange(q * q), q))
+    want = np.array([[field.add(int(x), int(y)) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)],
+                    dtype=np.uint8)
+    got = add_data(field, a, b)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    assert np.array_equal((DenseMatrix(field, a) + DenseMatrix(field, b)).data, got)
+    codes = _read_only(np.arange(q, dtype=np.uint8).reshape(1, q))
+    for c in range(q):
+        got = scale_data(field, codes, c)
+        assert got.dtype == np.uint8 and got.shape == (1, q)
+        assert got[0].tolist() == [field.mul(c, x) for x in range(q)]
+        assert np.array_equal(DenseMatrix(field, codes).scale(c).data, got)
+
+
 class _GatherLog(np.ndarray):
     """A field table that logs the first index of each gather from it."""
     keys = []
@@ -297,6 +325,8 @@ def test_inverse_round_trip():
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS)
 def test_inverse_matches_scalar_oracle(field):
+    # inverse_data and rank_data on read-only arrays, and the DenseMatrix
+    # methods that wrap them; [A | I] at n = 13 takes the table loop.
     g = rng(10)
     singular = 0
     for n in (0, 1, 2, 3, 5, 8, 13):
@@ -307,16 +337,27 @@ def test_inverse_matches_scalar_oracle(field):
                 a[k % n] = a[(k + 1) % n] if k == 1 else 0
                 if k == 5:
                     a = matmul_data(field, a[:, : n - 1], random_matrix(field, g, n - 1, n).data)
-            if len(gauss_jordan_oracle(field, a)[1]) < n:
+            a = _read_only(a)
+            pivots = gauss_jordan_oracle(field, a)[1]
+            assert rank_data(field, a) == len(pivots) == DenseMatrix(field, a).rank()
+            if len(pivots) < n:
                 singular += 1
+                with pytest.raises(SingularMatrixError, match="singular"):
+                    inverse_data(field, a)
                 with pytest.raises(SingularMatrixError):
                     DenseMatrix(field, a).inverse()
                 continue
-            got = DenseMatrix(field, a).inverse().data
+            got = inverse_data(field, a)
             want = gauss_jordan_oracle(field, np.concatenate([a, eye], axis=1))[0][:, n:]
             assert got.dtype == np.uint8 and np.array_equal(got, want)
+            assert np.array_equal(DenseMatrix(field, a).inverse().data, got)
             assert np.array_equal(matmul_data(field, a, got), eye)
     assert singular >= 12
+    for shape in ((2, 3), (3, 2), (0, 1)):
+        a = _read_only(random_matrix(field, g, *shape).data)
+        with pytest.raises(SingularMatrixError, match="not square"):
+            inverse_data(field, a)
+        assert rank_data(field, a) == len(gauss_jordan_oracle(field, a)[1])
 
 
 def test_singular_inverse_raises():

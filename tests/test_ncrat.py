@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from linrep.field import GF2, FieldSpec
 from linrep.freealg import ParseError
-from linrep.matrix import DenseMatrix, random_invertible, random_matrix
-from linrep.ncrat import (Const, Inv, Prod, Sum, Var, equiv_probabilistic,
+from linrep.matrix import DenseMatrix, SingularMatrixError, random_invertible, random_matrix
+from linrep.ncrat import (Const, Inv, Prod, Sum, Var, _MinusOne, equiv_probabilistic,
                           evaluate, max_variable, parse_ratexpr, print_ratexpr)
 
 F256 = FieldSpec(2, 8)
@@ -151,3 +151,69 @@ def test_equiv_is_deterministic_per_seed():
     v1 = equiv_probabilistic(lhs, rhs, [2, 3], 30, seed=5)
     v2 = equiv_probabilistic(lhs, rhs, [2, 3], 30, seed=5)
     assert v1.to_json() == v2.to_json()
+
+
+def reference_eval(expr, mats, field, n, path=()):
+    """(value, failure_path) from DenseMatrix operations alone, the -1 marker
+    evaluated as the factor -I in its own slot."""
+    if isinstance(expr, _MinusOne):
+        return DenseMatrix.identity(field, n).scale(field.neg(1)), None
+    if isinstance(expr, Const):
+        return DenseMatrix.identity(field, n).scale(expr.code), None
+    if isinstance(expr, Var):
+        return mats[expr.index - 1], None
+    if isinstance(expr, Inv):
+        value, failed = reference_eval(expr.arg, mats, field, n, path + (0,))
+        if failed is not None:
+            return None, failed
+        try:
+            return value.inverse(), None
+        except SingularMatrixError:
+            return None, path
+    acc = None
+    for idx, part in enumerate(expr.parts):
+        value, failed = reference_eval(part, mats, field, n, path + (idx,))
+        if failed is not None:
+            return None, failed
+        acc = value if acc is None else acc + value if isinstance(expr, Sum) else acc @ value
+    return acc, None
+
+
+# Expression texts with '-', constants (codes 0..2, in range for every q >= 3)
+# and nested inv(...).
+def expr_texts():
+    atoms = st.one_of(st.integers(1, 2).map(lambda i: f"z{i}"), st.integers(0, 2).map(str))
+    return st.recursive(
+        atoms,
+        lambda kids: st.one_of(
+            kids.map(lambda e: f"inv({e})"),
+            st.lists(kids, min_size=2, max_size=3).map(lambda ps: "*".join(f"({p})" for p in ps)),
+            st.tuples(kids, st.lists(st.tuples(st.sampled_from("+-"), kids),
+                                     min_size=1, max_size=2)).map(
+                lambda t: " ".join([t[0]] + [f"{op} ({e})" for op, e in t[1]]))),
+        max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr_texts(), st.sampled_from([FieldSpec(3), FieldSpec(3, 2), FieldSpec(5)]),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_evaluate_matches_a_dense_matrix_reference_in_odd_characteristic(text, field, n, seed):
+    expr = parse_ratexpr(text)
+    g = rng(seed)
+    mats = [random_matrix(field, g, n) for _ in range(2)]
+    got = evaluate(expr, mats)
+    want, failure = reference_eval(expr, mats, field, n)
+    assert got.failure_path == failure
+    assert got.value == want
+
+
+@pytest.mark.parametrize("text, path", [
+    ("z1 - inv(z2)", (1, 1)),
+    ("z2 - z1*inv(z1 - z1)", (1, 2)),       # the -1 marker holds slot 0
+    ("inv(z2) - inv(z1)", (0,)),
+])
+def test_failure_paths_through_negated_terms(text, path):
+    f3 = FieldSpec(3)
+    point = [DenseMatrix.identity(f3, 2), DenseMatrix(f3, np.zeros((2, 2), dtype=np.uint8))]
+    res = evaluate(parse_ratexpr(text), point)
+    assert not res.ok and res.failure_path == path
