@@ -7,7 +7,10 @@ subspaces, computed exactly by enumeration or bounded from above by
 sampling.  The search spins each seed vector's chain span(v) < grow(span(v))
 < ... in a SpanAccumulator and keeps the growths of the accepted tiles in
 another; witness_check re-derives every condition on canonical Subspaces,
-sharing no accumulation code with the search.
+sharing no accumulation code with the search.  Every growth takes its
+generator images from Representation.images (a column gather for a
+permutation generator, one product for the dense ones), so this module
+runs no product of its own and only the span or rank of a stack is read.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .matrix import (SpanAccumulator, fraction_from_json, fraction_to_json, json_typed,
-                     matmul_data, open_unit_fraction, random_codes, rank_data)
+                     open_unit_fraction, random_codes, rank_data)
 from .repseq import Representation
 from .subspace import (ENUM_CAP, BudgetExceededError, Subspace, enumerate_subspaces,
                        gaussian_binomial, subspaces_independent)
@@ -60,8 +63,7 @@ class ExpansionReport:
 
 def grow(rep: Representation, w: Subspace) -> Subspace:
     """W + sum_i theta(gamma_i) W."""
-    images = [matmul_data(rep.field, g.data, w.basis.T).T for g in rep.generators]
-    return Subspace(rep.field, rep.n, np.concatenate([w.basis] + images, axis=0))
+    return Subspace(rep.field, rep.n, np.concatenate([w.basis, rep.images(w.basis)]))
 
 
 def witness_check(rep: Representation, w: HyperfiniteWitness) -> bool:
@@ -111,9 +113,9 @@ def cheeger_random(rep: Representation, trials: int, seed: int = 0) -> Expansion
 
     Each trial draws at most n/2 random rows; dim W and dim grow(W) are the
     ranks of the rows and of the rows stacked on their images under every
-    generator, taken in one product.  Ties break by canonical basis, for
-    determinism, so the canonical W is built only for a sample whose ratio
-    is at most the best so far.
+    generator, taken in one Representation.images call.  Ties break by
+    canonical basis, for determinism, so the canonical W is built only for
+    a sample whose ratio is at most the best so far.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -121,7 +123,6 @@ def cheeger_random(rep: Representation, trials: int, seed: int = 0) -> Expansion
     if n < 2:
         raise ValueError(f"expansion needs n >= 2: at n = {n} no W has 1 <= dim W <= n/2")
     field = rep.field
-    transposes = np.concatenate([g.data for g in rep.generators]).T    # [g_1^T | g_2^T | ...]
     rng = np.random.Generator(np.random.Philox(seed))
     best = None
     best_w = None
@@ -131,8 +132,7 @@ def cheeger_random(rep: Representation, trials: int, seed: int = 0) -> Expansion
         dim = rank_data(field, rows)
         if dim == 0:
             continue
-        images = matmul_data(field, rows, transposes).reshape(-1, n)
-        ratio = Fraction(rank_data(field, np.concatenate([rows, images])), dim)
+        ratio = Fraction(rank_data(field, np.concatenate([rows, rep.images(rows)])), dim)
         if best is None or ratio <= best:
             w = Subspace(field, n, rows)
             if best is None or (ratio, _canon_key(w)) < (best, _canon_key(best_w)):
@@ -156,17 +156,16 @@ def expander_check(rep: Representation, alpha: Fraction, cap: int = ENUM_CAP) ->
 def _chain(rep: Representation, vec, max_dim: int):
     """The spin of vec: s_0 = span(vec) and s_(j+1) = grow(s_j), while
     0 < dim s_j <= max_dim.  Since g s_(j-1) lies in s_j, s_(j+1) is s_j
-    plus the images of the rows that s_j added, so each step multiplies
-    only those.  Returns the rows in the order they were added, the first
-    dims[j] of them spanning s_j, and the dims.  Every s_j but the last is
-    a member of the chain, paired with its growth s_(j+1); the last member
-    is invariant when the last two dims are equal."""
+    plus the images of the rows that s_j added, so each step takes the
+    images of only those.  Returns the rows in the order they were added,
+    the first dims[j] of them spanning s_j, and the dims.  Every s_j but
+    the last is a member of the chain, paired with its growth s_(j+1); the
+    last member is invariant when the last two dims are equal."""
     acc = SpanAccumulator(rep.field, rep.n)
     new = acc.extend(np.asarray(vec, dtype=np.uint8)[None, :])
     added, dims = [new], [acc.dim]
     while 0 < dims[-1] <= max_dim:
-        new = acc.extend(np.concatenate([matmul_data(rep.field, new, g.data.T)
-                                         for g in rep.generators]))
+        new = acc.extend(rep.images(new))
         added.append(new)
         dims.append(acc.dim)
         if not len(new):

@@ -4,9 +4,9 @@ Entries are integer codes (see linrep.field) held in a numpy uint8 array.
 Everything is exact and uses no floats.  No other module does code-array
 arithmetic: each operation is one function on raw uint8 arrays here
 (add_data, sub_data, scale_data, matmul_data, inverse_data, rank_data,
-rref_array), and the DenseMatrix methods wrap them, so a caller that
-builds many intermediate values, as rational-expression evaluation does,
-computes on arrays and wraps only what it returns.  A sum
+rref_array), and the DenseMatrix methods wrap all but scale_data, so a
+caller that builds many intermediate values, as rational-expression
+evaluation does, computes on arrays and wraps only what it returns.  A sum
 c_1 X_1 + ... + c_k X_k elsewhere is one matmul_data product.  Each field
 family has its own kernels: characteristic 2 adds and subtracts codes by
 XOR, GF(p) subtracts the residues in uint8 with a borrow of p, and odd
@@ -115,9 +115,6 @@ class DenseMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         return DenseMatrix(self.field, matmul_data(self.field, self.data, other.data))
-
-    def scale(self, c: int):
-        return DenseMatrix(self.field, scale_data(self.field, self.data, c))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-vector product; vec is a 1-D code array of length cols."""

@@ -8,7 +8,10 @@ and a permutation generator, the identity included, acts as a column
 gather and is inverted by its transpose, so the cyclic family runs no
 matrix product and no elimination per letter.  A dense generator is
 checked invertible by its rank and inverted only at the first word that
-uses its inverse.
+uses its inverse.  The same decision builds generator images, the one
+primitive behind every growth dim(V + sum theta(gamma_i) V): images gathers
+the columns of a row stack for each permutation generator and takes the
+dense generators in one product with their stacked transposes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .subspace import Subspace
 class Representation:
     """theta: F_r -> GL(n, GF(q)), given by its generator images."""
 
-    __slots__ = ("field", "r", "n", "generators", "_letters", "_word_cache")
+    __slots__ = ("field", "r", "n", "generators", "_letters", "_word_cache",
+                 "_gather", "_transposes")
 
     def __init__(self, field: FieldSpec, generators):
         self.field = field
@@ -42,18 +46,37 @@ class Representation:
         # _letters[(i, e)] = (g_i^e, order): m @ g_i^e is m[:, order] when
         # g_i is a permutation matrix, inverted by its transpose; order is
         # None for a dense g_i, which is checked invertible here and
-        # inverted by of_word at its first g_i^-1 letter.
+        # inverted by of_word at its first g_i^-1 letter.  images reads the
+        # same decision: the g_i^-1 orders of the permutations in one gather,
+        # and the dense g_i as [g_1^T | g_2^T | ...], or None.
         self._letters = {}
+        gather, dense = [], []
         for i, g in enumerate(self.generators, start=1):
             inv_perm = _inverse_permutation(g.data)
             if inv_perm is None:
                 if not g.is_invertible():
                     raise ValueError("all generator images must be invertible")
                 self._letters[i, 1] = (g, None)
+                dense.append(g.data)
             else:
                 inv = DenseMatrix(field, np.ascontiguousarray(g.data.T))
                 self._letters[i, 1], self._letters[i, -1] = (g, np.argsort(inv_perm)), (inv, inv_perm)
+                gather.append(inv_perm)
+        self._gather = np.concatenate(gather) if gather else None
+        self._transposes = np.concatenate(dense).T if dense else None
         self._word_cache = {(): DenseMatrix.identity(field, self.n)}
+
+    def images(self, rows: np.ndarray) -> np.ndarray:
+        """g_i v for every row v and every generator g_i, stacked as rows
+        (rows @ g_i^T), in no promised order.  A permutation's transpose is
+        its inverse, so its images are a column gather; the dense generators
+        take one product, returned as it is when every generator is dense."""
+        dense = (None if self._transposes is None
+                 else matmul_data(self.field, rows, self._transposes).reshape(-1, self.n))
+        if self._gather is None:
+            return dense
+        gathered = rows.take(self._gather, axis=1).reshape(-1, self.n)
+        return gathered if dense is None else np.concatenate([gathered, dense])
 
     def of_word(self, word: Word) -> DenseMatrix:
         key = word.letters

@@ -240,6 +240,25 @@ def test_witness_search_almost_invariant_fallback_is_pinned(q):
     assert w.to_json() == {"epsilon": {"num": 1, "den": 2}, "K": 3, "tiles": _FALLBACK_TILES[q]}
 
 
+# The cyclic family (r = 2, generators a shift and the identity) at
+# epsilon = 1/4 and budget 2k: (tiles, digest of the witness JSON) at K = 8.
+# A tile of dimension d grows to d + 1 < (5/4) d only for d >= 5, so K = 4
+# finds none.  The witness is the same over every field.
+_CYCLIC_WITNESS = {32: (5, "f117c7d311e20a33"), 64: (10, "e4770c9ee459e8d0"),
+                   128: (20, "68c272e8c8b44361")}
+
+
+@pytest.mark.parametrize("field", [GF2, FieldSpec(3), FieldSpec(2, 2)])
+@pytest.mark.parametrize("k", sorted(_CYCLIC_WITNESS))
+def test_cyclic_family_witness_is_pinned(field, k):
+    rep = family_generate(FamilyDescriptor.cyclic_regular(2), k, field)
+    w = witness_search(rep, Fraction(1, 4), 8, budget=2 * k)
+    digest = hashlib.sha256(json.dumps(w.to_json(), sort_keys=True).encode()).hexdigest()[:16]
+    assert (len(w.subspaces), digest) == _CYCLIC_WITNESS[k]
+    assert witness_check(rep, w)
+    assert witness_search(rep, Fraction(1, 4), 4, budget=2 * k) is None
+
+
 def test_witness_search_raises_when_its_witness_fails_the_check(monkeypatch):
     rep = block_rep(GF2, [2, 2], seed=12)
     monkeypatch.setattr(hyperfin, "witness_check", lambda rep, w: False)

@@ -157,9 +157,9 @@ def reference_eval(expr, mats, field, n, path=()):
     """(value, failure_path) from DenseMatrix operations alone, the -1 marker
     evaluated as the factor -I in its own slot."""
     if isinstance(expr, _MinusOne):
-        return DenseMatrix.identity(field, n).scale(field.neg(1)), None
+        return DenseMatrix(field, np.eye(n, dtype=np.uint8) * field.neg(1)), None
     if isinstance(expr, Const):
-        return DenseMatrix.identity(field, n).scale(expr.code), None
+        return DenseMatrix(field, np.eye(n, dtype=np.uint8) * expr.code), None
     if isinstance(expr, Var):
         return mats[expr.index - 1], None
     if isinstance(expr, Inv):

@@ -8,7 +8,7 @@ import pytest
 from linrep import matrix, repseq
 from linrep.field import GF2, FieldSpec
 from linrep.freealg import AlgebraElement, AlgebraMatrix, Word, parse_element
-from linrep.matrix import DenseMatrix, random_invertible, random_matrix
+from linrep.matrix import DenseMatrix, matmul_data, random_invertible, random_matrix
 from linrep.repseq import (FamilyDescriptor, RankProfile, Representation,
                            _perm_matrix, apply_matrix, atiyah_check,
                            family_generate, normalized_rank, repair_to_invertible)
@@ -160,6 +160,37 @@ def test_words_run_only_the_products_they_need(monkeypatch):
         assert ranks == [k - gcd(3, k) for k in ks]
         assert calls["rref"] + calls["bits"] == [(k, k) for k in ks]
         assert [sa[0] for sa, _ in calls["matmul"]] == [1] * len(ks)
+
+
+IMAGE_FIELDS = [GF2, F3, FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(2, 8)]
+
+
+@pytest.mark.parametrize("field", IMAGE_FIELDS)
+def test_images_match_one_product_per_generator(field, monkeypatch):
+    # Permutation-only (the cyclic family, its identity generators
+    # included), dense-only and mixed generator sets, compared with one
+    # product per generator as multisets of rows; no row order is promised.
+    g = rng(12)
+    n = 6
+    dense = [random_invertible(field, g, n) for _ in range(3)]
+    reps = {
+        "permutation": family_generate(FamilyDescriptor.cyclic_regular(3), n, field),
+        "dense": Representation(field, dense),
+        "mixed": Representation(field, [dense[0], _perm_matrix(field, g.permutation(n)),
+                                        DenseMatrix.identity(field, n), dense[1]]),
+    }
+    calls = _count_kernel_calls(monkeypatch)
+    for kind, rep in reps.items():
+        n_dense = {"permutation": 0, "dense": 3, "mixed": 2}[kind]
+        for m in (0, 1, 4):
+            rows = random_matrix(field, g, m, n).data
+            want = np.concatenate([matmul_data(field, rows, gen.data.T) for gen in rep.generators])
+            calls["matmul"].clear()
+            got = rep.images(rows)
+            assert got.dtype == np.uint8 and got.shape == (m * rep.r, n)
+            assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+            # The dense generators share one product; permutations run none.
+            assert calls["matmul"] == ([((m, n), (n, n_dense * n))] if n_dense else [])
 
 
 def test_cyclic_profile_is_exact():

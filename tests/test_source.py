@@ -96,18 +96,19 @@ _UNCALLED_ON_PURPOSE = {
 
 
 def _names_used(tree):
-    """(name, ids of the enclosing defs) for every Name, attribute and import alias."""
+    """(name, bare, ids of the enclosing defs) for every Name, attribute and
+    import alias; bare is True for a Name."""
     found = []
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside | {id(node)}
         if isinstance(node, ast.Name):
-            found.append((node.id, inside))
+            found.append((node.id, True, inside))
         elif isinstance(node, ast.Attribute):
-            found.append((node.attr, inside))
+            found.append((node.attr, False, inside))
         elif isinstance(node, ast.alias):
-            found.append((node.name, inside))
+            found.append((node.name, False, inside))
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
     visit(tree, frozenset())
@@ -117,25 +118,28 @@ def _names_used(tree):
 def test_every_public_function_is_reached():
     # A public function or method must be named somewhere in the package
     # outside its own def (the __init__ re-exports do not count), be used
-    # by the acceptance suite, or be listed above.  Names are matched
-    # without their class, so this catches a dead function, not every
-    # dead method whose name another one shares.
+    # by the acceptance suite, or be listed above.  A method is reached
+    # only through an attribute access (`.name`) or an import alias, never
+    # through a bare name such as a local variable of the same spelling.
+    # Names are still matched without their class (class-blind), so this
+    # catches a dead function, not every dead method whose name another
+    # one shares.
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
-    used = [u for tree in trees.values() for u in _names_used(tree)]
     acceptance = Path(__file__).parent / "test_acceptance.py"
-    accepted = {name for name, _ in _names_used(ast.parse(acceptance.read_text()))}
+    used = [u for tree in [*trees.values(), ast.parse(acceptance.read_text())]
+            for u in _names_used(tree)]
     defs = {}
     for mod, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                defs[f"{mod}.{node.name}"] = node
+                defs[f"{mod}.{node.name}"] = (node, False)
             elif isinstance(node, ast.ClassDef):
-                defs.update((f"{mod}.{node.name}.{item.name}", item) for item in node.body
+                defs.update((f"{mod}.{node.name}.{item.name}", (item, True)) for item in node.body
                             if isinstance(item, ast.FunctionDef))
     assert _UNCALLED_ON_PURPOSE <= set(defs)
-    dead = [qual for qual, node in defs.items()
+    dead = [qual for qual, (node, method) in defs.items()
             if not node.name.startswith("_") and qual not in _UNCALLED_ON_PURPOSE
-            and node.name not in accepted
-            and not any(name == node.name and id(node) not in inside for name, inside in used)]
+            and not any(name == node.name and not (method and bare) and id(node) not in inside
+                        for name, bare, inside in used)]
     assert dead == []
