@@ -193,10 +193,12 @@ def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
     tiles = []
     grown_accum = SpanAccumulator(rep.field, n)
     covered = 0
+    # covered >= (1 - epsilon) n and grown >= (1 + epsilon) dim, cross-multiplied.
+    num, den = epsilon.numerator, epsilon.denominator
 
     seeds = list(np.eye(n, dtype=np.uint8))
     for _ in range(budget):
-        if Fraction(covered) >= (1 - epsilon) * n:
+        if covered * den >= (den - num) * n:
             break
         if seeds:
             vec = seeds.pop(0)
@@ -210,14 +212,14 @@ def witness_search(rep: Representation, epsilon: Fraction, k_bound: int,
         if members and members[-1][0] == members[-1][1]:
             members = members[-1:] + members[:-1]
         for dim, grown in members:
-            if Fraction(grown) >= (1 + epsilon) * dim:
+            if grown * den >= (den + num) * dim:
                 continue
             if grown_accum.try_add(rows[:grown]):
                 tiles.append(Subspace(rep.field, n, rows[:dim]))
                 covered += dim
                 break
 
-    if Fraction(covered) >= (1 - epsilon) * n:
+    if covered * den >= (den - num) * n:
         witness = HyperfiniteWitness(epsilon, k_bound, tiles)
         if not witness_check(rep, witness):
             raise RuntimeError("witness search built a witness that witness_check rejects")

@@ -19,10 +19,10 @@ alone: an array of at most _LIST_CELLS cells runs Gauss-Jordan on Python
 lists of the field tables (_rref_lists), where one list index costs less
 than one numpy call; a larger one runs the table loop (_rref_table),
 which clears a pivot column by one sub_data call on the live columns,
-from the pivot column on.  Arrays stay uint8 at the API, and no function
-here writes to an array it is given.  A DenseMatrix owns its read-only
-array and keeps its inverse once computed, so random_invertible's
-invertibility test is also the inverse a Representation later asks for.
+from the pivot column on; rank_data runs the same kernel forward only and
+builds no array.  Arrays stay uint8 at the API, and no function here writes
+to an array it is given.  A DenseMatrix owns its read-only array and keeps
+its inverse, so random_invertible's test is the inverse a Representation uses.
 """
 
 from __future__ import annotations
@@ -287,11 +287,12 @@ def inverse_data(field: FieldSpec, a: np.ndarray) -> np.ndarray:
 
 
 def rank_data(field: FieldSpec, a: np.ndarray) -> int:
-    """The number of pivots; over GF(2), of the rows _reduce_bits keeps,
-    with no back-clear."""
+    """The number of pivots by forward elimination in the kernel rref_array
+    takes, with no back-substitution and no reduced array built; over GF(2),
+    of the rows _reduce_bits keeps."""
     if field.q == 2:
         return len(_reduce_bits(a, {}))
-    return len(rref_array(field, a)[1])
+    return len((_rref_lists if a.size <= _LIST_CELLS else _rref_table)(field, a, back=False)[1])
 
 
 def echelon_kernel(field: FieldSpec, R: np.ndarray, pivots) -> np.ndarray:
@@ -359,17 +360,17 @@ def rref_array(field: FieldSpec, data: np.ndarray):
             bit, pivot = 1 << (tops[i] - 1), bits[i]
             bits[:i] = [b ^ pivot if b & bit else b for b in bits[:i]]
         return _bit_array(bits + [0] * (m - len(bits)), n), [w - top for top in tops]
-    if m * n <= _LIST_CELLS:
-        return _rref_lists(field, data)
-    return _rref_table(field, data)
+    return (_rref_lists if m * n <= _LIST_CELLS else _rref_table)(field, data)
 
 
-def _rref_lists(field: FieldSpec, data: np.ndarray):
+def _rref_lists(field: FieldSpec, data: np.ndarray, back=True):
     """rref_array off GF(2) on nested Python lists of the mul, sub and inv
     tables, one row at a time as _reduce_bits does: the row is reduced by
-    the kept rows, each 1 on its own pivot column and 0 on the others; its
-    first nonzero is scaled to 1 and cleared from the kept rows, and the
-    row is kept.  Once n rows are kept every later row reduces to 0."""
+    the kept rows in the order kept, each 1 on its pivot and 0 on earlier
+    pivots, so it ends 0 on every pivot; its first nonzero is scaled to 1,
+    cleared from the kept rows only with back, and the row is kept.  Once
+    n rows are kept every later row reduces to 0.  Without back only the
+    pivots are returned."""
     mul, sub, inv = field.tables.lists
     m, n = data.shape
     kept = {}     # pivot column -> row
@@ -385,7 +386,7 @@ def _rref_lists(field: FieldSpec, data: np.ndarray):
         if row[lead] != 1:
             scale = mul[inv[row[lead]]]
             row = [scale[a] for a in row]
-        for col, prow in kept.items():
+        for col, prow in kept.items() if back else ():
             f = prow[lead]
             if f:
                 mf = mul[f]
@@ -394,30 +395,29 @@ def _rref_lists(field: FieldSpec, data: np.ndarray):
         if len(kept) == n:
             break
     pivots = sorted(kept)
+    if not back:
+        return None, pivots
     rows = [kept[col] for col in pivots] + [[0] * n] * (m - len(pivots))
     return np.array(rows, dtype=np.uint8).reshape(m, n), pivots
 
 
-def _rref_table(field: FieldSpec, data: np.ndarray):
+def _rref_table(field: FieldSpec, data: np.ndarray, back=True):
     """rref_array off GF(2) on numpy gathers from the field tables.  It
     stops once every row holds a pivot, and clears a pivot column by
-    subtracting f * pivot row from every other row whose entry in it is f:
-    the multiples f * row come from one of two gathers from t.mul, and one
-    sub_data call subtracts them.  With k rows to clear, k >= q gathers
-    the q multiples of the pivot row once, t.mul[:, row], and picks k of
-    them; fewer rows gather their own factors' rows t.mul[f] and then
-    the pivot row's columns, so a sparse column costs k x w, not q x w.
-    It moves past columns with no pivot in one scan, so a wide array of
-    low rank costs one step per pivot, and it swaps, scales and clears
-    only the live columns R[:, col:]: the rows from `row` down are zero
-    left of col, so the pivot row adds nothing there."""
+    subtracting f * pivot row from every other row (without back, every
+    row below) whose entry in it is f: the multiples f * row come from one
+    of two gathers from t.mul, and one sub_data call subtracts them.  With
+    k rows to clear, k >= q gathers the q multiples of the pivot row once,
+    t.mul[:, row], and picks k of them; fewer rows gather their own
+    factors' rows t.mul[f] and then the pivot row's columns, so a sparse
+    column costs k x w, not q x w.  It moves past columns with no pivot in
+    one scan, so a wide array of low rank costs one step per pivot, and it
+    swaps, scales and clears only the live columns R[:, col:]: the rows from
+    `row` down are zero left of col, so the pivot row adds nothing there."""
     m, n = data.shape
-    pivots = []
-    row = 0
-    t = field.tables
-    q = field.q
+    pivots, row, col = [], 0, 0
+    t, q = field.tables, field.q
     R = data.copy()
-    col = 0
     while col < n and row < m:
         nz = R[row:, col].nonzero()[0]
         if nz.size == 0:
@@ -436,7 +436,7 @@ def _rref_table(field: FieldSpec, data: np.ndarray):
         if pv != 1:
             live[row] = t.mul[t.inv[pv]][live[row]]
         others = np.nonzero(live[:, 0])[0]
-        others = others[others != row]
+        others = others[(others != row) if back else (others > row)]
         if others.size:
             block = live[others]
             f = block[:, 0]

@@ -4,7 +4,8 @@ The concrete amenable instance is the polynomial part of GF(q)(x): elements
 of degree < m acting on V_m = span{1, x, ..., x^(m-1)} by multiply-then-
 truncate.  Truncation by total degree is an algebra quotient, so the maps
 are honestly unital and almost multiplicative with defects controlled by
-the Folner geometry.
+the Folner geometry.  The checks rank the map's raw defects and images
+(FiniteApproxMap.defects and .image) with rank_data.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .field import FieldSpec
 from .freealg import Word
-from .matrix import DenseMatrix, fraction_to_json, matmul_data
+from .matrix import DenseMatrix, fraction_to_json, matmul_data, rank_data, sub_data
 from .repseq import Representation
 from .subspace import Subspace
 from .tiling import FiniteApproxMap, MissingProductError, is_good_map
@@ -151,18 +152,16 @@ def sofic_check(data: SoficData, k: int, elements=None,
 
     max_defect = Fraction(0)
     mult_ok = True
-    for a in range(1, span + 1):
-        for b in range(1, span + 1):
-            defect = Fraction(phi.defect(a, b).rank(), n)
-            max_defect = max(max_defect, defect)
-            if defect >= s_k:
-                mult_ok = False
+    for raw in phi.defects(span):
+        defect = Fraction(rank_data(phi.field, raw), n)
+        max_defect = max(max_defect, defect)
+        if defect >= s_k:
+            mult_ok = False
 
     rank_ok = True
     min_rank = None
     for coords, floor in (elements or []):
-        mat = phi.phi_of(np.asarray(coords, dtype=np.uint8))
-        r = Fraction(mat.rank(), n)
+        r = Fraction(rank_data(phi.field, phi.image(coords)), n)
         min_rank = r if min_rank is None else min(min_rank, r)
         if r < Fraction(floor):
             rank_ok = False
@@ -204,8 +203,8 @@ def approx_extension_check(rho: Representation, phi: FiniteApproxMap,
             if key not in theta_images:
                 raise MissingProductError(f"no coordinates for generator {key}")
             coords = phi.product_coords(coords, theta_images[key])
-        diff = phi.phi_of(coords) - rho.of_word(word)
-        max_distance = max(max_distance, Fraction(diff.rank(), n))
+        diff = sub_data(phi.field, phi.image(coords), rho.of_word(word).data)
+        max_distance = max(max_distance, Fraction(rank_data(phi.field, diff), n))
     return ExtensionReport(good_ok, max_distance, delta)
 
 

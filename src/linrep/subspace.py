@@ -20,7 +20,7 @@ import numpy as np
 
 from .field import FieldSpec
 from .matrix import (DenseMatrix, SingularMatrixError, codes_from_json, echelon_kernel,
-                     matmul_data, rref_array, sub_data)
+                     matmul_data, rank_data, rref_array, sub_data)
 
 
 class AmbientMismatchError(ValueError):
@@ -143,8 +143,7 @@ def subspaces_independent(spaces) -> bool:
     for s in spaces[1:]:
         first._check_ambient(s)
     stacked = np.concatenate([s.basis for s in spaces], axis=0)
-    _, piv = rref_array(first.field, stacked)
-    return len(piv) == sum(s.dim for s in spaces)
+    return rank_data(first.field, stacked) == sum(s.dim for s in spaces)
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:

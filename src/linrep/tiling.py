@@ -6,8 +6,10 @@ multiplication table for the basis.  Goodness of a vector means the map is
 exactly multiplicative on it for all products from the first i basis
 elements; tilings pack mutually independent orbits of good vectors.  The
 good subspace and the candidate space are kernels of stacked conditions.
-Orbits come from one product with the stacked F-basis images; the greedy
-tiler's candidates lie in A_{F,i}, so it tests only dimension and independence.
+Images and defects are raw code arrays (FiniteApproxMap.image and
+.defects); only phi_of wraps an image as a DenseMatrix.  Orbits come from
+one product with the stacked F-basis images; the greedy tiler's
+candidates lie in A_{F,i}, so it tests only dimension and independence.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .field import FieldSpec
 from .matrix import (DenseMatrix, SpanAccumulator, codes_from_json, fraction_from_json,
                      fraction_to_json, json_typed, matmul_data, open_unit_fraction,
-                     random_codes)
+                     random_codes, rank_data, sub_data)
 from .subspace import AmbientMismatchError, Subspace, subspaces_independent
 
 
@@ -57,23 +59,32 @@ class FiniteApproxMap:
                 raise ValueError("mult coordinates must have length i_max")
             self.mult[(int(a), int(b))] = coords
 
-    def phi_of(self, coords) -> DenseMatrix:
-        """Image of the span element with the given basis coordinates."""
+    def image(self, coords) -> np.ndarray:
+        """The raw n x n code array of the span element with the given basis
+        coordinates: the sum of c_k phi(r_k) over its nonzero c_k only, as
+        one matmul_data product."""
         coords = np.asarray(coords, dtype=np.uint8)
         idx = np.flatnonzero(coords)
         mats = np.array([self.phi[k].data for k in idx], dtype=np.uint8)
         acc = matmul_data(self.field, coords[None, idx], mats.reshape(len(idx), self.n * self.n))
-        return DenseMatrix(self.field, acc.reshape(self.n, self.n))
+        return acc.reshape(self.n, self.n)
 
-    def product_matrix(self, a: int, b: int) -> DenseMatrix:
-        """phi(r_a * r_b) via the table; raises when the entry is missing."""
-        if (a, b) not in self.mult:
-            raise MissingProductError(f"mult table has no entry for ({a}, {b})")
-        return self.phi_of(self.mult[(a, b)])
+    def phi_of(self, coords) -> DenseMatrix:
+        """image(coords) as a DenseMatrix."""
+        return DenseMatrix(self.field, self.image(coords))
 
-    def defect(self, a: int, b: int) -> DenseMatrix:
-        """phi(r_a r_b) - phi(r_a) phi(r_b), zero exactly where phi multiplies."""
-        return self.product_matrix(a, b) - self.phi[a - 1] @ self.phi[b - 1]
+    def defects(self, i: int) -> list:
+        """The raw defects phi(r_s r_t) - phi(r_s) phi(r_t) for s, t <= i in
+        row-major order, each zero exactly where phi multiplies: one product
+        of the two images and one sub_data from the table's image.  The
+        first pair the table lacks, in that order, raises MissingProductError."""
+        pairs = [(s, t) for s in range(1, i + 1) for t in range(1, i + 1)]
+        missing = [pair for pair in pairs if pair not in self.mult]
+        if missing:
+            raise MissingProductError("mult table has no entry for ({}, {})".format(*missing[0]))
+        f, phi = self.field, self.phi
+        return [sub_data(f, self.image(self.mult[(s, t)]),
+                         matmul_data(f, phi[s - 1].data, phi[t - 1].data)) for s, t in pairs]
 
     def product_coords(self, ca, cb) -> np.ndarray:
         """Coordinates of the product of two span elements (bilinear expansion)."""
@@ -140,7 +151,7 @@ def require_independent(field: FieldSpec, basis) -> None:
     counts the rows, so a dependent basis would ask for orbits of a
     dimension that F cannot reach."""
     basis = np.asarray(basis, dtype=np.uint8)
-    if Subspace(field, basis.shape[1], basis).dim < len(basis):
+    if rank_data(field, basis) < len(basis):
         raise ValueError("the F basis is linearly dependent")
 
 
@@ -190,8 +201,7 @@ def good_subspace(m: FiniteApproxMap, i: int) -> Subspace:
     """
     if not 1 <= i <= m.i_max:
         raise ValueError(f"i = {i} must lie in 1..{m.i_max}")
-    defects = [m.defect(s, t).data for s in range(1, i + 1) for t in range(1, i + 1)]
-    return Subspace.kernel_of(m.field, m.n, np.concatenate(defects))
+    return Subspace.kernel_of(m.field, m.n, np.concatenate(m.defects(i)))
 
 
 def is_good_map(m: FiniteApproxMap, i: int) -> bool:
@@ -208,7 +218,7 @@ def candidate_space(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
         raise AmbientMismatchError("H must live in the map's ambient space")
     good = good_subspace(m, i) if good is None else good
     ann = np.concatenate([good.annihilator(), h.annihilator()], axis=0)
-    blocks = [matmul_data(m.field, ann, m.phi_of(coords).data) for coords in f.basis]
+    blocks = [matmul_data(m.field, ann, m.image(coords)) for coords in f.basis]
     return Subspace.kernel_of(m.field, m.n, np.concatenate(blocks))
 
 
@@ -217,7 +227,7 @@ def orbit_images(m: FiniteApproxMap, f_rows, xs) -> np.ndarray:
     coordinate row f_k of `f_rows`, in one product with the images of the
     f_k stacked as a (len(f_rows) * n) x n array."""
     xs = np.asarray(xs, dtype=np.uint8).reshape(len(xs), m.n)
-    stacked = np.concatenate([m.phi_of(coords).data for coords in f_rows])
+    stacked = np.concatenate([m.image(coords) for coords in f_rows])
     return matmul_data(m.field, xs, stacked.T).reshape(len(xs), len(f_rows), m.n)
 
 
@@ -290,7 +300,8 @@ def _preconditions(m: FiniteApproxMap, f: FSubspaceData, h: Subspace, i: int,
                    and _is_inverse(m, coords, f.finv[idx])
                    for idx, coords in enumerate(f.basis))
     candidate_ok = Fraction(a_space.dim, n) >= 1 - delta / 4
-    kernel_ok = all(np.any(coords) and Fraction(n - m.phi_of(coords).rank(), n) <= delta / 3
+    kernel_ok = all(np.any(coords)
+                    and Fraction(n - rank_data(m.field, m.image(coords)), n) <= delta / 3
                     for coords in f.basis)
     # |F| = q^dim F <= q^(delta n / 3), i.e. dim F <= delta n / 3.
     f_size_ok = Fraction(f.dim) <= delta * n / 3

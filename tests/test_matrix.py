@@ -176,6 +176,50 @@ def test_rref_matches_scalar_gauss_jordan(field):
         assert np.array_equal(data, before)
 
 
+def _rank_cases(field, g):
+    """Empty, zero, tall and wide arrays on both sides of the list kernel's
+    cutoff, each full, rank-deficient, with duplicate rows, with a zero
+    row, and the rank-deficient one transposed."""
+    cells = matrix._LIST_CELLS
+    cases = [np.zeros(shape, dtype=np.uint8) for shape in ((0, 0), (0, 9), (9, 0), (5, 7))]
+    for m, n in ((3, 5), (16, 16), (16, 17), (4, cells // 4), (4, cells // 4 + 1),
+                 (cells // 4, 4), (cells // 4 + 1, 4), (1, cells + 1), (cells + 1, 1),
+                 (24, 40), (40, 24)):
+        full = random_matrix(field, g, m, n).data
+        low = _rank_deficient(field, g, m, n)
+        dup = np.concatenate([full, full[g.integers(0, m, size=2)]])
+        zero = full.copy()
+        zero[int(g.integers(0, m))] = 0
+        cases += [full, low, dup, zero, low.T]
+    return cases
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_rank_is_forward_elimination_matching_the_oracle(field, monkeypatch):
+    # rank_data never runs rref_array, takes the kernel rref_array would
+    # take, and leaves its read-only argument as it was.
+    g = rng(14)
+    cases = [_read_only(a) for a in _rank_cases(field, g)]
+    want = [len(gauss_jordan_oracle(field, a)[1]) for a in cases]
+
+    def no_rref(*args, **kwargs):
+        raise AssertionError("rank_data ran rref_array")
+    monkeypatch.setattr(matrix, "rref_array", no_rref)
+    taken = []
+    for name in ("_rref_lists", "_rref_table"):
+        kernel = getattr(matrix, name)
+        monkeypatch.setattr(matrix, name, lambda f, data, name=name, kernel=kernel, **kw:
+                            taken.append(name) or kernel(f, data, **kw))
+    for a, rank in zip(cases, want):
+        before = a.copy()
+        taken.clear()
+        assert rank_data(field, a) == rank, a.shape
+        assert np.array_equal(a, before)
+        if field.q != 2:
+            assert taken == ["_rref_lists" if a.size <= matrix._LIST_CELLS else "_rref_table"]
+    assert min(a.size for a in cases) == 0 and max(a.size for a in cases) > matrix._LIST_CELLS
+
+
 def test_rref_prime_update_at_the_largest_residues():
     # Row updates over GF(251) reach (p-1) + (p-1)^2 before the reduction.
     top = np.full((6, 6), 250, dtype=np.uint8)

@@ -97,20 +97,23 @@ def test_permutation_detection_edge_cases():
 
 
 def _count_kernel_calls(monkeypatch):
-    """Record (a.shape, b.shape) per matmul_data, data.shape per rref_array
-    and rows.shape per GF(2) bit reduction: an inverse is an n x 2n
-    elimination of [A | I], a rank an n x n one, which over GF(2) is one
-    _reduce_bits call."""
+    """Record (a.shape, b.shape) per matmul_data, data.shape per elimination
+    kernel off GF(2) (_rref_lists or _rref_table, which both rref_array and
+    rank_data run) and rows.shape per GF(2) bit reduction: an inverse is an
+    n x 2n elimination of [A | I], a rank an n x n one, which over GF(2) is
+    one _reduce_bits call."""
     calls = {"matmul": [], "rref": [], "bits": []}
-    matmul_data, rref_array, reduce_bits = matrix.matmul_data, matrix.rref_array, matrix._reduce_bits
+    matmul_data, reduce_bits = matrix.matmul_data, matrix._reduce_bits
 
     def counted_matmul(field, a, b):
         calls["matmul"].append((a.shape, b.shape))
         return matmul_data(field, a, b)
 
-    def counted_rref(field, data):
-        calls["rref"].append(data.shape)
-        return rref_array(field, data)
+    def counted_kernel(kernel):
+        def counted(field, data, **kw):
+            calls["rref"].append(data.shape)
+            return kernel(field, data, **kw)
+        return counted
 
     def counted_bits(rows, basis):
         calls["bits"].append(rows.shape)
@@ -118,7 +121,8 @@ def _count_kernel_calls(monkeypatch):
 
     for module in (matrix, repseq):
         monkeypatch.setattr(module, "matmul_data", counted_matmul)
-    monkeypatch.setattr(matrix, "rref_array", counted_rref)
+    for name in ("_rref_lists", "_rref_table"):
+        monkeypatch.setattr(matrix, name, counted_kernel(getattr(matrix, name)))
     monkeypatch.setattr(matrix, "_reduce_bits", counted_bits)
     return calls
 

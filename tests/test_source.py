@@ -39,6 +39,27 @@ def test_kernels_reach_subspaces_only_through_kernel_of():
     assert found == []
 
 
+def _discards_reduced_array(node):
+    """`_, piv = rref_array(...)` or `rref_array(...)[1]`."""
+    def is_rref(call):
+        return isinstance(call, ast.Call) and getattr(call.func, "id", None) == "rref_array"
+    if isinstance(node, ast.Subscript):
+        return is_rref(node.value)
+    return (isinstance(node, ast.Assign) and is_rref(node.value)
+            and isinstance(node.targets[0], ast.Tuple)
+            and getattr(node.targets[0].elts[0], "id", None) == "_")
+
+
+def test_ranks_go_through_rank_data():
+    # rank_data eliminates forward only and builds no reduced array, so no
+    # code runs rref_array for its pivots alone.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _discards_reduced_array(node)]
+    assert found == []
+
+
 def test_only_matrix_and_field_touch_the_field_tables():
     # matrix.py is the one boundary for code-array arithmetic, so a kernel
     # can change the representation it computes in without other modules knowing.

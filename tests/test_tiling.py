@@ -7,7 +7,7 @@ import pytest
 
 from linrep import tiling
 from linrep.field import GF2, FieldSpec
-from linrep.matrix import DenseMatrix, SpanAccumulator, matmul_data
+from linrep.matrix import DenseMatrix, SpanAccumulator, matmul_data, random_codes
 from linrep.repseq import repair_to_invertible
 from linrep.soficam import PolyInstance, poly_basis_map
 from linrep.subspace import AmbientMismatchError, Subspace, subspaces_independent
@@ -57,7 +57,7 @@ def test_good_subspace_matches_exhaustive_scan():
         ok = True
         for s in (1, 2):
             for t in (1, 2):
-                lhs = m.product_matrix(s, t).apply(v)
+                lhs = m.phi_of(m.mult[(s, t)]).apply(v)
                 rhs = m.phi[s - 1].apply(m.phi[t - 1].apply(v))
                 if not np.array_equal(lhs, rhs):
                     ok = False
@@ -71,11 +71,51 @@ def test_good_subspace_matches_exhaustive_scan():
 def test_missing_product_is_loud():
     inst = PolyInstance(GF2, 4)
     m = poly_basis_map(inst, 4)
-    with pytest.raises(MissingProductError):
-        m.product_matrix(4, 4)  # x^3 * x^3 leaves the basis span
+    with pytest.raises(MissingProductError, match=r"\(2, 4\)"):
+        m.defects(4)  # x * x^3 is the first product, row-major, to leave the basis span
     with pytest.raises(MissingProductError):
         c = np.array([0, 0, 0, 1], dtype=np.uint8)
         m.product_coords(c, c)
+
+
+DEFECT_FIELDS = [GF2, FieldSpec(3), FieldSpec(2, 2), FieldSpec(3, 2)]
+
+
+def _random_map_file(field, g, n, i_max, i):
+    """A map file as the CLI reads it: phi(1) = Id, random images, and random
+    table coordinates for every pair s, t <= i."""
+    phi = [np.eye(n, dtype=np.uint8)] + [random_codes(field, g, (n, n)) for _ in range(i_max - 1)]
+    mult = [[s, t, random_codes(field, g, i_max).tolist()]
+            for s in range(1, i + 1) for t in range(1, i + 1)]
+    return FiniteApproxMap.from_json(field, {"phi": [p.tolist() for p in phi], "mult": mult})
+
+
+@pytest.mark.parametrize("field", DEFECT_FIELDS)
+def test_raw_defects_match_dense_matrix_arithmetic(field):
+    # Each raw defect is phi(r_s r_t) - phi(r_s) phi(r_t) in DenseMatrix
+    # arithmetic, in row-major order, on poly maps with i_max = m (exact and
+    # corrupted) and on random map files.
+    g = np.random.Generator(np.random.Philox(field.q))
+    maps = []
+    for m_dim in (5, 8):
+        exact = poly_basis_map(PolyInstance(field, m_dim), m_dim)
+        maps += [(exact, (m_dim + 1) // 2), (corrupted_map(exact), (m_dim + 1) // 2)]
+    maps += [(_random_map_file(field, g, n, i_max, i), i)
+             for n, i_max, i in ((3, 2, 2), (4, 3, 3), (6, 4, 2))]
+    for m, i in maps:
+        raw = m.defects(i)
+        want = [(m.phi_of(m.mult[(s, t)]) - m.phi[s - 1] @ m.phi[t - 1]).data
+                for s in range(1, i + 1) for t in range(1, i + 1)]
+        assert len(raw) == len(want)
+        for got, w in zip(raw, want):
+            assert got.dtype == np.uint8 and np.array_equal(got, w)
+        assert np.array_equal(m.image(m.unit_coords()), np.eye(m.n, dtype=np.uint8))
+    # The first pair the table lacks, in row-major order, is the one named.
+    m = _random_map_file(field, g, 4, 3, 3)
+    mult = dict(m.mult)
+    del mult[(3, 1)], mult[(2, 3)]
+    with pytest.raises(MissingProductError, match=r"no entry for \(2, 3\)$"):
+        FiniteApproxMap(field, m.phi, mult).defects(3)
 
 
 def test_product_coords_bilinear_consistency():
@@ -334,9 +374,10 @@ def _counting(monkeypatch, cls, name, calls):
     monkeypatch.setattr(cls, name, counted)
 
 
-def test_greedy_tiling_phi_of_calls_do_not_grow_with_budget(monkeypatch):
-    # The orbits of all candidates come from one stacked product, so phi_of
-    # runs a fixed number of times however many samples are drawn.
+def test_greedy_tiling_image_calls_do_not_grow_with_budget(monkeypatch):
+    # The orbits of all candidates come from one stacked product, so the
+    # map's image primitive runs a fixed number of times however many
+    # samples are drawn.
     m = poly_basis_map(PolyInstance(GF2, 16), 16)
     eye = np.eye(16, dtype=np.uint8)
     f = FSubspaceData([eye[0], eye[1]], {0: eye[0]})
@@ -344,7 +385,7 @@ def test_greedy_tiling_phi_of_calls_do_not_grow_with_budget(monkeypatch):
     counts = []
     for budget in (8, 64):
         calls = []
-        _counting(monkeypatch, FiniteApproxMap, "phi_of", calls)
+        _counting(monkeypatch, FiniteApproxMap, "image", calls)
         greedy_tiling(m, f, h, 4, Fraction(1, 4), seed=0, sample_budget=budget)
         monkeypatch.undo()
         counts.append(len(calls))
