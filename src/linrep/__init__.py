@@ -2,12 +2,14 @@
 of free groups: rank profiles, linear tilings, hyperfiniteness witnesses,
 sofic checks, and noncommutative rational expressions.
 
-Importing the package runs none of its modules: each name below, and each
-submodule, is imported on first access (module __getattr__), so a program
-pays only for the modules it uses.
+Importing the package runs none of its modules, so a program pays only for
+those it uses: each submodule is entered in sys.modules and bound here as an
+importlib LazyLoader module, run on its first attribute access, and each
+name below is read from its module on first access (module __getattr__).
 """
 
-import importlib
+import importlib.util
+import sys
 
 # The submodules, each with the names the package re-exports from it.
 _EXPORTS = {
@@ -41,12 +43,21 @@ __version__ = "0.1.0"
 __all__ = sorted([*_HOME, *_EXPORTS])
 
 
+def _lazy(name):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update({name: _lazy(name) for name in _EXPORTS})
+
+
 def __getattr__(name):
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    value = getattr(globals()[_HOME[name]], name)
     globals()[name] = value   # later reads skip __getattr__
     return value
 

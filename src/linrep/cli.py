@@ -6,17 +6,15 @@ counter-based (Philox) and fully determined by --seed, so reports are
 byte-identical across runs.
 
 Start-up runs only the modules that rank, profile, atiyah and repair use:
-field, freealg, matrix, repseq and subspace.  tiling, soficam, hyperfin and
-ncrat are bound here as lazy modules: they sit in sys.modules, where later
-imports and perfbench's tracer find them, and their code runs when a
-command first reads a name from one of them.
+field, freealg, matrix, repseq and subspace, from which this module imports
+names.  tiling, soficam, hyperfin and ncrat are imported as the package's
+lazy modules, whose code runs when a command first reads a name from one.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import importlib.util
 import json
 import sys
 from collections import Counter
@@ -24,32 +22,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import repseq
+from . import hyperfin, ncrat, soficam, tiling
 from .field import MAX_Q, FieldSpec
 from .freealg import AlgebraMatrix, parse_element
 from .matrix import (DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json,
                      json_typed)
+from .repseq import (FamilyDescriptor, RankProfile, Representation, apply_matrix,
+                     atiyah_check, family_generate, repair_to_invertible)
 from .subspace import ENUM_CAP, BudgetExceededError, Subspace
-
-
-def _lazy_submodule(name: str):
-    """linrep.<name>, entered in sys.modules and on the package as an import
-    would enter it, but executed on its first attribute access (importlib's
-    LazyLoader).  A module imported already is returned as it is."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
-
-
-hyperfin, ncrat, soficam, tiling = map(_lazy_submodule,
-                                       ("hyperfin", "ncrat", "soficam", "tiling"))
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -163,17 +143,17 @@ def cmd_profile(args, out):
     elem = parse_element(args.element, field, args.r)
     a = AlgebraMatrix.scalar(field, args.r, 1, elem)
     for k in sorted(ks):   # a comma list may be unordered; output is ordered by k
-        desc = (repseq.FamilyDescriptor.cyclic_regular(args.r) if args.family == "cyclic"
-                else repseq.FamilyDescriptor.random_invertible(args.seed + k, k, args.r))
-        rep = repseq.family_generate(desc, k, field)
-        rank = repseq.apply_matrix(rep, a).rank()
+        desc = (FamilyDescriptor.cyclic_regular(args.r) if args.family == "cyclic"
+                else FamilyDescriptor.random_invertible(args.seed + k, k, args.r))
+        rep = family_generate(desc, k, field)
+        rank = apply_matrix(rep, a).rank()
         frac = Fraction(rank, rep.n)
         out.write(f"{k},{rep.n},{rank},{frac.numerator},{frac.denominator}\n")
     return EXIT_OK
 
 
 def cmd_atiyah(args, out):
-    profile = repseq.RankProfile()
+    profile = RankProfile()
     try:
         with open(args.profile) as fh:
             for line in fh:
@@ -184,7 +164,7 @@ def cmd_atiyah(args, out):
                 profile.add(int(k), int(nk), int(rank))
     except (OSError, ValueError) as exc:
         raise InputError(f"bad profile file: {exc}") from exc
-    report = repseq.atiyah_check(profile, args.window, parse_fraction(args.tol))
+    report = atiyah_check(profile, args.window, parse_fraction(args.tol))
     emit(report.to_json(), out)
     return EXIT_OK if report.integral else EXIT_CHECK_FAILED
 
@@ -204,18 +184,19 @@ def cmd_tile_verify(args, out):
     delta = None if args.delta is None else parse_fraction(args.delta)
     m = load_approx_map(args)
     f = load_f_data(args, m)
-    h = load_h(args, m.field, m.n)
+    asked_h = load_h(args, m.field, m.n) if args.h else None
     obj = load_object(args.cert)
     cert = tiling.TilingCertificate.from_json(m.field, m.n, obj)
-    # A certificate made for another i or delta than the one asked about is invalid.
-    ok = (args.i in (None, cert.i) and delta in (None, cert.delta)
+    h = Subspace.from_json(m.field, m.n, cert.h_basis)
+    # A certificate made for another H, i or delta than the one asked about is invalid.
+    ok = (asked_h in (None, h) and args.i in (None, cert.i) and delta in (None, cert.delta)
           and tiling.verify_certificate(cert, m, f, h, cert.i, cert.delta))
     emit({"valid": ok}, out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_hyperfinite_check(args, out):
-    rep = repseq.Representation.from_json(load_object(args.rep))
+    rep = Representation.from_json(load_object(args.rep))
     w = hyperfin.HyperfiniteWitness.from_json(rep.field, rep.n, load_object(args.witness))
     ok = hyperfin.witness_check(rep, w)
     emit({"valid": ok}, out)
@@ -223,7 +204,7 @@ def cmd_hyperfinite_check(args, out):
 
 
 def cmd_hyperfinite_search(args, out):
-    rep = repseq.Representation.from_json(load_object(args.rep))
+    rep = Representation.from_json(load_object(args.rep))
     w = hyperfin.witness_search(rep, parse_fraction(args.epsilon), args.K,
                                 budget=args.budget, seed=args.seed)
     if w is None:
@@ -234,7 +215,7 @@ def cmd_hyperfinite_search(args, out):
 
 
 def cmd_cheeger(args, out):
-    rep = repseq.Representation.from_json(load_object(args.rep))
+    rep = Representation.from_json(load_object(args.rep))
     if args.trials:
         report = hyperfin.cheeger_random(rep, args.trials, args.seed)
     else:
@@ -244,7 +225,7 @@ def cmd_cheeger(args, out):
 
 
 def cmd_expander(args, out):
-    rep = repseq.Representation.from_json(load_object(args.rep))
+    rep = Representation.from_json(load_object(args.rep))
     alpha = parse_fraction(args.alpha)
     ok = hyperfin.expander_check(rep, alpha, cap=args.cap)
     emit({"expander": ok, "alpha": fraction_to_json(alpha)}, out)
@@ -336,7 +317,7 @@ def cmd_ncrat_equiv(args, out):
 def cmd_repair(args, out):
     field = parse_field(args.field)
     m = DenseMatrix.from_json(field, load_json(args.matrix))
-    repaired = repseq.repair_to_invertible(m)
+    repaired = repair_to_invertible(m)
     emit({"repaired": repaired.to_json(),
           "distance": (repaired - m).rank(),
           "defect": m.rows - m.rank()}, out)
@@ -383,7 +364,8 @@ def build_parser():
         sp.add_argument("--imax", type=int)
         sp.add_argument("--field", default="2")
         sp.add_argument("--f", help="F data JSON file (default: span{1})")
-        sp.add_argument("--h", help="H basis JSON file (default: full space)")
+        sp.add_argument("--h", help="H basis JSON file (default: full space)" if name == "tile"
+                        else "fail unless the certificate was made for this H")
         if name == "tile":
             sp.add_argument("--i", type=int, default=1)
             sp.add_argument("--delta", default="1/4")

@@ -66,6 +66,11 @@ def grow(rep: Representation, w: Subspace) -> Subspace:
     return Subspace(rep.field, rep.n, np.concatenate([w.basis, rep.images(w.basis)]))
 
 
+def _grown_dim(rep: Representation, rows) -> int:
+    """dim grow(span(rows)): the rank of the rows stacked on their images."""
+    return rank_data(rep.field, np.concatenate([rows, rep.images(rows)]))
+
+
 def witness_check(rep: Representation, w: HyperfiniteWitness) -> bool:
     """Re-derive all three witness conditions; trusts nothing in the witness."""
     n = rep.n
@@ -102,7 +107,7 @@ def cheeger_exact(rep: Representation, cap: int = ENUM_CAP) -> ExpansionReport:
     for d in range(1, n // 2 + 1):
         for w in enumerate_subspaces(rep.field, n, d):
             count += 1
-            ratio = Fraction(grow(rep, w).dim, w.dim)
+            ratio = Fraction(_grown_dim(rep, w.basis), w.dim)
             if best is None or ratio < best:
                 best, best_w = ratio, w
     return ExpansionReport(best, best_w, True, count)
@@ -132,7 +137,7 @@ def cheeger_random(rep: Representation, trials: int, seed: int = 0) -> Expansion
         dim = rank_data(field, rows)
         if dim == 0:
             continue
-        ratio = Fraction(rank_data(field, np.concatenate([rows, rep.images(rows)])), dim)
+        ratio = Fraction(_grown_dim(rep, rows), dim)
         if best is None or ratio <= best:
             w = Subspace(field, n, rows)
             if best is None or (ratio, _canon_key(w)) < (best, _canon_key(best_w)):
@@ -140,7 +145,7 @@ def cheeger_random(rep: Representation, trials: int, seed: int = 0) -> Expansion
     if best is None:
         # All samples degenerated to zero; fall back to a coordinate line.
         w = Subspace(field, n, np.eye(n, dtype=np.uint8)[:1])
-        best, best_w = Fraction(grow(rep, w).dim, w.dim), w
+        best, best_w = Fraction(_grown_dim(rep, w.basis), w.dim), w
     return ExpansionReport(best, best_w, False, trials)
 
 

@@ -79,12 +79,9 @@ class FiniteApproxMap:
         of the two images and one sub_data from the table's image.  The
         first pair the table lacks, in that order, raises MissingProductError."""
         pairs = [(s, t) for s in range(1, i + 1) for t in range(1, i + 1)]
-        missing = [pair for pair in pairs if pair not in self.mult]
-        if missing:
-            raise MissingProductError("mult table has no entry for ({}, {})".format(*missing[0]))
         f, phi = self.field, self.phi
-        return [sub_data(f, self.image(self.mult[(s, t)]),
-                         matmul_data(f, phi[s - 1].data, phi[t - 1].data)) for s, t in pairs]
+        return [sub_data(f, self.image(coords), matmul_data(f, phi[s - 1].data, phi[t - 1].data))
+                for (s, t), coords in zip(pairs, self._products(pairs))]
 
     def product_coords(self, ca, cb) -> np.ndarray:
         """Coordinates of the product of two span elements (bilinear expansion)."""
@@ -92,12 +89,16 @@ class FiniteApproxMap:
         cb = np.asarray(cb, dtype=np.uint8)
         weights = matmul_data(self.field, ca[:, None], cb[None, :])    # ca[a] * cb[b]
         keys = [(a + 1, b + 1) for a, b in zip(*np.nonzero(weights))]
-        missing = [key for key in keys if key not in self.mult]
-        if missing:
-            raise MissingProductError("mult table has no entry for ({}, {})".format(*missing[0]))
-        terms = np.array([self.mult[key] for key in keys], dtype=np.uint8)
+        terms = np.array(self._products(keys), dtype=np.uint8)
         return matmul_data(self.field, weights[weights != 0][None, :],
                            terms.reshape(len(keys), self.i_max))[0]
+
+    def _products(self, pairs) -> list:
+        """Each pair's product coordinates; the first pair the table lacks raises."""
+        for pair in pairs:
+            if pair not in self.mult:
+                raise MissingProductError("mult table has no entry for ({}, {})".format(*pair))
+        return [self.mult[pair] for pair in pairs]
 
     @staticmethod
     def from_json(field, obj):

@@ -132,6 +132,62 @@ def test_tile_verify_checks_the_asked_i_and_delta(cert_i2, extra, want):
     assert (code, json.loads(out)) == (want, {"valid": want == 0})
 
 
+def _coordinate_rows(coords, n=8):
+    return json.dumps([[int(j == i) for j in range(n)] for i in coords])
+
+
+@pytest.fixture(scope="module")
+def h_files(tmp_path_factory):
+    """H basis files for `--poly 8`: span{e1..e6} twice, the second time by
+    another basis, span{e2..e7}, and the full space."""
+    root = tmp_path_factory.mktemp("h")
+    rows = json.loads(_coordinate_rows(range(6)))
+    rows[0] = [1, 1, 0, 0, 0, 0, 0, 0]
+    texts = {"h6": _coordinate_rows(range(6)), "h6-other-basis": json.dumps(rows),
+             "h6-shifted": _coordinate_rows(range(1, 7)), "full": _coordinate_rows(range(8))}
+    for name, text in texts.items():
+        (root / f"{name}.json").write_text(text)
+    return {name: str(root / f"{name}.json") for name in texts}
+
+
+@pytest.fixture(scope="module")
+def cert_h6(tmp_path_factory, h_files):
+    """A certificate made by `tile --poly 8 --i 2 --h span{e1..e6}`."""
+    code, out = run_cli("tile", "--poly", "8", "--i", "2", "--h", h_files["h6"])
+    assert code == 0
+    assert json.loads(out)["h_basis"] == json.loads(_coordinate_rows(range(6)))
+    path = tmp_path_factory.mktemp("cert") / "cert.json"
+    path.write_text(out)
+    return str(path)
+
+
+@pytest.mark.parametrize("h, want", [
+    pytest.param(None, 0, id="omitted"),
+    pytest.param("h6", 0, id="same"),
+    pytest.param("h6-other-basis", 0, id="same-by-another-basis"),
+    pytest.param("h6-shifted", 2, id="other-h"),
+    pytest.param("full", 2, id="full-space"),
+])
+def test_tile_verify_checks_the_certificate_against_its_own_h(cert_h6, h_files, h, want):
+    extra = [] if h is None else ["--h", h_files[h]]
+    code, out = run_cli("tile-verify", "--poly", "8", "--cert", cert_h6, *extra)
+    assert (code, json.loads(out)) == (want, {"valid": want == 0})
+
+
+def test_tile_verify_rejects_an_h_basis_its_tiles_leave(tmp_path, cert_h6, cert_i2, h_files):
+    # A certificate made for the full space is not one for span{e1..e6}.
+    code, out = run_cli("tile-verify", "--poly", "8", "--cert", cert_i2, "--h", h_files["h6"])
+    assert (code, json.loads(out)) == (2, {"valid": False})
+    # H read from the certificate: its tiles must lie in the H it claims.
+    with open(cert_h6) as fh:
+        obj = json.load(fh)
+    obj["h_basis"] = obj["h_basis"][:1]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    code, out = run_cli("tile-verify", "--poly", "8", "--cert", str(path))
+    assert (code, json.loads(out)) == (2, {"valid": False})
+
+
 # sha256 prefixes of the stdout of runs shaped like the benchmark's certify
 # jobs, recorded with the tiler and the search that summed Subspaces: `tile
 # --poly 32 --i 4 --delta 1/4 --budget 32` with F = span{1, x}, as in the

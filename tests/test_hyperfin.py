@@ -1,11 +1,12 @@
 import hashlib
+import io
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from linrep import hyperfin
+from linrep import cli, hyperfin
 from linrep.field import GF2, FieldSpec
 from linrep.hyperfin import (HyperfiniteWitness, cheeger_exact, cheeger_random,
                              epsilon_for_delta, expander_check, grow,
@@ -168,6 +169,38 @@ def test_cheeger_random_is_pinned(q, sizes):
         digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
         assert (str(report.min_ratio), report.witness_subspace.dim, digest) == \
             _PINNED_CHEEGER[(q, sizes, seed)]
+
+
+# (q, block sizes, cheeger options) -> sha256 prefix of `cheeger --rep` stdout
+# for block_rep(GF(q), sizes, seed=q), recorded when every ratio was read off a
+# canonical Subspace of grow(rep, W).  The exact runs enumerate 50, 170 and 442
+# subspaces; with --trials 1 --seed 0 the one sample is zero, so the report is
+# cheeger_random's coordinate-line fallback.
+_PINNED_CHEEGER_STDOUT = {
+    (2, (4,), ()): "3e96fc4181d048a1",
+    (2, (1, 3), ()): "90aba3529a224294",
+    (2, (2, 2), ()): "07ed40b1559d9f79",
+    (3, (4,), ()): "4bd004fe3e14f6b4",
+    (3, (1, 3), ()): "6a77e86a9168a1e9",
+    (3, (2, 2), ()): "ce8acbd6330a52b2",
+    (4, (4,), ()): "2ac7f8a5df69e468",
+    (4, (1, 3), ()): "fcbc5f218a80692a",
+    (4, (2, 2), ()): "67a3654953a26019",
+    (2, (2,), ("--trials", "1", "--seed", "0")): "20093a49815ae42f",
+    (3, (2,), ("--trials", "1", "--seed", "0")): "20093a49815ae42f",
+    (4, (2,), ("--trials", "1", "--seed", "0")): "20093a49815ae42f",
+}
+
+
+@pytest.mark.parametrize("q, sizes, extra", sorted(_PINNED_CHEEGER_STDOUT))
+def test_cheeger_stdout_is_pinned(tmp_path, q, sizes, extra):
+    field = {2: GF2, 3: FieldSpec(3), 4: FieldSpec(2, 2)}[q]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(block_rep(field, list(sizes), seed=q).to_json()))
+    out = io.StringIO()
+    assert cli.main(["cheeger", "--rep", str(path), *extra], out) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+    assert digest == _PINNED_CHEEGER_STDOUT[(q, sizes, extra)]
 
 
 def test_planted_invariant_line_gives_ratio_one():

@@ -1,5 +1,6 @@
-"""Import contract: the CLI runs only the modules a command uses, and the
-package namespace resolves its names on first access without changing them."""
+"""Import contract: importing the package lists every submodule and runs none,
+the CLI runs only the modules a command uses, and the package namespace
+resolves its names on first access without changing them."""
 
 import importlib
 import io
@@ -18,19 +19,27 @@ CORE = ["linrep", "linrep.cli", "linrep.field", "linrep.freealg", "linrep.matrix
         "linrep.repseq", "linrep.subspace"]
 DEFERRED = ["linrep.hyperfin", "linrep.ncrat", "linrep.soficam", "linrep.tiling"]
 
-# A fresh interpreter runs `steps`, a list of (label, argv or None), and prints
-# for each label the linrep modules whose code has run.  A deferred module is
-# in sys.modules from the start, as a LazyLoader module whose type stays a
+# Defines ran(): the linrep modules whose code has run.  A module not yet run
+# is in sys.modules all the same, as a LazyLoader module whose type stays a
 # subclass of ModuleType until its first attribute access.
-SCRIPT = textwrap.dedent("""
-    import contextlib, io, json, sys, types
-    import linrep.cli
+RAN = textwrap.dedent("""
+    import sys, types
 
     def ran():
         return sorted(name for name, module in sys.modules.items()
                       if name.split(".")[0] == "linrep" and type(module) is types.ModuleType)
 
-    report = {"listed": sorted(name for name in sys.modules if name.split(".")[0] == "linrep")}
+    def listed():
+        return sorted(name for name in sys.modules if name.split(".")[0] == "linrep")
+""")
+
+# A fresh interpreter runs `steps`, a list of (label, argv or None), and prints
+# for each label the linrep modules whose code has run.
+SCRIPT = RAN + textwrap.dedent("""
+    import contextlib, io, json
+    import linrep.cli
+
+    report = {"listed": listed()}
     for label, argv in json.loads(sys.argv[1]):
         if argv is not None:
             with contextlib.redirect_stdout(io.StringIO()):
@@ -41,12 +50,16 @@ SCRIPT = textwrap.dedent("""
 """)
 
 
-def run_fresh(steps):
+def fresh_env():
+    """PYTHONPATH led by the directory of the linrep these tests imported."""
     src = os.path.dirname(os.path.dirname(linrep.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(steps)],
-                          capture_output=True, text=True, env=env)
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def run_fresh(steps, script=SCRIPT):
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(steps)],
+                          capture_output=True, text=True, env=fresh_env())
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -62,6 +75,36 @@ def test_importing_the_cli_runs_only_the_core_modules():
     assert report["import"] == CORE
     # The deferred modules are listed, so tools that walk sys.modules find them.
     assert report["listed"] == sorted(CORE + DEFERRED)
+
+
+def test_importing_the_package_lists_every_submodule_and_runs_none():
+    script = RAN + textwrap.dedent("""
+        import json
+        import linrep
+
+        report = {"listed": listed(), "import": ran()}
+        linrep.tiling.greedy_tiling
+        report["tiling"] = ran()
+        print(json.dumps(report))
+    """)
+    report = run_fresh([], script)
+    assert report["listed"] == sorted(["linrep"] + [f"linrep.{name}" for name in PUBLIC])
+    assert report["import"] == ["linrep"]
+    # tiling runs with the modules it imports, and no others.
+    assert report["tiling"] == ["linrep", "linrep.field", "linrep.matrix", "linrep.subspace",
+                                "linrep.tiling"]
+
+
+def test_running_the_cli_as_a_module_warns_of_nothing(tmp_path):
+    # runpy warns, here as an error, when linrep.cli is in sys.modules before
+    # it runs: the package enters only its nine submodules, never the CLI.
+    m = tmp_path / "m.json"
+    m.write_text("[[1,1],[0,1]]")
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "linrep.cli",
+                           "rank", "--matrix", str(m)],
+                          capture_output=True, text=True, env=fresh_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"rank": 2, "rows": 2, "cols": 2}
 
 
 def test_core_commands_and_every_help_leave_the_deferred_modules_unrun(tmp_path):

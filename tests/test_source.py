@@ -39,6 +39,24 @@ def test_kernels_reach_subspaces_only_through_kernel_of():
     assert found == []
 
 
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def test_only_the_package_init_imports_importlib():
+    # The package makes each submodule lazy in one place; no module keeps a
+    # loader of its own.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if any(name.split(".")[0] == "importlib" for name in _imported_modules(node))]
+    assert found == []
+
+
 def _discards_reduced_array(node):
     """`_, piv = rref_array(...)` or `rref_array(...)[1]`."""
     def is_rref(call):
