@@ -137,14 +137,19 @@ def cmd_rank(args, out):
     return EXIT_OK
 
 
+# The families whose generators are permutations, g2..gr the identity.
+_PERMUTATION_FAMILIES = {"cyclic": FamilyDescriptor.cyclic_regular,
+                         "involution": FamilyDescriptor.involution}
+
+
 def cmd_profile(args, out):
     field = parse_field(args.field)
     ks = parse_range(args.k)
     elem = parse_element(args.element, field, args.r)
     a = AlgebraMatrix.scalar(field, args.r, 1, elem)
     for k in sorted(ks):   # a comma list may be unordered; output is ordered by k
-        desc = (FamilyDescriptor.cyclic_regular(args.r) if args.family == "cyclic"
-                else FamilyDescriptor.random_invertible(args.seed + k, k, args.r))
+        desc = (FamilyDescriptor.random_invertible(args.seed + k, k, args.r)
+                if args.family == "random" else _PERMUTATION_FAMILIES[args.family](args.r))
         rep = family_generate(desc, k, field)
         rank = apply_matrix(rep, a).rank()
         frac = Fraction(rank, rep.n)
@@ -345,7 +350,7 @@ def build_parser():
     sp.add_argument("--field", default="2")
 
     sp = add("profile", cmd_profile, help="normalized rank profile of an element")
-    sp.add_argument("--family", default="cyclic", choices=["cyclic", "random"])
+    sp.add_argument("--family", default="cyclic", choices=["cyclic", "involution", "random"])
     sp.add_argument("--k", required=True, help="range like 2..16")
     sp.add_argument("--element", required=True, help="group-algebra grammar, e.g. 'g1 - 1'")
     sp.add_argument("--field", default="2")

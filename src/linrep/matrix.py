@@ -19,15 +19,20 @@ alone: an array of at most _LIST_CELLS cells runs Gauss-Jordan on Python
 lists of the field tables (_rref_lists), where one list index costs less
 than one numpy call; a larger one runs the table loop (_rref_table),
 which clears a pivot column by one sub_data call on the live columns,
-from the pivot column on; rank_data runs the same kernel forward only and
-builds no array.  Arrays stay uint8 at the API, and no function here writes
-to an array it is given.  A DenseMatrix owns its read-only array and keeps
-its inverse, so random_invertible's test is the inverse a Representation uses.
+from the pivot column on.  rank_data runs these kernels forward only and
+builds no array, and has a third: a larger array with few nonzeros per
+row, as the image of a permutation representation has, is reduced one
+sparse row at a time (_rank_sparse), and goes to the table loop after
+all if a row fills in past _FILL_CAP.  Arrays stay uint8 at the API, and
+no function here writes to an array it is given.  A DenseMatrix owns its
+read-only array and keeps its inverse, so random_invertible's test is the
+inverse a Representation uses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -45,6 +50,24 @@ _GATHER_TERMS = 1 << 15
 # up to 128 cells, tied from 129 to 256, and lost from 257 to 512 on
 # certify's short wide residuals (4 x 96, 5 x 96).
 _LIST_CELLS = 256
+
+# rank_data ranks an array of more than _LIST_CELLS cells with at most
+# _SPARSE_TERMS nonzeros per row on average by _rank_sparse.  On
+# block-diagonal arrays of dense random b x b blocks at k = 117 and 512 over
+# GF(3), GF(251), GF(2^2) and GF(2^8), the sparse kernel took a fifth of the
+# table loop's time at b = 3 and still won at b = 12, while at b = 24 it
+# tied or lost by up to 2x; 8 keeps a margin below that crossover.
+_SPARSE_TERMS = 8
+
+# _rank_sparse gives up, and rank_data runs _rref_table, once a row under
+# reduction holds more than _FILL_CAP nonzeros.  On sums of three random
+# permutation matrices over GF(3) and GF(2^8), finishing the sparse
+# elimination with rows up to 32 long beat the table loop at k = 117
+# (2.7-3.0 against 4.2-4.9 ms over GF(3)); a cap of 64 finished at k = 256
+# in about the table loop's time, and a cap of 128 finished at k = 512 in
+# 3 to 6 times it.  Giving up at 32 cost 1.5-3 ms at k = 512 on top of the
+# table loop's 10-40 ms.
+_FILL_CAP = 32
 
 
 class SingularMatrixError(ValueError):
@@ -287,12 +310,80 @@ def inverse_data(field: FieldSpec, a: np.ndarray) -> np.ndarray:
 
 
 def rank_data(field: FieldSpec, a: np.ndarray) -> int:
-    """The number of pivots by forward elimination in the kernel rref_array
-    takes, with no back-substitution and no reduced array built; over GF(2),
-    of the rows _reduce_bits keeps."""
+    """The rank of a raw code array by forward elimination, with no
+    back-substitution and no reduced array built.
+
+    Over GF(2) it is the number of rows _reduce_bits keeps.  Every other
+    field has three kernels: an array of at most _LIST_CELLS cells runs
+    _rref_lists without back; a larger one with at most _SPARSE_TERMS
+    nonzeros per row on average, as theta(a) of a permutation
+    representation has, runs _rank_sparse; any other array, and one whose
+    sparse elimination passes _FILL_CAP, runs _rref_table without back on
+    the array as given.
+    """
     if field.q == 2:
         return len(_reduce_bits(a, {}))
-    return len((_rref_lists if a.size <= _LIST_CELLS else _rref_table)(field, a, back=False)[1])
+    if a.size <= _LIST_CELLS:
+        return len(_rref_lists(field, a, back=False)[1])
+    if np.count_nonzero(a) <= _SPARSE_TERMS * len(a):
+        rank = _rank_sparse(field, a)
+        if rank is not None:
+            return rank
+    return len(_rref_table(field, a, back=False)[1])
+
+
+def _rank_sparse(field: FieldSpec, a: np.ndarray):
+    """The rank off GF(2) by sparse forward elimination, or None once a row
+    under reduction holds more than _FILL_CAP nonzeros.
+
+    Each row is a {column: code} dict over the list tables.  A kept row is
+    scaled to 1 on its pivot, which it does not store, and is zero left of
+    it, so reducing by it only fills in to the right: an incoming row meets
+    its nonzero columns in increasing order from a heap, subtracts the
+    kept row under each one that is a pivot and stops at the first that is
+    not, which makes it a new kept row.  The rank is the number of pivots."""
+    mul, sub, inv = field.tables.lists
+    neg = sub[0]
+    m, n = a.shape
+    rows, cols = a.nonzero()
+    ends = np.bincount(rows, minlength=m).cumsum().tolist()
+    vals = a[rows, cols].tolist()
+    cols = cols.tolist()
+    kept = {}     # pivot column -> {column: code} right of it
+    lo = 0
+    for hi in ends:
+        heap = cols[lo:hi]      # ascending, so already a heap
+        row = dict(zip(heap, vals[lo:hi]))
+        lo = hi
+        while heap:
+            col = heappop(heap)
+            f = row.get(col)
+            if f is None:       # cancelled, or a column pushed twice
+                continue
+            del row[col]
+            prow = kept.get(col)
+            if prow is None:
+                if f != 1:
+                    scale = mul[inv[f]]
+                    row = {j: scale[b] for j, b in row.items()}
+                kept[col] = row
+                break
+            mf = mul[f]
+            for j, b in prow.items():
+                fb = mf[b]
+                old = row.get(j)
+                if old is None:
+                    row[j] = neg[fb]
+                    heappush(heap, j)
+                elif old == fb:
+                    del row[j]
+                else:
+                    row[j] = sub[old][fb]
+            if len(row) > _FILL_CAP:
+                return None
+        if len(kept) == n:
+            break
+    return len(kept)
 
 
 def echelon_kernel(field: FieldSpec, R: np.ndarray, pivots) -> np.ndarray:

@@ -228,6 +228,10 @@ class FamilyDescriptor:
         return FamilyDescriptor("cyclic_regular", (r,))
 
     @staticmethod
+    def involution(r: int = 1):
+        return FamilyDescriptor("involution", (r,))
+
+    @staticmethod
     def random_invertible(seed: int, n: int, r: int):
         return FamilyDescriptor("random_invertible", (seed, n, r))
 
@@ -256,10 +260,14 @@ def family_generate(spec: FamilyDescriptor, k: int, field: FieldSpec) -> Represe
     r = spec.params[-1] if spec.params else 1   # every family's last parameter
     if r < 1:
         raise ValueError("need at least one generator")
-    if spec.kind == "cyclic_regular":
-        # Z/k acting on itself: the shift sends e_i to e_(i+1 mod k).
-        shift = _perm_matrix(field, (np.arange(k) + 1) % k)
-        return Representation(field, [shift] + [DenseMatrix.identity(field, k)] * (r - 1))
+    if spec.kind in ("cyclic_regular", "involution"):
+        # g1 permutes the k points and g2..gr are the identity.  Z/k acting on
+        # itself: the shift sends e_i to e_(i+1 mod k).  The involution swaps
+        # e_2i and e_(2i+1) and fixes the last point when k is odd.
+        points = np.arange(k)
+        perm = (points + 1) % k if spec.kind == "cyclic_regular" else np.minimum(points ^ 1, k - 1)
+        return Representation(field, [_perm_matrix(field, perm)]
+                              + [DenseMatrix.identity(field, k)] * (r - 1))
     if spec.kind == "random_invertible":
         seed, n = spec.params[:2]
         rng = np.random.Generator(np.random.Philox(seed))

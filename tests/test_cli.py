@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -427,6 +428,36 @@ def test_random_family_profile_is_pinned(field):
                         "--element", "g1^-1*g2 - g2^-1*g1 + g1*g2^-1")
     assert code == 0
     assert out == _RANDOM_PROFILES[field]
+
+
+@pytest.mark.parametrize("field", ["2", "3", "2^2"])
+def test_involution_profile_is_half_and_not_integral(tmp_path, field):
+    # g1 swaps 2i and 2i + 1 (fixing the last point of odd k) and g2 = 1, so
+    # g1 - 1 has one rank-1 block per 2-cycle: rank floor(k/2) over every
+    # field, a limit of 1/2 that atiyah must call non-integral.
+    code, out = run_cli("profile", "--family", "involution", "--r", "2", "--k", "2..64",
+                        "--element", "g1 - g2", "--field", field)
+    assert code == 0
+    rows = [tuple(map(int, line.split(","))) for line in out.splitlines()]
+    assert [row[:3] for row in rows] == [(k, k, k // 2) for k in range(2, 65)]
+    prof = tmp_path / "prof.csv"
+    prof.write_text(out)
+    code, report = run_cli("atiyah", "--profile", str(prof), "--window", "8", "--tol", "1/32")
+    assert code == 2
+    report = json.loads(report)
+    assert report["integral"] is False
+    assert report["limit_estimate"] == {"num": 1, "den": 2}
+
+
+@pytest.mark.parametrize("field", ["3", "251", "2^2"])
+def test_cyclic_profile_of_a_cube_shift_at_large_k(field):
+    # g1^3 - 1 is S^3 - 1 on Z/k: rank k - gcd(3, k), here up to k = 1,024.
+    ks = [510, 511, 512, 513, 1024]
+    code, out = run_cli("profile", "--family", "cyclic", "--k", ",".join(map(str, ks)),
+                        "--element", "g1*g1*g1 - 1", "--field", field)
+    assert code == 0
+    ranks = [int(line.split(",")[2]) for line in out.splitlines()]
+    assert ranks == [k - math.gcd(3, k) for k in ks]
 
 
 def test_parse_error_is_input_error():

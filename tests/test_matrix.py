@@ -176,10 +176,20 @@ def test_rref_matches_scalar_gauss_jordan(field):
         assert np.array_equal(data, before)
 
 
+def _arrow(n):
+    """Ones on the first row, the first column and the diagonal: reducing
+    row 1 by row 0 fills it in to n - 1 nonzeros, past the sparse kernel's
+    cap once n > _FILL_CAP + 1, though the array has 3n - 2 nonzeros."""
+    data = np.eye(n, dtype=np.uint8)
+    data[0] = data[:, 0] = 1
+    return data
+
+
 def _rank_cases(field, g):
     """Empty, zero, tall and wide arrays on both sides of the list kernel's
     cutoff, each full, rank-deficient, with duplicate rows, with a zero
-    row, and the rank-deficient one transposed."""
+    row, and the rank-deficient one transposed; and sparse arrays, one of
+    which fills in past the sparse kernel's cap."""
     cells = matrix._LIST_CELLS
     cases = [np.zeros(shape, dtype=np.uint8) for shape in ((0, 0), (0, 9), (9, 0), (5, 7))]
     for m, n in ((3, 5), (16, 16), (16, 17), (4, cells // 4), (4, cells // 4 + 1),
@@ -191,13 +201,16 @@ def _rank_cases(field, g):
         zero = full.copy()
         zero[int(g.integers(0, m))] = 0
         cases += [full, low, dup, zero, low.T]
-    return cases
+    return cases + [_arrow(40), _block_diagonal(field, g, 48), _circulant(field, 30, 4, 1, 1)]
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS)
 def test_rank_is_forward_elimination_matching_the_oracle(field, monkeypatch):
-    # rank_data never runs rref_array, takes the kernel rref_array would
-    # take, and leaves its read-only argument as it was.
+    # rank_data never runs rref_array and leaves its read-only argument as
+    # it was.  Off GF(2) an array of at most _LIST_CELLS cells runs the list
+    # kernel; a larger one with at most _SPARSE_TERMS nonzeros per row on
+    # average runs the sparse kernel, and the table kernel only when the
+    # sparse one gives up; any other array runs the table kernel.
     g = rng(14)
     cases = [_read_only(a) for a in _rank_cases(field, g)]
     want = [len(gauss_jordan_oracle(field, a)[1]) for a in cases]
@@ -206,18 +219,145 @@ def test_rank_is_forward_elimination_matching_the_oracle(field, monkeypatch):
         raise AssertionError("rank_data ran rref_array")
     monkeypatch.setattr(matrix, "rref_array", no_rref)
     taken = []
-    for name in ("_rref_lists", "_rref_table"):
+    for name in ("_rref_lists", "_rank_sparse", "_rref_table"):
         kernel = getattr(matrix, name)
-        monkeypatch.setattr(matrix, name, lambda f, data, name=name, kernel=kernel, **kw:
-                            taken.append(name) or kernel(f, data, **kw))
+
+        def logged(f, data, name=name, kernel=kernel, **kw):
+            result = kernel(f, data, **kw)
+            taken.append(name + (" gave up" if result is None else ""))
+            return result
+        monkeypatch.setattr(matrix, name, logged)
+    seen = set()
     for a, rank in zip(cases, want):
         before = a.copy()
         taken.clear()
         assert rank_data(field, a) == rank, a.shape
         assert np.array_equal(a, before)
-        if field.q != 2:
-            assert taken == ["_rref_lists" if a.size <= matrix._LIST_CELLS else "_rref_table"]
+        seen.add(tuple(taken))
+        if field.q == 2:
+            assert taken == []
+        elif a.size <= matrix._LIST_CELLS:
+            assert taken == ["_rref_lists"]
+        elif np.count_nonzero(a) > matrix._SPARSE_TERMS * len(a):
+            assert taken == ["_rref_table"]
+        else:
+            assert taken in (["_rank_sparse"], ["_rank_sparse gave up", "_rref_table"])
+            if a.shape == (40, 40) and a[0].all():      # the arrow fills in past the cap
+                assert taken[0] == "_rank_sparse gave up"
     assert min(a.size for a in cases) == 0 and max(a.size for a in cases) > matrix._LIST_CELLS
+    if field.q != 2:
+        assert seen == {("_rref_lists",), ("_rank_sparse",), ("_rank_sparse gave up", "_rref_table"),
+                        ("_rref_table",)}
+
+
+def _circulant(field, k, a, b, c):
+    """c (S^a - S^b) for the k x k cyclic shift S and a != b mod k: row i
+    holds c at column i + a and -c at column i + b (mod k), so the rank is
+    k - gcd(a - b, k) over every field."""
+    data = np.zeros((k, k), dtype=np.uint8)
+    i = np.arange(k)
+    data[i, (i + a) % k] = c
+    data[i, (i + b) % k] = field.neg(c)
+    return data
+
+
+def _block_diagonal(field, g, k):
+    """Dense random blocks of 3 to 9 rows down the diagonal of a k x k array."""
+    data = np.zeros((k, k), dtype=np.uint8)
+    lo = 0
+    while lo < k:
+        hi = min(k, lo + int(g.integers(3, 10)))
+        data[lo:hi, lo:hi] = random_matrix(field, g, hi - lo).data
+        lo = hi
+    return data
+
+
+def _permutation_sum(field, g, k, terms):
+    """c_1 P_1 + ... + c_t P_t for random k x k permutation matrices P_i and
+    nonzero codes c_i: about t nonzeros per row, which fill in fast."""
+    data = np.zeros((k, k), dtype=np.uint8)
+    for _ in range(terms):
+        perm = np.eye(k, dtype=np.uint8)[g.permutation(k)]
+        data = add_data(field, data, scale_data(field, perm, int(g.integers(1, field.q))))
+    return data
+
+
+def _sparse_rank(field, a, oracle=True):
+    """_rank_sparse on a read-only copy of a, which it leaves as it was,
+    checked against the table kernel and, with oracle, the scalar oracle
+    unless it gave up; returns what it returned."""
+    a = _read_only(a)
+    before = a.copy()
+    got = matrix._rank_sparse(field, a)
+    assert np.array_equal(a, before)
+    if got is not None:
+        assert got == len(matrix._rref_table(field, a, back=False)[1]), a.shape
+        if oracle:
+            assert got == len(gauss_jordan_oracle(field, a)[1]), a.shape
+    return got
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_sparse_rank_of_circulants_is_k_minus_gcd(field):
+    # The images of c (g1^a - g1^b) on the cyclic family; the scalar oracle
+    # runs at k = 104 only, since it takes 14 s at k = 512.
+    g = rng(21)
+    for k in (104, 117, 512):
+        for a, b in ((1, 0), (0, 3), (9, 2), (5, 5 + k // 2)):
+            c = int(g.integers(1, field.q))
+            rank = _sparse_rank(field, _circulant(field, k, a, b, c), oracle=k == 104)
+            assert rank == k - np.gcd(a - b, k), (k, a, b)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_sparse_rank_of_block_diagonals_and_edge_shapes(field):
+    g = rng(22)
+    cases = [_block_diagonal(field, g, k) for k in (24, 60, 60, 117)]
+    cases += [np.zeros(shape, dtype=np.uint8) for shape in ((0, 0), (0, 40), (40, 0), (30, 30))]
+    block = cases[1].copy()
+    block[g.integers(0, 60, size=5)] = 0      # zero rows
+    cases += [block, block.T, block[:20], block[:, :20], block[::3], block[:, ::3],
+              _circulant(field, 60, 2, 0, 1)[:, :5], _arrow(20)]
+    for a in cases:
+        assert _sparse_rank(field, a) is not None, a.shape
+    # Blocks of rank r add r to the rank.
+    blocks = np.kron(np.eye(12, dtype=np.uint8), _arrow(4))
+    assert _sparse_rank(field, blocks) == 12 * len(gauss_jordan_oracle(field, _arrow(4))[1])
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_sparse_rank_gives_up_on_fill_in_and_rank_data_falls_back(field):
+    # Sums of two permutation matrices are unions of cycles and stay sparse;
+    # sums of three or more fill in past the cap at these sizes, and so
+    # does the arrow, whose first row is already 40 nonzeros long.
+    g = rng(23)
+    for k, terms in ((60, 2), (117, 2), (512, 2)):
+        a = _permutation_sum(field, g, k, terms)
+        assert _sparse_rank(field, a, oracle=k <= 117) is not None
+    for a in (_permutation_sum(field, g, 117, 5), _permutation_sum(field, g, 512, 3), _arrow(40)):
+        assert _sparse_rank(field, a) is None
+        assert rank_data(field, _read_only(a)) == len(matrix._rref_table(field, a, back=False)[1])
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS[1:])
+def test_sparse_kernel_runs_up_to_its_nonzeros_per_row(field, monkeypatch):
+    # One nonzero either side of _SPARSE_TERMS * rows, on a tall, a square
+    # and a wide array above _LIST_CELLS.
+    taken = []
+    kernel = matrix._rank_sparse
+    monkeypatch.setattr(matrix, "_rank_sparse",
+                        lambda f, data: taken.append(data.shape) or kernel(f, data))
+    g = rng(24)
+    for m, n in ((100, 20), (40, 40), (17, 200)):
+        a = np.zeros((m, n), dtype=np.uint8)
+        spots = g.permutation(m * n)[:matrix._SPARSE_TERMS * m + 1]
+        a.flat[spots] = g.integers(1, field.q, size=spots.size)
+        for extra in (0, 1):
+            b = a.copy()
+            b.flat[spots[-1]] = extra * b.flat[spots[-1]]
+            taken.clear()
+            assert rank_data(field, _read_only(b)) == len(gauss_jordan_oracle(field, b)[1])
+            assert taken == ([] if extra else [(m, n)]), (m, n, extra)
 
 
 def test_rref_prime_update_at_the_largest_residues():
