@@ -27,8 +27,8 @@ from .field import MAX_Q, FieldSpec
 from .freealg import AlgebraMatrix, parse_element
 from .matrix import (DenseMatrix, codes_from_json, fraction_from_json, fraction_to_json,
                      json_typed)
-from .repseq import (FamilyDescriptor, RankProfile, Representation, apply_matrix,
-                     atiyah_check, family_generate, repair_to_invertible)
+from .repseq import (FamilyDescriptor, RankProfile, Representation, atiyah_check,
+                     family_generate, normalized_rank, repair_to_invertible)
 from .subspace import ENUM_CAP, BudgetExceededError, Subspace
 
 EXIT_OK = 0
@@ -151,9 +151,8 @@ def cmd_profile(args, out):
         desc = (FamilyDescriptor.random_invertible(args.seed + k, k, args.r)
                 if args.family == "random" else _PERMUTATION_FAMILIES[args.family](args.r))
         rep = family_generate(desc, k, field)
-        rank = apply_matrix(rep, a).rank()
-        frac = Fraction(rank, rep.n)
-        out.write(f"{k},{rep.n},{rank},{frac.numerator},{frac.denominator}\n")
+        frac = normalized_rank(rep, a)
+        out.write(f"{k},{rep.n},{frac * rep.n},{frac.numerator},{frac.denominator}\n")
     return EXIT_OK
 
 

@@ -13,20 +13,23 @@ XOR, GF(p) subtracts the residues in uint8 with a borrow of p, and odd
 extensions GF(p^d) subtract through one flat q x q table and multiply
 base-p digit planes in int64 (see sub_data and matmul_data).
 Elimination over GF(2) runs on bit rows, each row one Python int, in one
-loop for rref_array, SpanAccumulator and the rank alike (_reduce_bits),
+loop for rref_array, SpanAccumulator and the rank alike (_reduce_ints),
 at every size.  Every other field picks its elimination kernel by shape
 alone: an array of at most _LIST_CELLS cells runs Gauss-Jordan on Python
 lists of the field tables (_rref_lists), where one list index costs less
 than one numpy call; a larger one runs the table loop (_rref_table),
 which clears a pivot column by one sub_data call on the live columns,
-from the pivot column on.  rank_data runs these kernels forward only and
-builds no array, and has a third: a larger array with few nonzeros per
-row, as the image of a permutation representation has, is reduced one
-sparse row at a time (_rank_sparse), and goes to the table loop after
-all if a row fills in past _FILL_CAP.  Arrays stay uint8 at the API, and
-no function here writes to an array it is given.  A DenseMatrix owns its
-read-only array and keeps its inverse, so random_invertible's test is the
-inverse a Representation uses.
+from the pivot column on.  Ranks run these kernels forward only and
+build no reduced array, and have one more: a matrix with few nonzeros
+per row, as the image of a permutation representation has, is reduced
+one sparse row at a time (_rank_sparse), and goes to the dense kernels
+after all if a row fills in past _FILL_CAP.  Two entries feed it:
+rank_data takes a larger sparse array's nonzeros, and rank_entries takes
+a list of entries whose repeated positions it sums, so that a
+permutation representation's image is ranked with no dense array at all.
+Arrays stay uint8 at the API, and no function here writes to an array it
+is given.  A DenseMatrix owns its read-only array and keeps its inverse,
+so random_invertible's test is the inverse a Representation uses.
 """
 
 from __future__ import annotations
@@ -51,16 +54,17 @@ _GATHER_TERMS = 1 << 15
 # certify's short wide residuals (4 x 96, 5 x 96).
 _LIST_CELLS = 256
 
-# rank_data ranks an array of more than _LIST_CELLS cells with at most
-# _SPARSE_TERMS nonzeros per row on average by _rank_sparse.  On
+# Off GF(2), rank_data ranks an array of more than _LIST_CELLS cells with
+# at most _SPARSE_TERMS nonzeros per row on average by _rank_sparse, and
+# rank_entries so ranks summed entries of that density at any size.  On
 # block-diagonal arrays of dense random b x b blocks at k = 117 and 512 over
 # GF(3), GF(251), GF(2^2) and GF(2^8), the sparse kernel took a fifth of the
 # table loop's time at b = 3 and still won at b = 12, while at b = 24 it
 # tied or lost by up to 2x; 8 keeps a margin below that crossover.
 _SPARSE_TERMS = 8
 
-# _rank_sparse gives up, and rank_data runs _rref_table, once a row under
-# reduction holds more than _FILL_CAP nonzeros.  On sums of three random
+# _rank_sparse gives up, and the rank runs the dense kernels, once a row
+# under reduction holds more than _FILL_CAP nonzeros.  On sums of three random
 # permutation matrices over GF(3) and GF(2^8), finishing the sparse
 # elimination with rows up to 32 long beat the table loop at k = 117
 # (2.7-3.0 against 4.2-4.9 ms over GF(3)); a cap of 64 finished at k = 256
@@ -314,27 +318,86 @@ def rank_data(field: FieldSpec, a: np.ndarray) -> int:
     back-substitution and no reduced array built.
 
     Over GF(2) it is the number of rows _reduce_bits keeps.  Every other
-    field has three kernels: an array of at most _LIST_CELLS cells runs
-    _rref_lists without back; a larger one with at most _SPARSE_TERMS
-    nonzeros per row on average, as theta(a) of a permutation
-    representation has, runs _rank_sparse; any other array, and one whose
-    sparse elimination passes _FILL_CAP, runs _rref_table without back on
-    the array as given.
+    field has three kernels: an array of more than _LIST_CELLS cells with
+    at most _SPARSE_TERMS nonzeros per row on average feeds its nonzeros to
+    _rank_sparse; any other array, and one whose sparse elimination passes
+    _FILL_CAP, runs _rank_dense on the array as given.
     """
     if field.q == 2:
         return len(_reduce_bits(a, {}))
-    if a.size <= _LIST_CELLS:
-        return len(_rref_lists(field, a, back=False)[1])
-    if np.count_nonzero(a) <= _SPARSE_TERMS * len(a):
-        rank = _rank_sparse(field, a)
+    if a.size > _LIST_CELLS and np.count_nonzero(a) <= _SPARSE_TERMS * len(a):
+        rows, cols = a.nonzero()
+        rank = _rank_sparse(field, a.shape, rows, cols, a[rows, cols])
         if rank is not None:
             return rank
-    return len(_rref_table(field, a, back=False)[1])
+    return _rank_dense(field, a)
 
 
-def _rank_sparse(field: FieldSpec, a: np.ndarray):
-    """The rank off GF(2) by sparse forward elimination, or None once a row
-    under reduction holds more than _FILL_CAP nonzeros.
+def rank_entries(field: FieldSpec, shape, rows, cols, codes) -> int:
+    """The rank of the m x n code array that holds, at each position, the
+    field sum of the codes[t] with (rows[t], cols[t]) there: the image of a
+    group algebra matrix under a permutation representation, one entry per
+    term and point, whose terms may land on one position.
+
+    It builds no m x n array unless the sparse elimination gives up.  Over
+    GF(2) each row is a bit row, XOR sums the repeated positions as it is
+    built, and _reduce_ints ranks the rows.  Every other field sums them by
+    _sum_entries, which also sorts the entries by row and column, and ranks
+    them by _rank_sparse under rank_data's rule: entries past _SPARSE_TERMS
+    per row, or a row under reduction past _FILL_CAP, run _rank_dense on the
+    entries scattered into an array.
+    """
+    m, n = shape
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    codes = np.asarray(codes, dtype=np.uint8)
+    if field.q == 2:
+        bits = [0] * m
+        for r, c, v in zip(rows.tolist(), cols.tolist(), codes.tolist()):
+            bits[r] ^= v << (n - 1 - c)
+        return len(_reduce_ints(bits, {}))
+    rows, cols, codes = _sum_entries(field, n, rows, cols, codes)
+    if len(codes) <= _SPARSE_TERMS * m:
+        rank = _rank_sparse(field, shape, rows, cols, codes)
+        if rank is not None:
+            return rank
+    a = np.zeros(shape, dtype=np.uint8)
+    a[rows, cols] = codes
+    return _rank_dense(field, a)
+
+
+def _sum_entries(field: FieldSpec, n: int, rows, cols, codes):
+    """The entries sorted by row, then column, with the codes at one
+    position summed in the field and the zero sums dropped.  Each run of
+    one position is summed by one reduceat per field family: XOR in
+    characteristic 2, residues mod p in GF(p), and base-p digits mod p in
+    odd extensions."""
+    keys = rows.astype(np.int64) * n + cols
+    order = np.argsort(keys)
+    keys, codes = keys[order], codes[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    if field.p == 2:
+        codes = np.bitwise_xor.reduceat(codes, starts)
+    elif field.deg == 1:
+        codes = (np.add.reduceat(codes.astype(np.int64), starts) % field.p).astype(np.uint8)
+    else:
+        digits = np.add.reduceat(field.tables.digits[codes], starts) % field.p
+        codes = (digits @ field.p ** np.arange(field.deg)).astype(np.uint8)
+    live = codes != 0
+    rows, cols = np.divmod(keys[starts][live], n)
+    return rows, cols, codes[live]
+
+
+def _rank_dense(field: FieldSpec, a: np.ndarray) -> int:
+    """The rank off GF(2) by _rref_lists up to _LIST_CELLS cells, else by
+    _rref_table, both without back-substitution."""
+    return len((_rref_lists if a.size <= _LIST_CELLS else _rref_table)(field, a, back=False)[1])
+
+
+def _rank_sparse(field: FieldSpec, shape, rows, cols, vals):
+    """The rank off GF(2) of the m x n array with nonzero codes vals at
+    (rows, cols), given row by row with columns ascending, by sparse forward
+    elimination, or None once a row under reduction holds more than
+    _FILL_CAP nonzeros.
 
     Each row is a {column: code} dict over the list tables.  A kept row is
     scaled to 1 on its pivot, which it does not store, and is zero left of
@@ -344,10 +407,9 @@ def _rank_sparse(field: FieldSpec, a: np.ndarray):
     not, which makes it a new kept row.  The rank is the number of pivots."""
     mul, sub, inv = field.tables.lists
     neg = sub[0]
-    m, n = a.shape
-    rows, cols = a.nonzero()
+    m, n = shape
     ends = np.bincount(rows, minlength=m).cumsum().tolist()
-    vals = a[rows, cols].tolist()
+    vals = vals.tolist()
     cols = cols.tolist()
     kept = {}     # pivot column -> {column: code} right of it
     lo = 0
@@ -412,12 +474,18 @@ def _bit_array(bits, n: int) -> np.ndarray:
 
 
 def _reduce_bits(rows: np.ndarray, basis: dict) -> dict:
-    """The one GF(2) elimination loop: each row of a 0/1 array, as a bit row,
-    is XORed with the basis row or earlier new row under its leading bit
-    until that bit is new.  Returns the new rows keyed by leading bit
-    (bit_length), dropping rows that reduce to 0; the basis is unchanged."""
+    """_reduce_ints on the rows of a 0/1 array as bit rows (_bit_rows)."""
+    return _reduce_ints(_bit_rows(rows), basis)
+
+
+def _reduce_ints(bits, basis: dict) -> dict:
+    """The one GF(2) elimination loop: each bit row, one Python int whose
+    leading bit is its first nonzero column, is XORed with the basis row or
+    earlier new row under its leading bit until that bit is new.  Returns
+    the new rows keyed by leading bit (bit_length), dropping rows that
+    reduce to 0; the basis is unchanged."""
     new = {}
-    for r in _bit_rows(rows):
+    for r in bits:
         while r:
             top = r.bit_length()
             b = basis.get(top) or new.get(top)

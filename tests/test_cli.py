@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import linrep
-from linrep import cli, tiling
+from linrep import cli, matrix, repseq, tiling
 from linrep.field import GF2
 from linrep.matrix import DenseMatrix, random_invertible
 from linrep.repseq import Representation
@@ -449,7 +449,7 @@ def test_involution_profile_is_half_and_not_integral(tmp_path, field):
     assert report["limit_estimate"] == {"num": 1, "den": 2}
 
 
-@pytest.mark.parametrize("field", ["3", "251", "2^2"])
+@pytest.mark.parametrize("field", ["2", "3", "251", "2^2", "2^8"])
 def test_cyclic_profile_of_a_cube_shift_at_large_k(field):
     # g1^3 - 1 is S^3 - 1 on Z/k: rank k - gcd(3, k), here up to k = 1,024.
     ks = [510, 511, 512, 513, 1024]
@@ -458,6 +458,39 @@ def test_cyclic_profile_of_a_cube_shift_at_large_k(field):
     assert code == 0
     ranks = [int(line.split(",")[2]) for line in out.splitlines()]
     assert ranks == [k - math.gcd(3, k) for k in ks]
+
+
+@pytest.mark.parametrize("field", ["3", "2^2"])
+def test_involution_profile_at_large_k(field):
+    # g1 - 1 on the involution family has rank floor(k/2) at every k.
+    code, out = run_cli("profile", "--family", "involution", "--r", "2", "--k", "1023..1024",
+                        "--element", "g1 - 1", "--field", field)
+    assert code == 0
+    assert out == "1023,1023,511,511,1023\n1024,1024,512,1,2\n"
+
+
+def test_permutation_profiles_build_no_dense_image(monkeypatch):
+    # The cyclic and involution families' words are permutations: profile
+    # ranks their images from the word permutations, with no apply_matrix
+    # and no matmul_data; the random family's dense words need both.
+    calls = []
+    for module, name in ((repseq, "apply_matrix"), (repseq, "matmul_data"),
+                         (matrix, "matmul_data")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for family, element in (("cyclic", "2*g1*g1*g2 - 2*g2^-1*g1^-1 + 1"),
+                            ("involution", "g1 - g2^-1 + g1*g2*g1")):
+        for field in ("2", "3", "2^2"):
+            out = io.StringIO()
+            argv = ["profile", "--family", family, "--r", "2", "--k", "1..40", "--field", field,
+                    "--element", element]
+            assert cli.main(argv, out) == cli.EXIT_OK
+            assert len(out.getvalue().splitlines()) == 40
+    assert calls == []
+    assert cli.main(["profile", "--family", "random", "--r", "2", "--k", "3..4",
+                     "--element", "g1 - g2"], io.StringIO()) == cli.EXIT_OK
+    assert {"apply_matrix", "matmul_data"} <= set(calls)
 
 
 def test_parse_error_is_input_error():
@@ -496,6 +529,7 @@ _DETAILS = {
     "rep-field-p-float": 'expected "p" to be a JSON int',
     **{f"{cmd}-f-{name}": "the F basis is linearly dependent"
        for cmd in ("tile", "verify") for name in _F_DEPENDENT},
+    "atiyah-tol-negative": "tolerance -1/32 must be at least 0",
     "arg-k-empty": "range '5..2' is empty",
     "arg-poly-levels-empty": "range '9..4' is empty",
     "arg-sizes-empty": "range '3..1' is empty",
@@ -542,6 +576,9 @@ _DETAILS = {
                  id="atiyah-nk-0"),
     pytest.param(["atiyah", "--profile", "{p}", "--window", "1"], {"p": "3,-3,1\n"},
                  id="atiyah-nk-negative"),
+    # A negative tolerance: once a verdict with exit 2.
+    pytest.param(["atiyah", "--profile", "{p}", "--window", "1", "--tol=-1/32"], {"p": _PROFILE},
+                 id="atiyah-tol-negative"),
     pytest.param(["tile", "--map", "{m}"],
                  {"m": json.dumps(dict(_MAP, mult=[[1, 1, [1, 300]]]))}, id="mult-coord-300"),
     pytest.param(["tile", "--map", "{m}"], {"m": json.dumps(dict(_MAP, mult=[5]))},

@@ -11,6 +11,8 @@ The range arguments (--k, --sizes, --poly-levels) and the counts
 (--trials, --budget, --K, --cap) answer any value the same way: a report
 with exit 0, 2 or 3, or one JSON input error with exit 1, which an empty
 or repeated range and a value below the least valid one always give.
+On the permutation families, `profile` prints the rank of the dense image
+that `apply_matrix` builds, for any element of a few short words.
 """
 
 import functools
@@ -22,6 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linrep import cli
+from linrep.freealg import AlgebraMatrix, parse_element
+from linrep.repseq import FamilyDescriptor, apply_matrix, family_generate
 
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                          st.text(max_size=3))
@@ -395,3 +399,38 @@ def test_ncrat_eval_answers_any_matrix_file(tmp_path_factory, mats):
     path.write_text(json.dumps(mats))
     answers_once(["ncrat-eval", "--expr", "z1 * inv(z2)", "--field", "2^2",
                   "--matrices", str(path)])
+
+
+letters = st.tuples(st.integers(1, 2), st.sampled_from([1, -1]))
+_FAMILIES = {"cyclic": FamilyDescriptor.cyclic_regular, "involution": FamilyDescriptor.involution}
+
+
+def _word_text(word):
+    return "*".join(f"g{i}" if e == 1 else f"g{i}^-1" for i, e in word) or "e"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_profile_of_a_permutation_family_matches_the_dense_image(data):
+    # Up to three terms of words up to four letters long (inverse letters
+    # and unreduced words included) with any codes, zero too; each row must
+    # hold the rank of apply_matrix's dense image.
+    field_text = data.draw(st.sampled_from(["3", "2^2"]))
+    family = data.draw(st.sampled_from(sorted(_FAMILIES)))
+    field = cli.parse_field(field_text)
+    terms = data.draw(st.lists(st.tuples(st.integers(0, field.q - 1),
+                                         st.lists(letters, max_size=4)),
+                               min_size=1, max_size=3))
+    ks = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True))
+    element = " + ".join(f"{c}*{_word_text(word)}" for c, word in terms)
+    out = io.StringIO()
+    argv = ["profile", "--family", family, "--r", "2", "--k", ",".join(map(str, ks)),
+            "--field", field_text, "--element", element]
+    assert cli.main(argv, out) == cli.EXIT_OK
+    a = AlgebraMatrix.scalar(field, 2, 1, parse_element(element, field, 2))
+    want = []
+    for k in sorted(ks):
+        rank = apply_matrix(family_generate(_FAMILIES[family](2), k, field), a).rank()
+        frac = Fraction(rank, k)
+        want.append(f"{k},{k},{rank},{frac.numerator},{frac.denominator}")
+    assert out.getvalue().splitlines() == want, element

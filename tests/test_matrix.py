@@ -222,8 +222,8 @@ def test_rank_is_forward_elimination_matching_the_oracle(field, monkeypatch):
     for name in ("_rref_lists", "_rank_sparse", "_rref_table"):
         kernel = getattr(matrix, name)
 
-        def logged(f, data, name=name, kernel=kernel, **kw):
-            result = kernel(f, data, **kw)
+        def logged(f, *args, name=name, kernel=kernel, **kw):
+            result = kernel(f, *args, **kw)
             taken.append(name + (" gave up" if result is None else ""))
             return result
         monkeypatch.setattr(matrix, name, logged)
@@ -283,12 +283,13 @@ def _permutation_sum(field, g, k, terms):
 
 
 def _sparse_rank(field, a, oracle=True):
-    """_rank_sparse on a read-only copy of a, which it leaves as it was,
-    checked against the table kernel and, with oracle, the scalar oracle
-    unless it gave up; returns what it returned."""
+    """_rank_sparse on the nonzeros of a read-only copy of a, which it
+    leaves as it was, checked against the table kernel and, with oracle,
+    the scalar oracle unless it gave up; returns what it returned."""
     a = _read_only(a)
     before = a.copy()
-    got = matrix._rank_sparse(field, a)
+    rows, cols = a.nonzero()
+    got = matrix._rank_sparse(field, a.shape, rows, cols, a[rows, cols])
     assert np.array_equal(a, before)
     if got is not None:
         assert got == len(matrix._rref_table(field, a, back=False)[1]), a.shape
@@ -346,7 +347,7 @@ def test_sparse_kernel_runs_up_to_its_nonzeros_per_row(field, monkeypatch):
     taken = []
     kernel = matrix._rank_sparse
     monkeypatch.setattr(matrix, "_rank_sparse",
-                        lambda f, data: taken.append(data.shape) or kernel(f, data))
+                        lambda f, shape, *entries: taken.append(shape) or kernel(f, shape, *entries))
     g = rng(24)
     for m, n in ((100, 20), (40, 40), (17, 200)):
         a = np.zeros((m, n), dtype=np.uint8)
@@ -359,6 +360,54 @@ def test_sparse_kernel_runs_up_to_its_nonzeros_per_row(field, monkeypatch):
             assert rank_data(field, _read_only(b)) == len(gauss_jordan_oracle(field, b)[1])
             assert taken == ([] if extra else [(m, n)]), (m, n, extra)
 
+
+def _summed(field, shape, rows, cols, codes):
+    """The array rank_entries ranks, summed one entry at a time by the scalar field."""
+    a = np.zeros(shape, dtype=np.uint8)
+    for r, c, v in zip(rows.tolist(), cols.tolist(), codes.tolist()):
+        a[r, c] = field.add(int(a[r, c]), v)
+    return a
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_rank_entries_sums_repeated_positions(field, monkeypatch):
+    # Entries in no order, with repeats that add up, repeats that cancel to
+    # zero and zero codes, on empty, tall, wide, sparse and dense shapes and
+    # a sum of six permutations (which fills in past the cap), against the
+    # scalar oracle on the summed array; the inputs stay as given.  Off
+    # GF(2) the sparse kernel finishes, gives up, or is skipped for density.
+    taken = []
+    sparse, dense = matrix._rank_sparse, matrix._rank_dense
+    monkeypatch.setattr(matrix, "_rank_sparse", lambda *args: (
+        lambda rank: taken.append("sparse" if rank is not None else "gave up") or rank)(
+        sparse(*args)))
+    monkeypatch.setattr(matrix, "_rank_dense", lambda *args: taken.append("dense") or dense(*args))
+    g = rng(25)
+    seen = set()
+    for m, n, per_row in ((0, 0, 0), (0, 5, 0), (5, 0, 0), (1, 1, 3), (30, 17, 4),
+                          (17, 30, 4), (60, 60, 2), (40, 40, 20), (117, 117, None)):
+        count = m * (per_row or 0)
+        rows, cols = g.integers(0, max(m, 1), size=count), g.integers(0, max(n, 1), size=count)
+        codes = g.integers(0, field.q, size=count).astype(np.uint8)
+        if per_row is None:
+            rows = np.tile(np.arange(m), 6)
+            cols = np.concatenate([g.permutation(n) for _ in range(6)])
+            codes = np.repeat(g.integers(1, field.q, size=6), m).astype(np.uint8)
+            count = len(rows)
+        again = g.choice(count, count // 6, replace=False)
+        cancel = g.choice(count, count // 6, replace=False)
+        rows = np.concatenate([rows, rows[again], rows[cancel]])
+        cols = np.concatenate([cols, cols[again], cols[cancel]])
+        negated = [field.neg(int(c)) for c in codes[cancel]]
+        codes = np.concatenate([codes, codes[again], np.array(negated, dtype=np.uint8)])
+        order = g.permutation(len(rows))
+        rows, cols, codes = (_read_only(x[order]) for x in (rows, cols, codes))
+        want = len(gauss_jordan_oracle(field, _summed(field, (m, n), rows, cols, codes))[1])
+        taken.clear()
+        assert matrix.rank_entries(field, (m, n), rows, cols, codes) == want, (m, n)
+        seen.add(tuple(taken))
+    assert seen == ({()} if field.q == 2
+                    else {("sparse",), ("gave up", "dense"), ("dense",)})
 
 def test_rref_prime_update_at_the_largest_residues():
     # Row updates over GF(251) reach (p-1) + (p-1)^2 before the reduction.

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,7 @@ from linrep.field import GF2, FieldSpec
 from linrep.freealg import AlgebraElement, AlgebraMatrix, Word, parse_element
 from linrep.matrix import DenseMatrix, matmul_data, random_invertible, random_matrix
 from linrep.repseq import (FamilyDescriptor, RankProfile, Representation,
-                           _perm_matrix, apply_matrix, atiyah_check,
+                           apply_matrix, atiyah_check,
                            family_generate, normalized_rank, repair_to_invertible)
 
 F3 = FieldSpec(3)
@@ -19,6 +20,11 @@ FIELDS = [GF2, F3, FieldSpec(251), FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(2
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _perm_matrix(field, perm):
+    """The permutation matrix with column i the unit vector e_perm[i]."""
+    return DenseMatrix(field, np.eye(len(perm), dtype=np.uint8).take(perm, axis=1))
 
 
 def test_representation_rejects_singular_generators():
@@ -197,6 +203,155 @@ def test_images_match_one_product_per_generator(field, monkeypatch):
             assert calls["matmul"] == ([((m, n), (n, n_dense * n))] if n_dense else [])
 
 
+def _permutation_rep(g, field, r, k):
+    """r random permutations of k points as index arrays.  g2 is g1 with
+    two points swapped, so words that differ only in g1 and g2 agree on
+    most points and their terms cancel there; g1 and g2 do not commute
+    unless k is tiny."""
+    perms = [g.permutation(k) for _ in range(r)]
+    if k >= 2:
+        perms[1] = perms[0].copy()
+        i, j = g.choice(k, 2, replace=False)
+        perms[1][[i, j]] = perms[1][[j, i]]
+    return Representation(field, perms)
+
+
+def _elements(g, field, r):
+    """Algebra matrices over F_r: inverse letters, terms that cancel where
+    two words agree on a point, a constant, and a 2 x 2 matrix whose
+    entries do not commute."""
+    def code():
+        return int(g.integers(1, field.q))
+
+    def elem(text):
+        return parse_element(text, field, r)
+
+    c = code()
+    extra = f" + {code()}*g3^-1*g1" if r == 3 else ""
+    entries = [elem(f"{code()}*g1*g2^-1 + {code()}*g2^-1*g1 - g1^-1{extra}"),
+               elem(f"{c}*g1 - {c}*g2"),
+               elem(f"{c}*g1*g2*g1^-1 - {c}*g2*g1*g1^-1 + {code()}*e"),
+               elem(f"{code()} + g2^-1*g2^-1*g1*g2")]
+    matrices = [AlgebraMatrix.scalar(field, r, 1, x) for x in entries]
+    zero = AlgebraElement.zero(field, r)
+    matrices.append(AlgebraMatrix(field, r, [[entries[0], entries[2]], [entries[3], zero]]))
+    matrices.append(AlgebraMatrix(field, r, [[elem("g1"), elem("g2")],
+                                             [elem(f"{code()}*g2*g1"), elem("g1*g2")]]))
+    return matrices
+
+
+def _forbid_dense_image(monkeypatch):
+    """Make repseq.apply_matrix raise; returns the real one."""
+    dense = repseq.apply_matrix
+
+    def forbidden(*args):
+        raise AssertionError("normalized_rank built a dense image")
+    monkeypatch.setattr(repseq, "apply_matrix", forbidden)
+    return dense
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_permutation_rank_matches_the_dense_image(field, monkeypatch):
+    # Random non-commuting permutations: the cyclic and involution families
+    # commute, so they cannot catch a composition or block-order mistake.
+    dense = _forbid_dense_image(monkeypatch)
+    g = rng(30)
+    for r in (2, 3):
+        for k in (1, 2, 7, 64, 117):
+            rep = _permutation_rep(g, field, r, k)
+            for a in _elements(g, field, r):
+                want = dense(rep, a).rank()
+                assert normalized_rank(rep, a) == Fraction(want, k), (r, k)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_permutation_rank_falls_back_past_the_fill_cap(field, monkeypatch):
+    # A sum of six random permutations at k = 117 fills in past _FILL_CAP:
+    # off GF(2) the sparse kernel gives up and the entries are scattered
+    # into an array for the dense kernels; GF(2) ranks bit rows throughout.
+    dense = _forbid_dense_image(monkeypatch)
+    taken = []
+    sparse, dense_rank = matrix._rank_sparse, matrix._rank_dense
+
+    def logged_sparse(*args):
+        rank = sparse(*args)
+        taken.append("sparse" if rank is not None else "sparse gave up")
+        return rank
+
+    def logged_dense(*args):
+        taken.append("dense")
+        return dense_rank(*args)
+    monkeypatch.setattr(matrix, "_rank_sparse", logged_sparse)
+    monkeypatch.setattr(matrix, "_rank_dense", logged_dense)
+    g = rng(31)
+    k = 117
+    rep = Representation(field, [g.permutation(k) for _ in range(3)])
+    codes = [int(c) for c in g.integers(1, field.q, size=6)]
+    words = ["g1", "g2", "g3", "g1*g3", "g2^-1*g3", "g3*g1^-1*g2"]
+    a = AlgebraMatrix.scalar(field, 3, 1, parse_element(
+        " + ".join(f"{c}*{w}" for c, w in zip(codes, words)), field, 3))
+    want = dense(rep, a).rank()
+    taken.clear()
+    assert normalized_rank(rep, a) == Fraction(want, k)
+    assert taken == ([] if field.q == 2 else ["sparse gave up", "dense"])
+
+
+@pytest.mark.parametrize("field", [GF2, F3, FieldSpec(2, 2)])
+def test_dense_letters_take_the_dense_image(field, monkeypatch):
+    # A permutation g1 and a dense g2: an element with a g2 letter is
+    # ranked as apply_matrix's array, one over g1 alone from its entries.
+    calls = []
+    dense = repseq.apply_matrix
+    monkeypatch.setattr(repseq, "apply_matrix",
+                        lambda rep, a: calls.append(a) or dense(rep, a))
+    g = rng(32)
+    for k in (7, 40):
+        rep = Representation(field, [g.permutation(k), random_invertible(field, g, k)])
+        for text, dense_path in (("g1*g2 - 1", True), ("g2^-1 + g1", True),
+                                 ("g1*g1 - g1^-1 + 1", False)):
+            a = AlgebraMatrix.scalar(field, 2, 1, parse_element(text, field, 2))
+            calls.clear()
+            rank = normalized_rank(rep, a)
+            assert calls == ([a] if dense_path else [])
+            assert rank == Fraction(dense(rep, a).rank(), k)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_permutations_and_their_matrices_make_one_representation(field):
+    # Index arrays, their permutation matrices, and a mix of the two give
+    # the same generators, JSON bytes, images and word images.
+    g = rng(33)
+    words = [Word.identity(), Word.generator(1), Word.generator(2, -1),
+             Word.generator(1, -2) * Word.generator(3),
+             Word.generator(3) * Word.generator(1, -1) * Word.generator(2, 2),
+             Word.generator(2, -1) * Word.generator(1, 3)]
+    for k in (1, 2, 7, 20):
+        perms = [g.permutation(k) for _ in range(3)]
+        matrices = [_perm_matrix(field, p) for p in perms]
+        reference = Representation(field, matrices)
+        rows = random_matrix(field, g, 4, k).data
+        for gens in (perms, [perms[0], matrices[1], perms[2]]):
+            rep = Representation(field, gens)
+            # Word images first, in reverse, so no prefix is cached yet.
+            for w in reversed(words):
+                assert rep.of_word(w) == reference.of_word(w) == _dense_word(reference, w)
+            assert rep.generators == matrices
+            assert json.dumps(rep.to_json()) == json.dumps(reference.to_json())
+            assert np.array_equal(rep.images(rows), reference.images(rows))
+            assert Representation.from_json(rep.to_json()).generators == matrices
+
+
+def test_permutation_generators_are_checked():
+    for gens in ([np.array([0, 0, 1])], [np.array([0, 1, 3])], [np.array([0, -1, 1])],
+                 [np.array([0.0, 1.0])], [np.arange(3), np.arange(4)],
+                 [np.arange(3), DenseMatrix.identity(F3, 4)],
+                 [DenseMatrix.identity(F3, 2), np.arange(3)], [np.zeros((2, 2), dtype=int)]):
+        with pytest.raises(ValueError):
+            Representation(F3, gens)
+    rep = Representation(F3, [[2, 0, 1], DenseMatrix.identity(F3, 3)])
+    assert rep.n == 3 and rep.generators[0] == _perm_matrix(F3, [2, 0, 1])
+
+
 def test_cyclic_profile_is_exact():
     elem = parse_element("g1 - e", GF2, 1)
     a = AlgebraMatrix.scalar(GF2, 1, 1, elem)
@@ -311,6 +466,17 @@ def test_atiyah_needs_enough_entries():
     prof.add(2, 2, 1)
     with pytest.raises(ValueError):
         atiyah_check(prof, 8, Fraction(1, 32))
+
+
+def test_atiyah_rejects_a_negative_tolerance():
+    # No value is within a negative distance of anything; tol = 0 asks for
+    # an exact integer and a constant tail.
+    prof = RankProfile()
+    for k in range(2, 6):
+        prof.add(k, 1, 1)
+    with pytest.raises(ValueError, match="tolerance"):
+        atiyah_check(prof, 2, Fraction(-1, 32))
+    assert atiyah_check(prof, 2, Fraction(0)).integral
 
 
 def test_rank_profile_collects_in_order():
