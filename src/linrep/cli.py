@@ -148,7 +148,7 @@ def cmd_profile(args, out):
     elem = parse_element(args.element, field, args.r)
     a = AlgebraMatrix.scalar(field, args.r, 1, elem)
     for k in sorted(ks):   # a comma list may be unordered; output is ordered by k
-        desc = (FamilyDescriptor.random_invertible(args.seed + k, k, args.r)
+        desc = (FamilyDescriptor.random_invertible(args.seed + k, args.r)
                 if args.family == "random" else _PERMUTATION_FAMILIES[args.family](args.r))
         rep = family_generate(desc, k, field)
         frac = normalized_rank(rep, a)

@@ -101,7 +101,11 @@ class AlgebraElement:
         self.r = r
         clean = {}
         for w, c in (terms or {}).items():
-            c = int(c) % field.q if field.deg == 1 else int(c)
+            c = int(c)
+            if field.deg == 1:
+                c %= field.q
+            elif not 0 <= c < field.q:
+                raise ValueError(f"coefficient {c} out of range [0, {field.q})")
             if c:
                 if w.max_generator() > r:
                     raise ValueError(f"generator index {w.max_generator()} exceeds r={r}")
@@ -221,26 +225,30 @@ class Scanner:
 
 
 def parse_element(text: str, field: FieldSpec, r: int) -> AlgebraElement:
-    """Parse the group-algebra grammar; round-trips with str()."""
+    """Parse the group-algebra grammar; round-trips with str().  The terms
+    are summed in one dict and each word is reduced once from all its
+    letters, so a parse is linear in its text."""
     sc = Scanner(text)
-    result = _parse_term(sc, field, r)
+    terms, sign = {}, "+"
     while True:
-        ch = sc.peek()
-        if ch == "+":
-            sc.take("+")
-            result = result + _parse_term(sc, field, r)
-        elif ch == "-":
-            sc.take("-")
-            result = result - _parse_term(sc, field, r)
-        else:
+        coeff, word = _parse_term(sc, field, r)
+        if sign == "-":
+            coeff = field.neg(coeff)
+        if word in terms:
+            coeff = field.add(terms[word], coeff)
+        terms[word] = coeff   # a zero sum is dropped by AlgebraElement
+        sign = sc.peek()
+        if sign not in ("+", "-"):
             break
+        sc.take(sign)
     sc.skip_ws()
     if sc.pos != len(sc.text):
         raise ParseError(f"unexpected {sc.text[sc.pos]!r}", sc.pos)
-    return result
+    return AlgebraElement(field, r, terms)
 
 
 def _parse_term(sc, field, r):
+    """(coefficient, word) of one term."""
     coeff = 1
     if sc.peek().isdigit():
         coeff = sc.number() % field.q if field.deg == 1 else sc.number()
@@ -249,20 +257,19 @@ def _parse_term(sc, field, r):
         if sc.peek() == "*":
             sc.take("*")
         else:
-            return AlgebraElement(field, r, {Word.identity(): coeff})
-    word = _parse_wordpart(sc, r)
-    return AlgebraElement(field, r, {word: coeff})
+            return coeff, Word.identity()
+    return coeff, _parse_wordpart(sc, r)
 
 
 def _parse_wordpart(sc, r):
     if sc.peek() == "e":
         sc.take("e")
         return Word.identity()
-    word = _parse_gen(sc, r)
+    letters = list(_parse_gen(sc, r))
     while sc.peek() == "*":
         sc.take("*")
-        word = word * _parse_gen(sc, r)
-    return word
+        letters.extend(_parse_gen(sc, r))
+    return Word.from_letters(letters)
 
 
 def _parse_gen(sc, r):
@@ -273,12 +280,11 @@ def _parse_gen(sc, r):
     idx = sc.number()
     if idx < 1 or idx > r:
         raise ParseError(f"generator index {idx} out of range [1, {r}]", pos)
-    exp = 1
+    sign, count = 1, 1
     if sc.peek() == "^":
         sc.take("^")
-        sign = 1
         if sc.peek() == "-":
             sc.take("-")
             sign = -1
-        exp = sign * sc.number()
-    return Word.generator(idx, exp)
+        count = sc.number()
+    return ((idx, sign),) * count

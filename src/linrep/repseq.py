@@ -4,21 +4,22 @@ A representation is an r-tuple of invertible matrices over GF(q); group
 algebra matrices are evaluated blockwise, and normalized ranks are exact
 Fractions rank/n_k.  A generator is a dense matrix or a permutation held
 as its index array, which is how the cyclic and involution families build
-theirs, with no k x k array.  A word over permutation letters evaluates to
-a composed permutation, its row map, built along its prefixes with one
-gather per letter and cached.  normalized_rank lists theta(A)'s nonzeros
-from these maps when every word of A is over permutation letters and ranks
-them by matrix.rank_entries; otherwise it ranks the dense image that
-apply_matrix builds.  of_word returns a word's image as a DenseMatrix: a
-permutation word's is materialized from its row map, and any other word is
-evaluated along its prefixes with only the products it needs: its first
-letter is the generator (or inverse) itself, a permutation letter is a
-column gather and a dense letter one product.  A dense generator is
-checked invertible by its rank and inverted only at the first word that
-uses its inverse.  The same split builds generator images, the one
-primitive behind every growth dim(V + sum theta(gamma_i) V): images gathers
-the columns of a row stack for each permutation generator and takes the
-dense generators in one product with their stacked transposes.
+theirs, with no k x k array.  Word images live in one cache keyed by their
+letters: the empty word, each letter and each whole word evaluated so far.
+A word over permutation letters is held as its row map, any other as a
+DenseMatrix.  A new word is built from its cached parent (all letters but
+the last), else letter by letter, and each step is set by the kinds of its
+two sides: two row maps take one gather, a matrix and a permutation letter
+a column gather, a row map and a dense letter a row gather, and two
+matrices one product.  normalized_rank lists theta(A)'s nonzeros from the
+row maps when every word of A is over permutation letters and ranks them
+by matrix.rank_entries; otherwise it ranks the dense image that
+apply_matrix builds.  A dense generator is checked invertible by its rank
+and inverted only at the first word that uses its inverse.  The same split
+builds generator images, the one primitive behind every growth
+dim(V + sum theta(gamma_i) V): images gathers the columns of a row stack for
+each permutation generator and takes the dense generators in one product
+with their stacked transposes.
 """
 
 from __future__ import annotations
@@ -43,10 +44,14 @@ class Representation:
     vector e_perm[i], materialized only when generators, to_json or of_word
     asks for it.  A DenseMatrix that is a permutation matrix is held as its
     permutation too, so the two forms behave alike.
+
+    _word_cache maps a letter tuple to theta(word): a row map (an intp array;
+    row j of theta(word) is 1 in column map[j] alone) when every letter is a
+    permutation letter, else a DenseMatrix.  It holds the empty word, every
+    letter, and each whole word evaluated so far, and no other prefix.
     """
 
-    __slots__ = ("field", "r", "n", "_generators", "_maps", "_word_maps", "_word_cache",
-                 "_gather", "_transposes")
+    __slots__ = ("field", "r", "n", "_word_cache", "_gather", "_transposes")
 
     def __init__(self, field: FieldSpec, generators):
         self.field = field
@@ -55,48 +60,36 @@ class Representation:
         if self.r == 0:
             raise ValueError("need at least one generator")
         self.n = gens[0].rows if isinstance(gens[0], DenseMatrix) else len(gens[0])
-        # _maps[(i, e)] is the row map of the permutation letter g_i^e: row j
-        # of g_i^e is 1 in column _maps[i, e][j] alone, and m @ g_i^e is the
-        # column gather m[:, _maps[i, -e]].  A dense g_i has no entry; it is
-        # checked invertible here and inverted at its first g_i^-1 letter.
-        # images reads the same decision: the row maps of the permutations
-        # in one gather, and the dense g_i as [g_1^T | g_2^T | ...], or None.
-        self._generators = []
-        self._maps = {}
+        # A permutation g_i is seeded as the row maps of g_i and g_i^-1; a
+        # dense g_i is checked invertible here, and g_i^-1 is added at its
+        # first use.  images reads the same decision: the row maps of the
+        # permutations in one gather, and the dense g_i as
+        # [g_1^T | g_2^T | ...], or None.
+        cache = self._word_cache = {(): np.arange(self.n)}
         gather, dense = [], []
         for i, g in enumerate(gens, start=1):
             if isinstance(g, DenseMatrix):
                 if g.field != field or g.rows != self.n or g.cols != self.n:
                     raise ValueError("generators must be square matrices over the same field")
                 inv = _inverse_permutation(g.data)
-                if inv is None and not g.is_invertible():
-                    raise ValueError("all generator images must be invertible")
-                perm = None if inv is None else np.argsort(inv)
-                self._generators.append(g)
+                if inv is None:
+                    if not g.is_invertible():
+                        raise ValueError("all generator images must be invertible")
+                    cache[(i, 1),] = g
+                    dense.append(g.data)
+                    continue
+                perm = np.argsort(inv)
             else:
                 perm, inv = _permutation(g, self.n)
-                self._generators.append(None)
-            if perm is None:
-                dense.append(g.data)
-            else:
-                self._maps[i, 1], self._maps[i, -1] = inv, perm
-                gather.append(inv)
+            cache[(i, 1),], cache[(i, -1),] = inv, perm
+            gather.append(inv)
         self._gather = np.concatenate(gather) if gather else None
         self._transposes = np.concatenate(dense).T if dense else None
-        self._word_maps = {(): np.arange(self.n)}
-        self._word_cache = {}
 
     @property
     def generators(self) -> list:
         """The generator images as DenseMatrix values."""
-        for i, g in enumerate(self._generators):
-            if g is None:
-                self._generators[i] = self._permutation_matrix(self._maps[i + 1, 1])
-        return self._generators
-
-    def _permutation_matrix(self, row_map) -> DenseMatrix:
-        """The 0/1 matrix whose row j is 1 in column row_map[j] alone."""
-        return DenseMatrix(self.field, np.eye(self.n, dtype=np.uint8).take(row_map, axis=0))
+        return [self.of_word(Word.generator(i)) for i in range(1, self.r + 1)]
 
     def images(self, rows: np.ndarray) -> np.ndarray:
         """g_i v for every row v and every generator g_i, stacked as rows
@@ -110,50 +103,36 @@ class Representation:
         gathered = rows.take(self._gather, axis=1).reshape(-1, self.n)
         return gathered if dense is None else np.concatenate([gathered, dense])
 
-    def _row_map(self, word: Word):
-        """The row map of theta(word) when every letter of the word is a
-        permutation letter, else None: row j of theta(word) is 1 in column
-        map[j] alone.  It is built along prefixes as of_word builds, each
-        letter x one gather, map(wx) = map(x)[map(w)], and cached."""
-        key = word.letters
-        if key in self._word_maps:
-            return self._word_maps[key]
-        if any(letter not in self._maps for letter in key):
-            return None
-        m = self._word_maps[()]
-        for idx in range(len(key)):
-            prefix = key[: idx + 1]
-            if prefix not in self._word_maps:
-                self._word_maps[prefix] = self._maps[key[idx]].take(m)
-            m = self._word_maps[prefix]
+    def _image(self, key: tuple):
+        """theta of the word with letters key, as _word_cache holds it.  A new
+        word is built from its cached parent (all letters but the last) when
+        there is one, else letter by letter, and only the word is kept."""
+        cache = self._word_cache
+        if key in cache:
+            return cache[key]
+        m = cache.get(key[:-1]) if len(key) > 1 else None
+        for i, e in key if m is None else key[-1:]:
+            x = cache.get(((i, e),))
+            if x is None:   # a dense g_i^-1, inverted at its first use
+                x = cache[(i, e),] = cache[(i, 1),].inverse()
+            if m is None:
+                m = x
+            elif isinstance(x, DenseMatrix):   # one product, or x's rows gathered by m
+                m = (m @ x if isinstance(m, DenseMatrix)
+                     else DenseMatrix(self.field, x.data.take(m, axis=0)))
+            elif isinstance(m, DenseMatrix):   # m @ x gathers m's columns by x^-1
+                m = DenseMatrix(self.field, m.data.take(cache[(i, -e),], axis=1))
+            else:                              # map(wx) = map(x)[map(w)]
+                m = x.take(m)
+        cache[key] = m
         return m
 
     def of_word(self, word: Word) -> DenseMatrix:
-        key = word.letters
-        if key in self._word_cache:
-            return self._word_cache[key]
-        row_map = self._row_map(word)
-        if row_map is not None:
-            m = self._word_cache[key] = self._permutation_matrix(row_map)
+        """theta(word); a permutation word's row map is materialized here."""
+        m = self._image(word.letters)
+        if isinstance(m, DenseMatrix):
             return m
-        # Build up along prefixes so shared prefixes are evaluated once: a
-        # dense letter is one product, a permutation letter a column gather.
-        for idx in range(len(key)):
-            prefix = key[: idx + 1]
-            if prefix in self._word_cache:
-                m = self._word_cache[prefix]
-                continue
-            i, e = key[idx]
-            if (i, e) not in self._maps:
-                g = self._generators[i - 1]
-                step = g if e == 1 else g.inverse()
-                m = step if idx == 0 else m @ step
-            elif idx == 0:
-                m = self._permutation_matrix(self._maps[i, e])
-            else:
-                m = DenseMatrix(self.field, m.data.take(self._maps[i, -e], axis=1))
-            self._word_cache[prefix] = m
-        return m
+        return DenseMatrix(self.field, np.eye(self.n, dtype=np.uint8).take(m, axis=0))
 
     def to_json(self):
         return {"field": self.field.to_json(), "r": self.r, "n": self.n,
@@ -199,14 +178,14 @@ def normalized_rank(rep: Representation, a: AlgebraMatrix) -> Fraction:
     from its nonzeros with no dense array: a term c w of entry (i, j) puts c
     at row i n_k + t, column j n_k + map_w(t) for every point t, and
     rank_entries sums the terms that meet.  Otherwise apply_matrix builds
-    theta(A) and it is ranked as an array.
+    theta(A) from the word images cached here and it is ranked as an array.
     """
     _check_element(rep, a)
     nk = rep.n
-    terms = [(i, j, c, rep._row_map(word))
+    terms = [(i, j, c, rep._image(word.letters))
              for i, row in enumerate(a.entries) for j, entry in enumerate(row)
              for word, c in entry.terms.items()]
-    if any(row_map is None for *_, row_map in terms):
+    if any(isinstance(row_map, DenseMatrix) for *_, row_map in terms):
         return Fraction(apply_matrix(rep, a).rank(), nk)
     if not terms:
         return Fraction(0, nk)
@@ -313,8 +292,8 @@ class FamilyDescriptor:
         return FamilyDescriptor("involution", (r,))
 
     @staticmethod
-    def random_invertible(seed: int, n: int, r: int):
-        return FamilyDescriptor("random_invertible", (seed, n, r))
+    def random_invertible(seed: int, r: int):
+        return FamilyDescriptor("random_invertible", (seed, r))
 
 
 def _inverse_permutation(data):
@@ -347,7 +326,7 @@ def _permutation(perm, n: int):
 
 
 def family_generate(spec: FamilyDescriptor, k: int, field: FieldSpec) -> Representation:
-    """Instantiate the k-th member of a built-in representation family."""
+    """Instantiate the k-th member of a built-in representation family, of size k."""
     r = spec.params[-1] if spec.params else 1   # every family's last parameter
     if r < 1:
         raise ValueError("need at least one generator")
@@ -359,7 +338,6 @@ def family_generate(spec: FamilyDescriptor, k: int, field: FieldSpec) -> Represe
         perm = (points + 1) % k if spec.kind == "cyclic_regular" else np.minimum(points ^ 1, k - 1)
         return Representation(field, [perm] + [points] * (r - 1))
     if spec.kind == "random_invertible":
-        seed, n = spec.params[:2]
-        rng = np.random.Generator(np.random.Philox(seed))
-        return Representation(field, [random_invertible(field, rng, n) for _ in range(r)])
+        rng = np.random.Generator(np.random.Philox(spec.params[0]))
+        return Representation(field, [random_invertible(field, rng, k) for _ in range(r)])
     raise ValueError(f"unknown family {spec.kind!r}")

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from linrep import freealg
 from linrep.field import GF2, FieldSpec
 from linrep.freealg import (AlgebraElement, AlgebraMatrix, ParseError, Word,
                             parse_element, reduce_letters)
@@ -83,6 +84,63 @@ def test_parse_examples():
     e = parse_element("g1*g2^-1 + 2*e - g1", F3, 2)
     assert str(e) == "2 + 2*g1 + g1*g2^-1"
     assert parse_element("g1*g1^-1", GF2, 1) == AlgebraElement(GF2, 1, {Word.identity(): 1})
+
+
+def _word_text(letters):
+    return "*".join(f"g{i}" if e == 1 else f"g{i}^-1" for i, e in letters) or "e"
+
+
+@given(st.lists(st.tuples(st.sampled_from("+-"), st.integers(0, 255), letters),
+                min_size=1, max_size=6),
+       st.sampled_from([GF2, F3, FieldSpec(2, 2), FieldSpec(3, 2)]))
+def test_parse_sums_its_terms_as_the_ring_does(terms, field):
+    # Repeated words, signs, zero and cancelling coefficients and unreduced
+    # letter runs, against the sum of one-term elements.
+    text, want = "", AlgebraElement.zero(field, 3)
+    for idx, (sign, c, ls) in enumerate(terms):
+        c %= field.q
+        term = AlgebraElement(field, 3, {Word.from_letters(ls): c})
+        want = want - term if idx and sign == "-" else want + term
+        text += (f" {sign} " if idx else "") + f"{c}*{_word_text(ls)}"
+    assert parse_element(text, field, 3) == want
+
+
+def test_parse_builds_one_element_and_reduces_each_word_once(monkeypatch):
+    # Summing term by term would build an element per term and reduce a
+    # word per factor; the parse is linear in its text instead.
+    counts = {"elements": 0, "reductions": 0}
+    init, reduce = AlgebraElement.__init__, freealg.reduce_letters
+
+    def counted_init(self, *args, **kwargs):
+        counts["elements"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_reduce(ls):
+        counts["reductions"] += 1
+        return reduce(ls)
+    monkeypatch.setattr(AlgebraElement, "__init__", counted_init)
+    monkeypatch.setattr(freealg, "reduce_letters", counted_reduce)
+    e = parse_element("g1*g2*g2^-1*g1 + 2*g2^-1*g1^3 + g1*g1 + g2*g1^-1*g1 - 2*g2^-1*g1^3", F3, 2)
+    assert counts == {"elements": 1, "reductions": 5}
+    assert e.terms == {Word.generator(1, 2): 2, Word.generator(2): 1}
+    counts.update(elements=0, reductions=0)
+    long = parse_element("*".join(["g1"] * 2000) + " - 1", F3, 1)
+    assert counts == {"elements": 1, "reductions": 1}
+    assert long.terms == {Word.generator(1, 2000): 1, Word.identity(): 2}
+
+
+@pytest.mark.parametrize("field", [FieldSpec(2, 2), FieldSpec(3, 2)])
+def test_extension_field_coefficients_must_be_codes(field):
+    # A code of GF(p^d) is a digit vector, so it is not reduced mod q: an
+    # integer outside [0, q) is an error.  GF(p) reduces any integer mod p.
+    g1 = Word.generator(1)
+    for c in (field.q, field.q + 3, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            AlgebraElement(field, 1, {g1: c})
+    assert AlgebraElement(field, 1, {g1: field.q - 1, Word.identity(): 0}).terms == {
+        g1: field.q - 1}
+    assert AlgebraElement(F3, 1, {g1: 7}).terms == {g1: 1}
+    assert AlgebraElement(F3, 1, {g1: -1}).terms == {g1: 2}
 
 
 @pytest.mark.parametrize("bad,pos_range", [

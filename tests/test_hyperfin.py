@@ -266,7 +266,7 @@ _FALLBACK_TILES = {
 def test_witness_search_almost_invariant_fallback_is_pinned(q):
     # No seed vector has an invariant closure of dimension <= 3 here, so
     # every tile comes from the almost-invariant fallback (span(v), grow(span(v)), ...).
-    rep = family_generate(FamilyDescriptor.random_invertible(0, 8, 1), 8, FieldSpec(q))
+    rep = family_generate(FamilyDescriptor.random_invertible(0, 1), 8, FieldSpec(q))
     assert not any(_closed(hyperfin._chain(rep, v, 3)[1]) for v in np.eye(8, dtype=np.uint8))
     w = witness_search(rep, Fraction(1, 2), 3, budget=60)
     assert w is not None

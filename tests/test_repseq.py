@@ -172,6 +172,61 @@ def test_words_run_only_the_products_they_need(monkeypatch):
         assert [sa[0] for sa, _ in calls["matmul"]] == [1] * len(ks)
 
 
+def test_a_long_word_is_cached_without_its_prefixes():
+    # The cache keys the empty word, the letters (a dense g_i^-1 once used)
+    # and each whole word evaluated: g1^4000 adds itself and no prefix.
+    word = Word.generator(1, 4000)
+    a = AlgebraMatrix.scalar(F3, 2, 1, parse_element("g1^4000 - 1", F3, 2))
+    for k in (7, 8):
+        rep = family_generate(FamilyDescriptor.cyclic_regular(2), k, F3)
+        assert normalized_rank(rep, a) == Fraction(k - gcd(4000, k), k)
+        assert len(rep._word_cache) <= 2 * rep.r + 3 and word.letters in rep._word_cache
+    rep = family_generate(FamilyDescriptor.random_invertible(5, 2), 6, F3)
+    want = (_dense_word(rep, word) - DenseMatrix.identity(F3, 6)).rank()
+    assert normalized_rank(rep, a) == Fraction(want, 6)
+    assert len(rep._word_cache) <= 2 * rep.r + 3 and word.letters in rep._word_cache
+
+
+def test_mixed_words_gather_instead_of_multiplying(monkeypatch):
+    # A dense letter after a permutation prefix is a row gather of the dense
+    # image, and a permutation letter after a dense prefix a column gather:
+    # only a dense letter after a dense prefix is a product.
+    g = rng(34)
+    perm, dense = g.permutation(6), random_invertible(F3, g, 6)
+    rep = Representation(F3, [perm, dense])
+    assert rep.generators[1] is dense
+    calls = _count_kernel_calls(monkeypatch)
+    words = {"g1*g2": 0, "g2*g1^-1": 0, "g1^-1*g2^-1*g1*g1": 0, "g1*g2*g1*g2": 1,
+             "g2*g2^-1": 0, "g2^2*g1^3": 1}
+    for text, products in words.items():
+        calls["matmul"].clear()
+        (w, _), = parse_element(text, F3, 2).terms.items()
+        got = rep.of_word(w)
+        assert len(calls["matmul"]) == products, text
+        assert got == _dense_word(rep, w), text
+
+
+def test_words_enumerated_parent_first_take_one_product_each(monkeypatch):
+    # Over dense generators, a word whose parent (all letters but the last)
+    # is cached costs one product; its letters cost none.
+    g = rng(35)
+    rep = Representation(F3, [random_invertible(F3, g, 5) for _ in range(2)])
+    calls = _count_kernel_calls(monkeypatch)
+    frontier, count = [Word.identity()], 0
+    for _ in range(4):
+        frontier = [Word(w.letters + (x,)) for w in frontier
+                    for x in ((1, 1), (1, -1), (2, 1), (2, -1))
+                    if not w.letters or w.letters[-1] != (x[0], -x[1])]
+        for w in frontier:
+            calls["matmul"].clear()
+            rep.of_word(w)
+            assert len(calls["matmul"]) == (w.length > 1), w
+            count += 1
+    assert count == 4 + 12 + 36 + 108
+    for w in frontier:
+        assert rep.of_word(w) == _dense_word(rep, w)
+
+
 IMAGE_FIELDS = [GF2, F3, FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(2, 8)]
 
 
@@ -414,9 +469,9 @@ def test_permutation_family_generators_are_pinned(field):
 
 
 def test_random_invertible_family_is_seed_deterministic():
-    desc = FamilyDescriptor.random_invertible(7, 5, 2)
-    a = family_generate(desc, 0, GF2)
-    b = family_generate(desc, 0, GF2)
+    desc = FamilyDescriptor.random_invertible(7, 2)
+    a = family_generate(desc, 5, GF2)
+    b = family_generate(desc, 5, GF2)
     assert a.generators == b.generators
 
 
@@ -437,7 +492,7 @@ _PINNED_RANDOM_FAMILY = {
 def test_random_invertible_family_is_pinned(n):
     got = []
     for field in FIELDS:
-        rep = family_generate(FamilyDescriptor.random_invertible(n + 11, n, 2), n, field)
+        rep = family_generate(FamilyDescriptor.random_invertible(n + 11, 2), n, field)
         blob = b"".join(g.data.tobytes() for g in rep.generators)
         got.append(hashlib.sha256(blob).hexdigest()[:16])
     assert got == _PINNED_RANDOM_FAMILY[n]
