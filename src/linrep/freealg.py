@@ -8,6 +8,11 @@ term maps of algebra elements.  The textual grammar is:
     wordpart := 'e' | gen ('*' gen)*
     gen   := 'g' digit+ ['^' ['-'] digit+]
     coeff := digit+
+
+A wordpart may spell at most MAX_WORD_LETTERS letters, counted before
+free reduction (g1^3 spells three); an exponent that takes a word past
+that raises ParseError, so a parse costs at most that many letters per
+generator in the text.
 """
 
 from __future__ import annotations
@@ -15,6 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import FieldSpec
+
+
+# The most letters one wordpart may spell (see the grammar above).
+MAX_WORD_LETTERS = 1 << 16
 
 
 class ParseError(ValueError):
@@ -221,13 +230,17 @@ class Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected digits", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:   # past int()'s digit limit, or a digit int() does not read
+            raise ParseError("unreadable number", start) from None
 
 
 def parse_element(text: str, field: FieldSpec, r: int) -> AlgebraElement:
-    """Parse the group-algebra grammar; round-trips with str().  The terms
-    are summed in one dict and each word is reduced once from all its
-    letters, so a parse is linear in its text."""
+    """Parse the group-algebra grammar; round-trips with str() for words of
+    at most MAX_WORD_LETTERS letters.  The terms are summed in one dict and
+    each word is reduced once from all its letters, so a parse is linear in
+    its text."""
     sc = Scanner(text)
     terms, sign = {}, "+"
     while True:
@@ -265,14 +278,15 @@ def _parse_wordpart(sc, r):
     if sc.peek() == "e":
         sc.take("e")
         return Word.identity()
-    letters = list(_parse_gen(sc, r))
+    letters = list(_parse_gen(sc, r, MAX_WORD_LETTERS))
     while sc.peek() == "*":
         sc.take("*")
-        letters.extend(_parse_gen(sc, r))
+        letters.extend(_parse_gen(sc, r, MAX_WORD_LETTERS - len(letters)))
     return Word.from_letters(letters)
 
 
-def _parse_gen(sc, r):
+def _parse_gen(sc, r, room):
+    """The letters of one gen, at most room of them."""
     pos = sc.pos
     if sc.peek() != "g":
         raise ParseError("expected generator 'g<digits>'", sc.pos)
@@ -287,4 +301,6 @@ def _parse_gen(sc, r):
             sc.take("-")
             sign = -1
         count = sc.number()
+    if count > room:
+        raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", pos)
     return ((idx, sign),) * count

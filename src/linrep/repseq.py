@@ -19,7 +19,7 @@ and inverted only at the first word that uses its inverse.  The same split
 builds generator images, the one primitive behind every growth
 dim(V + sum theta(gamma_i) V): images gathers the columns of a row stack for
 each permutation generator and takes the dense generators in one product
-with their stacked transposes.
+with their stacked transposes, over the live columns of the rows alone.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 
 from .field import FieldSpec
 from .freealg import AlgebraMatrix, Word
-from .matrix import (DenseMatrix, fraction_to_json, json_typed, matmul_data, random_invertible,
-                     rank_entries)
+from .matrix import (DenseMatrix, fraction_to_json, json_typed, matmul_data, matmul_live,
+                     random_invertible, rank_entries)
 from .subspace import Subspace
 
 
@@ -95,9 +95,11 @@ class Representation:
         """g_i v for every row v and every generator g_i, stacked as rows
         (rows @ g_i^T), in no promised order.  A permutation's transpose is
         its inverse, so its images are a column gather; the dense generators
-        take one product, returned as it is when every generator is dense."""
+        take one product, returned as it is when every generator is dense.
+        That product is matmul_live's: rows spun from a coordinate vector
+        are zero off one block, and only their live columns are multiplied."""
         dense = (None if self._transposes is None
-                 else matmul_data(self.field, rows, self._transposes).reshape(-1, self.n))
+                 else matmul_live(self.field, rows, self._transposes).reshape(-1, self.n))
         if self._gather is None:
             return dense
         gathered = rows.take(self._gather, axis=1).reshape(-1, self.n)

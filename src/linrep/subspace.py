@@ -20,7 +20,7 @@ import numpy as np
 
 from .field import FieldSpec
 from .matrix import (DenseMatrix, SingularMatrixError, codes_from_json, echelon_kernel,
-                     matmul_data, rank_data, rref_array, sub_data)
+                     matmul_data, matmul_live, rank_data, rref_array, sub_data)
 
 
 class AmbientMismatchError(ValueError):
@@ -101,11 +101,12 @@ class Subspace:
             raise AmbientMismatchError("subspaces live in different ambient spaces")
 
     def residual(self, rows) -> np.ndarray:
-        """rows - rows[:, pivots] . basis: zero exactly on the rows inside."""
+        """rows - rows[:, pivots] . basis: zero exactly on the rows inside.
+        The product runs over the live columns of rows[:, pivots] alone."""
         rows = np.asarray(rows, dtype=np.uint8)
         if rows.ndim != 2 or rows.shape[1] != self.ambient:
             raise AmbientMismatchError(f"expected rows of length {self.ambient}")
-        proj = matmul_data(self.field, rows[:, list(self.pivots)], self.basis)
+        proj = matmul_live(self.field, rows[:, list(self.pivots)], self.basis)
         return sub_data(self.field, rows, proj)
 
     # -- lattice operations --

@@ -12,19 +12,21 @@ The range arguments (--k, --sizes, --poly-levels) and the counts
 with exit 0, 2 or 3, or one JSON input error with exit 1, which an empty
 or repeated range and a value below the least valid one always give.
 On the permutation families, `profile` prints the rank of the dense image
-that `apply_matrix` builds, for any element of a few short words.
+that `apply_matrix` builds, for any element of a few short words, and an
+`--element` exponent of any size gives a report or one JSON input error.
 """
 
 import functools
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from linrep import cli
-from linrep.freealg import AlgebraMatrix, parse_element
+from linrep.freealg import MAX_WORD_LETTERS, AlgebraMatrix, parse_element
 from linrep.repseq import FamilyDescriptor, apply_matrix, family_generate
 
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
@@ -434,3 +436,34 @@ def test_profile_of_a_permutation_family_matches_the_dense_image(data):
         frac = Fraction(rank, k)
         want.append(f"{k},{k},{rank},{frac.numerator},{frac.denominator}")
     assert out.getvalue().splitlines() == want, element
+
+
+_LONG = f"g1^{MAX_WORD_LETTERS - 2}*g1*g1^-1*"    # MAX_WORD_LETTERS letters so far
+_PAST_CAP = f"word longer than {MAX_WORD_LETTERS} letters (at position"
+
+
+@pytest.mark.parametrize("element, detail", [
+    ("g1^99999999999999999999 - 1", f"{_PAST_CAP} 0)"),
+    ("g1^999999999 - 1", f"{_PAST_CAP} 0)"),
+    (f"{_LONG}g1 - 1", f"{_PAST_CAP} {len(_LONG)})"),
+    (f"g1 + g1^-{MAX_WORD_LETTERS + 1}", f"{_PAST_CAP} 5)"),
+    ("g1^" + "9" * 5000, "unreadable number (at position 3)"),
+    ("g1^\u00b2 - 1", "unreadable number (at position 3)"),
+    (f"{_LONG[:-1]} - 1", None),
+])
+def test_profile_answers_any_exponent(element, detail):
+    # A word may spell MAX_WORD_LETTERS letters, counted before reduction;
+    # a gen that takes it past that is one JSON input error at the gen's
+    # position, whatever the exponent's size, and an exponent int() cannot
+    # read (past its digit limit, or a superscript digit) one at the number.
+    out = io.StringIO()
+    code = cli.main(["profile", "--k", "4", "--field", "3", "--element", element], out)
+    if detail:
+        assert code == cli.EXIT_INPUT
+        assert json.loads(out.getvalue()) == {"error": "input", "detail": detail}
+    else:
+        # It reduces to g1^(MAX_WORD_LETTERS - 2) - 1: on Z/4, rank 4 - gcd.
+        rank = 4 - math.gcd(MAX_WORD_LETTERS - 2, 4)
+        frac = Fraction(rank, 4)
+        assert (code, out.getvalue()) == (cli.EXIT_OK,
+                                          f"4,4,{rank},{frac.numerator},{frac.denominator}\n")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from linrep import cli, hyperfin
+from linrep import cli, hyperfin, matrix, repseq, subspace
 from linrep.field import GF2, FieldSpec
 from linrep.hyperfin import (HyperfiniteWitness, cheeger_exact, cheeger_random,
                              epsilon_for_delta, expander_check, grow,
@@ -278,7 +278,7 @@ def test_witness_search_almost_invariant_fallback_is_pinned(q):
 # A tile of dimension d grows to d + 1 < (5/4) d only for d >= 5, so K = 4
 # finds none.  The witness is the same over every field.
 _CYCLIC_WITNESS = {32: (5, "f117c7d311e20a33"), 64: (10, "e4770c9ee459e8d0"),
-                   128: (20, "68c272e8c8b44361")}
+                   128: (20, "68c272e8c8b44361"), 256: (39, "fdeed6f91ee8fc81")}
 
 
 @pytest.mark.parametrize("field", [GF2, FieldSpec(3), FieldSpec(2, 2)])
@@ -290,6 +290,31 @@ def test_cyclic_family_witness_is_pinned(field, k):
     assert (len(w.subspaces), digest) == _CYCLIC_WITNESS[k]
     assert witness_check(rep, w)
     assert witness_search(rep, Fraction(1, 4), 4, budget=2 * k) is None
+
+
+@pytest.mark.parametrize("field", [GF2, FieldSpec(3), FieldSpec(2, 2)])
+def test_search_products_past_the_guard_multiply_within_one_block(field, monkeypatch):
+    # A spin from a coordinate vector stays inside its block, so every
+    # product past matrix._LIVE_MACS (generator images, span residuals and
+    # basis updates) runs over at most one block's columns, not all n.
+    sizes = [3, 4, 5, 6] * 6
+    rep = block_rep(field, sizes, seed=7)
+    assert rep.n >= 96
+    inner = matrix.matmul_data
+    shapes = []
+
+    def counted(field, a, b):
+        shapes.append((len(a), a.shape[1], b.shape[1]))
+        return inner(field, a, b)
+    for module in (matrix, repseq, subspace):
+        monkeypatch.setattr(module, "matmul_data", counted)
+    w = witness_search(rep, Fraction(1, 10), max(sizes), budget=rep.n + 16)
+    assert w is not None and witness_check(rep, w)
+    guard = matrix._LIVE_MACS
+    # Products that would pass the guard over all n columns were made...
+    assert any(m * rep.n * cols > guard for m, _, cols in shapes)
+    # ...and none that passes it runs over more than one block.
+    assert all(k <= max(sizes) for m, k, cols in shapes if m * k * cols > guard)
 
 
 def test_witness_search_raises_when_its_witness_fails_the_check(monkeypatch):

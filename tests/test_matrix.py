@@ -4,8 +4,8 @@ import pytest
 from linrep import matrix
 from linrep.field import GF2, FieldSpec
 from linrep.matrix import (DenseMatrix, SingularMatrixError, add_data, inverse_data,
-                           matmul_data, random_invertible, random_matrix, rank_data,
-                           rref_array, scale_data)
+                           matmul_data, matmul_live, random_invertible, random_matrix,
+                           rank_data, rref_array, scale_data)
 from linrep.repseq import Representation
 
 F3 = FieldSpec(3)
@@ -16,6 +16,8 @@ F251 = FieldSpec(251)
 F256 = FieldSpec(2, 8)
 # Every kernel family: GF(2), GF(p), GF(2^d) and odd GF(p^d).
 KERNEL_FIELDS = [GF2, F3, F4, F9, F251, F256, F25]
+# The benchmark's six fields.
+BENCH_FIELDS = [GF2, F3, F251, F4, F9, F256]
 
 
 def rng(seed=0):
@@ -69,6 +71,39 @@ def test_matmul_matches_scalar_oracle(field):
         for y in (b.data, np.ascontiguousarray(b.data.T).T):     # C-ordered and strided
             got = matmul_data(field, a.data, y)
             assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", BENCH_FIELDS)
+def test_matmul_live_matches_matmul_data(field, monkeypatch):
+    # Left operands with zero columns, none live, all live and no rows, on
+    # both sides of the guard: each product equals matmul_data's, and above
+    # the guard matmul_data sees only the live columns of a and rows of b.
+    g = rng(3)
+    guard = matrix._LIVE_MACS
+    inner = matrix.matmul_data
+    seen = []
+
+    def counted(field, a, b):
+        seen.append(a.shape[1])
+        return inner(field, a, b)
+    monkeypatch.setattr(matrix, "matmul_data", counted)
+    # (rows of a, inner, cols of b): 2 * 32 * 128 = guard, then past it.
+    for m, k, n in [(2, 32, 128), (3, 32, 128), (1, 4, 8), (0, 64, 200), (9, 40, 90)]:
+        b = random_matrix(field, g, k, n).data
+        full = g.integers(1, field.q, size=(m, k), dtype=np.uint8)    # no zero entry
+        for live in (np.arange(k), np.arange(0), np.array([1, 3]), np.arange(0, k, 3)):
+            a = np.zeros_like(full)
+            a[:, live] = full[:, live]
+            a_before, b_before = a.copy(), b.copy()
+            seen.clear()
+            got = matmul_live(field, a, b)
+            want = inner(field, a, b)
+            assert got.dtype == np.uint8 and got.shape == (m, n)
+            assert np.array_equal(got, want)
+            assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+            assert seen == [len(live) if m * b.size > guard else k], (m, k, n, len(live))
+    for y in (b, np.ascontiguousarray(b.T).T):     # C-ordered and strided
+        assert np.array_equal(matmul_live(field, a, y), inner(field, a, b))
 
 
 def test_matmul_odd_extension_across_packing_chunks():

@@ -258,6 +258,39 @@ def test_images_match_one_product_per_generator(field, monkeypatch):
             assert calls["matmul"] == ([((m, n), (n, n_dense * n))] if n_dense else [])
 
 
+@pytest.mark.parametrize("field", IMAGE_FIELDS)
+def test_images_of_block_diagonal_generators_match_one_product_each(field, monkeypatch):
+    # Dense block-diagonal generators at n = 48: rows inside one block,
+    # across two blocks and dense, compared with one product per generator.
+    # Past matrix._LIVE_MACS the one product multiplies only the live
+    # columns of the rows; at or below it, all n.
+    g = rng(13)
+    sizes = [3, 5, 4, 6] * 2 + [7, 5, 4]
+    n = sum(sizes)
+    starts = np.cumsum([0] + sizes)
+    gens = []
+    for _ in range(2):
+        data = np.zeros((n, n), dtype=np.uint8)
+        for lo, s in zip(starts, sizes):
+            data[lo:lo + s, lo:lo + s] = random_invertible(field, g, s).data
+        gens.append(DenseMatrix(field, data))
+    rep = Representation(field, gens)
+    calls = _count_kernel_calls(monkeypatch)
+    for m in (0, 1, 2, 5):
+        dense = random_matrix(field, g, m, n).data
+        for cols in (np.arange(5, 8), np.arange(3, 12), np.arange(n)):
+            rows = np.zeros_like(dense)
+            rows[:, cols] = dense[:, cols]
+            want = np.concatenate([matmul_data(field, rows, gen.data.T) for gen in gens])
+            calls["matmul"].clear()
+            got = rep.images(rows)
+            assert got.dtype == np.uint8 and got.shape == (2 * m, n)
+            assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+            live = np.count_nonzero(rows.any(axis=0))
+            inner = live if m * n * 2 * n > matrix._LIVE_MACS else n
+            assert calls["matmul"] == [((m, inner), (inner, 2 * n))]
+
+
 def _permutation_rep(g, field, r, k):
     """r random permutations of k points as index arrays.  g2 is g1 with
     two points swapped, so words that differ only in g1 and g2 agree on
