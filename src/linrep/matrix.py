@@ -24,18 +24,21 @@ at every size.  Every other field picks its elimination kernel by shape
 alone: an array of at most _LIST_CELLS cells runs Gauss-Jordan on Python
 lists of the field tables (_rref_lists), where one list index costs less
 than one numpy call; a larger one runs the table loop (_rref_table),
-which clears a pivot column by one sub_data call on the live columns,
-from the pivot column on.  Ranks run these kernels forward only and
-build no reduced array, and have one more: a matrix with few nonzeros
-per row, as the image of a permutation representation has, is reduced
-one sparse row at a time (_rank_sparse), and goes to the dense kernels
-after all if a row fills in past _FILL_CAP.  Two entries feed it:
-rank_data takes a larger sparse array's nonzeros, and rank_entries takes
-a list of entries whose repeated positions it sums, so that a
-permutation representation's image is ranked with no dense array at all.
+which clears a pivot column by one sub_data call on the live block, in
+place: the rows from the column's first nonzero to its last, and the
+columns from the pivot column to the pivot row's last nonzero.  Ranks
+run these kernels forward only and build no reduced array, and have one
+more: a matrix with few nonzeros per row, as the image of a permutation
+representation has, is reduced one sparse row at a time (_rank_sparse),
+and goes to the dense kernels after all if a row fills in past
+_FILL_CAP.  Two entries feed it: rank_data takes a larger sparse array's
+nonzeros, and rank_entries takes a list of entries whose repeated
+positions it sums, so that a permutation representation's image is
+ranked with no dense array at all.
 Arrays stay uint8 at the API, and no function here writes to an array it
 is given.  A DenseMatrix owns its read-only array and keeps its inverse,
-so random_invertible's test is the inverse a Representation uses.
+so random_invertible's test is the inverse a Representation uses; over
+GF(2) that test stops a singular draw after the forward pass of [A | I].
 """
 
 from __future__ import annotations
@@ -332,11 +335,22 @@ def scale_data(field: FieldSpec, a: np.ndarray, c: int) -> np.ndarray:
 def inverse_data(field: FieldSpec, a: np.ndarray) -> np.ndarray:
     """A^-1, the right half of rref([A | I]).  A is invertible iff the pivots
     are the first n columns, and elimination then stops after those n.
-    Raises SingularMatrixError for a singular or a non-square A."""
+    Over GF(2) the forward pass alone decides: [A | I] has rank n, and A is
+    singular iff a row _reduce_bits keeps leads in the identity half, so a
+    singular A raises before any back-substitution (_back_clear).  Every
+    other field runs rref_array and reads the pivots.  Raises
+    SingularMatrixError for a singular or a non-square A."""
     n, cols = a.shape
     if n != cols:
         raise SingularMatrixError("not square")
-    R, pivots = rref_array(field, np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1))
+    aug = np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1)
+    if field.q == 2:
+        new = _reduce_bits(aug, {})
+        w = 8 * -(-2 * n // 8)      # a leading bit above w - n is a column of A
+        if any(top <= w - n for top in new):
+            raise SingularMatrixError("matrix is singular")
+        return _bit_array(_back_clear(new)[1], 2 * n)[:, n:]
+    R, pivots = rref_array(field, aug)
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return R[:, n:]
@@ -525,28 +539,35 @@ def _reduce_ints(bits, basis: dict) -> dict:
     return new
 
 
+def _back_clear(new: dict):
+    """The rows _reduce_ints kept, one per leading bit, as the nonzero rows
+    of the reduced echelon form: sorted first pivot column first, with each
+    pivot bit cleared from the rows above it, last pivot first.  Returns
+    the leading bits and the rows, in that order."""
+    tops = sorted(new, reverse=True)
+    bits = [new[top] for top in tops]
+    for i in range(len(bits) - 1, 0, -1):
+        bit, pivot = 1 << (tops[i] - 1), bits[i]
+        bits[:i] = [b ^ pivot if b & bit else b for b in bits[:i]]
+    return tops, bits
+
+
 def rref_array(field: FieldSpec, data: np.ndarray):
     """Reduced row echelon form of a raw code array, with its pivot columns.
 
     The kernel is chosen by field and shape alone.  Over GF(2) each row is
-    a bit row, one Python int with column j at bit w-1-j.  The rows
-    _reduce_bits keeps, one per leading bit, are sorted first pivot column
-    first; each pivot bit is cleared from the rows above it, last pivot
-    first, and zero rows pad the result to m rows.  Over every other field
-    an array of at most _LIST_CELLS cells runs _rref_lists and a larger one
-    _rref_table.  The reduced echelon form is unique, so every kernel
-    returns the same array, always a fresh uint8 one.
+    a bit row, one Python int with column j at bit w-1-j: _back_clear
+    reduces the rows _reduce_bits keeps, and zero rows pad the result to m
+    rows.  Over every other field an array of at most _LIST_CELLS cells
+    runs _rref_lists and a larger one _rref_table.  The reduced echelon
+    form is unique, so every kernel returns the same array, always a fresh
+    uint8 one.
     """
     data = np.asarray(data, dtype=np.uint8)
     m, n = data.shape
     if field.q == 2:
         w = 8 * -(-n // 8)
-        new = _reduce_bits(data, {})
-        tops = sorted(new, reverse=True)    # first pivot column first
-        bits = [new[top] for top in tops]
-        for i in range(len(bits) - 1, 0, -1):
-            bit, pivot = 1 << (tops[i] - 1), bits[i]
-            bits[:i] = [b ^ pivot if b & bit else b for b in bits[:i]]
+        tops, bits = _back_clear(_reduce_bits(data, {}))
         return _bit_array(bits + [0] * (m - len(bits)), n), [w - top for top in tops]
     return (_rref_lists if m * n <= _LIST_CELLS else _rref_table)(field, data)
 
@@ -594,14 +615,21 @@ def _rref_table(field: FieldSpec, data: np.ndarray, back=True):
     stops once every row holds a pivot, and clears a pivot column by
     subtracting f * pivot row from every other row (without back, every
     row below) whose entry in it is f: the multiples f * row come from one
-    of two gathers from t.mul, and one sub_data call subtracts them.  With
-    k rows to clear, k >= q gathers the q multiples of the pivot row once,
-    t.mul[:, row], and picks k of them; fewer rows gather their own
+    of two gathers from t.mul, and one sub_data call subtracts them.  The
+    clear runs in place on the block of rows from the column's first
+    nonzero to its last (from `row + 1` on without back), the pivot row's
+    factor set to 0; a zero factor inside the block subtracts nothing.
+    With k rows in it, k >= q gathers the q multiples of the pivot row
+    once, t.mul[:, row], and picks k of them; fewer gather their own
     factors' rows t.mul[f] and then the pivot row's columns, so a sparse
-    column costs k x w, not q x w.  It moves past columns with no pivot in
-    one scan, so a wide array of low rank costs one step per pivot, and it
-    swaps, scales and clears only the live columns R[:, col:]: the rows from
-    `row` down are zero left of col, so the pivot row adds nothing there."""
+    column whose nonzeros lie close together costs k x w, not q x w.  It
+    moves past columns with no pivot in one scan, so a wide array of low
+    rank costs one step per pivot.  It swaps the live columns R[:, col:]
+    alone, since the rows from `row` down are zero left of col, and with
+    back it scales and clears only up to the pivot row's last nonzero
+    column, past which the pivot row adds nothing: in [A | I] that is the
+    identity columns of the rows pivoted so far, so a step clears about n
+    columns, not 2n - col."""
     m, n = data.shape
     pivots, row, col = [], 0, 0
     t, q = field.tables, field.q
@@ -620,17 +648,23 @@ def _rref_table(field: FieldSpec, data: np.ndarray, back=True):
         live = R[:, col:]
         if pr != row:
             live[[row, pr]] = live[[pr, row]]
+        if back:
+            live = live[:, :live[row].nonzero()[0][-1] + 1]
         pv = live[row, 0]
         if pv != 1:
             live[row] = t.mul[t.inv[pv]][live[row]]
-        others = np.nonzero(live[:, 0])[0]
-        others = others[(others != row) if back else (others > row)]
-        if others.size:
-            block = live[others]
+        lo = 0 if back else row + 1
+        nz = live[lo:, 0].nonzero()[0]
+        if nz.size > back:      # a row to clear
+            top = lo + int(nz[0])
+            block = live[top:lo + int(nz[-1]) + 1]
             f = block[:, 0]
+            if back:
+                f = f.copy()
+                f[row - top] = 0
             prow = live[row]
             multiples = t.mul[:, prow][f] if q <= f.size else t.mul[f][:, prow]
-            live[others] = sub_data(field, block, multiples)
+            block[:] = sub_data(field, block, multiples)
         pivots.append(col)
         row += 1
         col += 1
@@ -649,12 +683,12 @@ class SpanAccumulator:
     on its own pivot column and 0 on the others, with the pivot list: a
     batch is reduced by one product and one sub_data, only its residual is
     eliminated, and one more product clears the old rows at the new
-    pivots.  Both products are matmul_live's, over the live columns of
-    their left operand alone: a batch spun from a coordinate vector is
-    zero off one block or orbit, and so at most of the pivots, and the old
-    rows are zero at most of the new pivots.  The basis is not canonical; a caller that
-    needs the canonical form builds a Subspace from the rows that extend
-    returned.
+    pivots, only those nonzero there.  Both products are matmul_live's,
+    over the live columns of their left operand alone: a batch spun from a
+    coordinate vector is zero off one block or orbit, and so at most of
+    the pivots, and the old rows are zero at most of the new pivots.  The
+    basis is not canonical; a caller that needs the canonical form builds a
+    Subspace from the rows that extend returned.
     """
 
     __slots__ = ("field", "n", "dim", "_bits", "_basis", "_pivots")
@@ -689,11 +723,17 @@ class SpanAccumulator:
         return R[:len(pivots)], pivots
 
     def _append(self, R, pivots) -> None:
-        """Clear the basis at the new pivots, then add R's rows below it."""
+        """Clear the basis at the new pivots, then add R's rows below it.
+        Only the old rows nonzero at a new pivot change, so only those are
+        gathered, updated and scattered back."""
         old, k = self.dim, len(pivots)
         if old and k:
             basis = self._basis[:old]
-            basis[:] = sub_data(self.field, basis, matmul_live(self.field, basis[:, pivots], R))
+            at = basis[:, pivots]
+            hit = np.flatnonzero(at.any(axis=1))
+            if len(hit):
+                basis[hit] = sub_data(self.field, basis[hit],
+                                      matmul_live(self.field, at[hit], R))
         self._basis[old:old + k] = R
         self._pivots[old:old + k] = pivots
         self.dim = old + k
@@ -748,8 +788,9 @@ def random_matrix(field, rng, rows, cols=None) -> DenseMatrix:
 
 def random_invertible(field, rng, n) -> DenseMatrix:
     """The first invertible draw of random_matrix.  Each draw is tested by
-    inverse(), one [A | I] elimination, so the matrix returned already
-    keeps its inverse and a later inverse() runs no elimination."""
+    inverse(), one elimination of [A | I] (over GF(2) a singular draw stops
+    after its forward pass), so the matrix returned already keeps its
+    inverse and a later inverse() runs no elimination."""
     while True:
         m = random_matrix(field, rng, n)
         try:

@@ -3,9 +3,9 @@ import pytest
 
 from linrep import matrix
 from linrep.field import GF2, FieldSpec
-from linrep.matrix import (DenseMatrix, SingularMatrixError, add_data, inverse_data,
-                           matmul_data, matmul_live, random_invertible, random_matrix,
-                           rank_data, rref_array, scale_data)
+from linrep.matrix import (DenseMatrix, SingularMatrixError, SpanAccumulator, add_data,
+                           inverse_data, matmul_data, matmul_live, random_invertible,
+                           random_matrix, rank_data, rref_array, scale_data, sub_data)
 from linrep.repseq import Representation
 
 F3 = FieldSpec(3)
@@ -525,6 +525,72 @@ def test_rref_takes_both_multiples_gathers(monkeypatch, field):
     assert table >= 1 and per_row and max(per_row) < q
 
 
+def _table_cases(field, g):
+    """_rref_cases and larger arrays for the table loop: dense random ones,
+    sparse ones, ones whose rows end early, [A | I] systems and
+    rank-deficient ones."""
+    cases = _rref_cases(field, g)
+    for m, n in ((9, 14), (20, 20), (33, 17), (12, 40)):
+        dense = random_matrix(field, g, m, n).data
+        sparse = dense * (g.random((m, n)) < 0.15)
+        early = dense.copy()
+        for i in range(m):      # row i ends at a random column
+            early[i, int(g.integers(1, n + 1)):] = 0
+        cases += [dense, sparse, early, early[::-1], _rank_deficient(field, g, m, n),
+                  np.concatenate([sparse, dense[:3]])]
+    for n in (6, 17, 30):
+        a = random_matrix(field, g, n).data
+        singular = matmul_data(field, a[:, : n - 2], random_matrix(field, g, n - 2, n).data)
+        cases += [np.concatenate([x, np.eye(n, dtype=np.uint8)], axis=1) for x in (a, singular)]
+    return cases
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_table_loop_matches_the_oracle_on_dense_and_sparse_columns(monkeypatch, field):
+    # _rref_table with back against the scalar Gauss-Jordan, and without
+    # back (the rank's forward pass) against its pivots and row space: an
+    # echelon array, 1 on each pivot and 0 below it, zero past the rank.
+    # Each clear runs in place on a slice of R, which sub_data sees as a
+    # view, on dense and sparse columns alike.  Inputs are read-only.
+    g = rng(16)
+    calls = []
+    sub = matrix.sub_data
+
+    def logged(f, a, b):
+        assert a.base is not None
+        calls.append(a.shape[1])
+        return sub(f, a, b)
+    monkeypatch.setattr(matrix, "sub_data", logged)
+    for data in _table_cases(field, g):
+        data = _read_only(data)
+        before = data.copy()
+        want, want_piv = gauss_jordan_oracle(field, data)
+        for back in (True, False):
+            R, piv = matrix._rref_table(field, data, back=back)
+            assert R.dtype == np.uint8 and piv == want_piv
+            if back:
+                assert np.array_equal(R, want)
+                continue
+            rank = len(piv)
+            assert np.array_equal(gauss_jordan_oracle(field, R)[0], want)
+            assert not R[rank:].any()
+            for i, col in enumerate(piv):
+                assert not R[i, :col].any() and R[i, col] == 1 and not R[i + 1:, col].any()
+        assert np.array_equal(data, before)
+    assert calls
+    # [A | I] with A unit upper triangular needs no swap, and the pivot row
+    # at column c is zero past column n + c: each clear spans n + 1 columns,
+    # not 2n - c.
+    n = 24
+    a = np.triu(random_matrix(field, g, n).data, 1) | np.eye(n, dtype=np.uint8)
+    aug = _read_only(np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1))
+    calls.clear()
+    R, piv = matrix._rref_table(field, aug)
+    want, want_piv = gauss_jordan_oracle(field, aug)
+    assert piv == want_piv == list(range(n)) and np.array_equal(R, want)
+    assert calls and set(calls) == {n + 1}
+
+
 LIST_FIELDS = [F3, F4, F9, F251, F256]
 
 
@@ -635,6 +701,40 @@ def test_singular_inverse_raises():
             m.inverse()
 
 
+def test_gf2_inverse_rejects_a_singular_draw_after_the_forward_pass(monkeypatch):
+    # [A | I] over GF(2) has rank n; A is singular iff a kept bit row leads
+    # in the identity half, and then no back-clear runs.  Invertible draws
+    # match the oracle's inverse, n = 0 included.
+    cleared = []
+    back_clear = matrix._back_clear
+    monkeypatch.setattr(matrix, "_back_clear",
+                        lambda new: cleared.append(len(new)) or back_clear(new))
+    g = rng(17)
+    singular = invertible = 0
+    for n in (0, 1, 2, 3, 7, 8, 9, 16, 17, 40):
+        eye = np.eye(n, dtype=np.uint8)
+        for k in range(10):
+            a = random_matrix(GF2, g, n).data.copy()
+            if k == 9 and n:    # the last column zero: singular only at the last pivot
+                a[:, -1] = 0
+            a = _read_only(a)
+            want, pivots = gauss_jordan_oracle(GF2, np.concatenate([a, eye], axis=1))
+            cleared.clear()
+            if pivots != list(range(n)):
+                singular += 1
+                with pytest.raises(SingularMatrixError, match="singular"):
+                    inverse_data(GF2, a)
+                assert cleared == []
+                continue
+            invertible += 1
+            got = inverse_data(GF2, a)
+            assert cleared == [n]
+            assert got.dtype == np.uint8 and got.shape == (n, n)
+            assert np.array_equal(got, want[:, n:])
+    assert singular >= 40 and invertible >= 20
+    assert random_invertible(GF2, g, 0).inverse().data.shape == (0, 0)
+
+
 @pytest.mark.parametrize("field", [GF2, F9])
 def test_matrix_on_a_view_does_not_follow_its_base(field):
     # The kept inverse would go stale if a write to the base reached the matrix.
@@ -648,12 +748,16 @@ def test_matrix_on_a_view_does_not_follow_its_base(field):
 
 @pytest.mark.parametrize("field", [GF2, F3, F251, F4, F9, F256])
 def test_random_invertible_eliminates_each_draw_once(monkeypatch, field):
+    # Each draw is one elimination of [A | I]: over GF(2) its forward pass,
+    # _reduce_bits(rows, basis), and elsewhere rref_array(field, data).
     shapes = []
+    name, arg = ("_reduce_bits", 0) if field.q == 2 else ("rref_array", 1)
+    kernel = getattr(matrix, name)
 
-    def counted(f, data):
-        shapes.append(data.shape)
-        return rref_array(f, data)
-    monkeypatch.setattr(matrix, "rref_array", counted)
+    def counted(*args):
+        shapes.append(args[arg].shape)
+        return kernel(*args)
+    monkeypatch.setattr(matrix, name, counted)
     for n in (1, 5, 40):
         # The draw count, replayed from the same Philox stream with the
         # scalar oracle's rank.
@@ -703,3 +807,43 @@ def test_entry_range_enforced():
 def test_json_round_trip():
     m = DenseMatrix(F4, [[0, 1, 2], [3, 2, 1]])
     assert DenseMatrix.from_json(F4, m.to_json()) == m
+
+
+@pytest.mark.parametrize("field", [f for f in KERNEL_FIELDS if f.q != 2])
+def test_span_accumulator_updates_only_the_rows_hit_at_new_pivots(field):
+    # Off GF(2) the accumulator keeps a fully reduced basis (GF(2) keeps bit
+    # rows and has no basis array), cleared at each batch's new pivots.  Only
+    # the old rows nonzero there change, and updating those alone must equal
+    # the full update basis - basis[:, pivots] . R on batches that hit none,
+    # some and all of the old rows: rows live in blocks of 8 columns, so a
+    # batch in a block of its own hits no old row, and a second batch in the
+    # first block hits each of its rows unless the row is 0 at every new pivot.
+    n, g = 32, rng(18)
+    hits = set()
+
+    def in_blocks(k, *blocks):
+        rows = np.zeros((k, n), dtype=np.uint8)
+        for b in blocks:
+            rows[:, 8 * b:8 * b + 8] = random_matrix(field, g, k, 8).data
+        return rows
+
+    for _ in range(4):
+        acc = SpanAccumulator(field, n)
+        rows = np.zeros((0, n), dtype=np.uint8)
+        for batch in (in_blocks(3, 0), in_blocks(3, 0), in_blocks(3, 2), in_blocks(3, 0, 1),
+                      in_blocks(2, 3), random_matrix(field, g, 4, n).data,
+                      random_matrix(field, g, 9, n).data):
+            R, pivots = acc._new_rows(batch)
+            old = acc._basis[:acc.dim].copy()
+            want = np.concatenate([sub_data(field, old, matmul_data(field, old[:, pivots], R)), R])
+            want_pivots = acc._pivots[:acc.dim].tolist() + list(pivots)
+            if len(old) and len(pivots):
+                hit = int(old[:, pivots].any(axis=1).sum())
+                hits.add("none" if hit == 0 else "all" if hit == len(old) else "some")
+            acc._append(R, pivots)
+            rows = np.concatenate([rows, batch])
+            assert acc.dim == len(want) == len(gauss_jordan_oracle(field, rows)[1])
+            assert np.array_equal(acc._basis[:acc.dim], want)
+            assert not acc._basis[acc.dim:].any()
+            assert acc._pivots[:acc.dim].tolist() == want_pivots
+    assert hits == {"none", "some", "all"}

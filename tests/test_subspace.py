@@ -273,6 +273,11 @@ def test_projection_is_one_elimination_and_rejects_non_complements(monkeypatch):
         u = random_subspace(field, g, 5, 2)
         c = u.complement()
         calls = _count_rref(monkeypatch)
+        # Over GF(2) an inverse is the forward pass of [A | I] and a back-clear
+        # of its bit rows, with no rref_array call: count that pass.
+        reduce_bits = matrix._reduce_bits
+        monkeypatch.setattr(matrix, "_reduce_bits", lambda rows, basis:
+                            calls.append(rows.shape) or reduce_bits(rows, basis))
         projection_onto(u, c)
         assert len(calls) == 1
         monkeypatch.undo()
